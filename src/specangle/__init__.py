@@ -14,7 +14,7 @@ from .affinity import (
     heat_kernel_affinity,
     median_heuristic_sigma,
 )
-from .classify import Prediction, nn_cosine_classify, sbomp_classify, somp_classify
+from .classify import Prediction, nn_cosine_classify, sbomp_classify
 from .data import (
     GroundTruth,
     HyperCube,
@@ -36,6 +36,7 @@ from .evaluate import (
     accuracy_curve_csv,
     accuracy_table,
     export_sphere_coords,
+    fit_pipeline,
     run_experiment,
     sphere_coords_csv,
     sweep,
@@ -69,7 +70,6 @@ __all__ = [
     "Prediction",
     "nn_cosine_classify",
     "sbomp_classify",
-    "somp_classify",
     "GroundTruth",
     "HyperCube",
     "NeighborhoodBlock",
@@ -88,6 +88,7 @@ __all__ = [
     "accuracy_curve_csv",
     "accuracy_table",
     "export_sphere_coords",
+    "fit_pipeline",
     "run_experiment",
     "sphere_coords_csv",
     "sweep",

@@ -14,7 +14,7 @@ from .data import SampleSet
 from .errors import DimensionMismatchError, ZeroVectorError
 from .pursuit import residual_by_class, sbomp
 
-__all__ = ["Prediction", "sbomp_classify", "somp_classify", "nn_cosine_classify"]
+__all__ = ["Prediction", "sbomp_classify", "nn_cosine_classify"]
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,6 @@ def sbomp_classify(dictionary, S, K):
     residuals = residual_by_class(dictionary, S, sol)
     label, tied = _argbest(residuals, minimize=True)
     return Prediction(label=label, per_class_residuals=residuals, tie_broken=tied)
-
-
-def somp_classify(dictionary, S, K):
-    """sbomp_classify specialised to width-1 training blocks.
-
-    The test side keeps its full neighborhood matrix; only the training side
-    is restricted to single spectra.
-    """
-    if np.any(dictionary.widths != 1):
-        raise DimensionMismatchError(
-            "somp_classify requires width-1 training blocks"
-        )
-    return sbomp_classify(dictionary, S, K)
 
 
 def nn_cosine_classify(train, x):

@@ -6,14 +6,12 @@ exits 0 on success and 1 with a structured message on stderr otherwise.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluate
-from .classify import nn_cosine_classify, sbomp_classify
 from .data import (
-    SampleSet,
     l2_normalize_pixels,
     load_cube,
     load_ground_truth,
@@ -25,16 +23,19 @@ from .data import (
 )
 from .errors import SpecAngleError
 from .evaluate import (
+    CLASSIFIERS,
+    SWEEP_AXES,
     ExperimentConfig,
     accuracy_curve_csv,
     accuracy_table,
     export_sphere_coords,
+    fit_pipeline,
+    fit_projection,
     run_experiment,
     sphere_coords_csv,
     sweep,
 )
-from .projections import DEFAULT_RIDGE
-from .pursuit import BlockDictionary
+from .projections import DEFAULT_RIDGE, METHODS
 
 _CUBE_EXT = {"csv_bands": "csv", "envi_bsq": "bsq", "envi_bil": "bil"}
 
@@ -64,20 +65,17 @@ def _add_data_args(p):
     p.add_argument("--cube", required=True, help="cube file")
     p.add_argument("--gt", required=True, help="ground-truth file")
     p.add_argument(
-        "--format", default="csv_bands", choices=["csv_bands", "envi_bsq", "envi_bil"],
-        help="cube file format",
+        "--format", default="csv_bands", choices=list(_CUBE_EXT), help="cube file format"
     )
     p.add_argument(
         "--gt-format", default="csv", choices=["csv", "envi"], help="ground-truth format"
     )
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_pipeline_args(p, lists=False):
     int_t = _int_list if lists else int
-    p.add_argument(
-        "--method", default="lspp",
-        choices=["lspp", "slspp", "ada", "lada", "lpp"],
-    )
+    p.add_argument("--method", default="lspp", choices=list(METHODS))
     p.add_argument("--r", type=int_t, default=[3] if lists else 3, help="reduced dimensionality")
     p.add_argument(
         "--sigma", type=_sigma_list if lists else _sigma, default=[None] if lists else None,
@@ -88,17 +86,19 @@ def _add_pipeline_args(p, lists=False):
     p.add_argument("--normalize", action="store_true", help="l2-normalize spectra first")
 
 
-def _add_protocol_args(p, lists=False):
+def _add_classifier_args(p, lists=False):
     int_t = _int_list if lists else int
-    p.add_argument(
-        "--classifier", default="nn-cos", choices=["sbomp", "somp", "nn-cos"]
-    )
+    p.add_argument("--classifier", default="nn-cos", choices=CLASSIFIERS)
     p.add_argument("--sparsity", type=int_t, default=[1] if lists else 1, help="pursuit sparsity K")
     p.add_argument("--n-train", type=int, default=10, help="training samples per class")
-    p.add_argument("--n-test", type=int, default=100, help="test samples per class")
-    p.add_argument("--trials", type=int, default=10)
     p.add_argument("--dict-window", type=int, default=None,
                    help="classifier neighborhood window, defaults to --window")
+
+
+def _add_protocol_args(p, lists=False):
+    _add_classifier_args(p, lists)
+    p.add_argument("--n-test", type=int, default=100, help="test samples per class")
+    p.add_argument("--trials", type=int, default=10)
 
 
 def build_parser():
@@ -117,9 +117,7 @@ def build_parser():
     p.add_argument("--noise-sd", type=float, default=0.05)
     p.add_argument("--patch-size", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--format", default="csv_bands", choices=["csv_bands", "envi_bsq", "envi_bil"]
-    )
+    p.add_argument("--format", default="csv_bands", choices=list(_CUBE_EXT))
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("fit", help="fit a projection on labeled pixels")
@@ -127,24 +125,18 @@ def build_parser():
     _add_pipeline_args(p)
     p.add_argument("--n-train", type=int, default=None,
                    help="training samples per class; all labeled pixels if omitted")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="projection file")
 
     p = sub.add_parser("classify", help="fit, then label every held-out labeled pixel")
     _add_data_args(p)
     _add_pipeline_args(p)
-    p.add_argument("--classifier", default="nn-cos", choices=["sbomp", "somp", "nn-cos"])
-    p.add_argument("--sparsity", type=int, default=1)
-    p.add_argument("--n-train", type=int, default=10)
-    p.add_argument("--dict-window", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_classifier_args(p)
     p.add_argument("--out", required=True, help="predictions CSV")
 
     p = sub.add_parser("eval", help="repeated random-subsampling evaluation")
     _add_data_args(p)
     _add_pipeline_args(p)
     _add_protocol_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON report")
 
     p = sub.add_parser("sweep", help="eval over a parameter grid "
@@ -152,16 +144,15 @@ def build_parser():
     _add_data_args(p)
     _add_pipeline_args(p, lists=True)
     _add_protocol_args(p, lists=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON report list")
 
     p = sub.add_parser("export-sphere", help="export l2-normalized 3-D coordinates")
     _add_data_args(p)
     _add_pipeline_args(p)
     p.add_argument("--methods", default="slspp,lpp",
-                   help="comma-separated projection methods to fit and export")
+                   help="comma-separated projection methods to fit and export, "
+                   f"from {','.join(METHODS)}")
     p.add_argument("--n-train", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="coordinates CSV")
 
     return top
@@ -178,21 +169,29 @@ def _load_data(args):
     return cube, gt
 
 
-def _train_pixels(cube, gt, n_train, seed, normalize):
-    work = l2_normalize_pixels(cube) if normalize else cube
-    if n_train is None:
+def _train_pixels(args):
+    """Load the scene and gather the training pixels: every labeled pixel
+    without ``--n-train``, else a per-class split keyed by ``--seed``."""
+    cube, gt = _load_data(args)
+    work = l2_normalize_pixels(cube) if args.normalize else cube
+    if args.n_train is None:
         coords = np.argwhere(gt.labels > 0)
     else:
-        coords, _ = split_train_test(gt, n_train, 0, seed)
-    return work, pixels_to_sample_set(work, coords, gt)
+        coords, _ = split_train_test(gt, args.n_train, 0, args.seed)
+    return work, gt, pixels_to_sample_set(work, coords, gt)
 
 
-def _fit_from_args(args, work, train):
-    cfg = ExperimentConfig(
-        method=args.method, r=args.r, sigma=args.sigma, window=args.window,
-        ridge=args.ridge,
-    )
-    return evaluate.fit_projection(work, train, cfg)
+def _config_from_args(args, **overrides):
+    """ExperimentConfig from the flags a subcommand has, plus overrides.
+
+    Flags left at None (``--sigma auto``, no ``--dict-window``, ``fit`` without
+    ``--n-train``) take the config default.
+    """
+    given = {
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return ExperimentConfig(**{**given, **overrides})
 
 
 def _cmd_synth(args):
@@ -210,74 +209,36 @@ def _cmd_synth(args):
 
 
 def _cmd_fit(args):
-    cube, gt = _load_data(args)
-    work, train = _train_pixels(cube, gt, args.n_train, args.seed, args.normalize)
-    proj = _fit_from_args(args, work, train)
+    config = _config_from_args(args)
+    work, _, train = _train_pixels(args)
+    proj = fit_projection(work, train, config)
     proj.save(args.out)
     print(f"wrote {args.out} ({proj.method}, d={proj.dim}, r={proj.r})")
     return 0
 
 
 def _cmd_classify(args):
-    cube, gt = _load_data(args)
-    work, train = _train_pixels(cube, gt, args.n_train, args.seed, args.normalize)
-    proj = _fit_from_args(args, work, train)
+    config = _config_from_args(args)
+    work, gt, train = _train_pixels(args)
+    _, predict = fit_pipeline(work, train, config)
 
-    train_set = set(map(tuple, train.coords))
-    held_out = [
-        tuple(rc) for rc in np.argwhere(gt.labels > 0) if tuple(rc) not in train_set
-    ]
-    cls_window = args.window if args.dict_window is None else args.dict_window
-    if args.classifier == "nn-cos":
-        train_proj = SampleSet(
-            features=proj.matrix.T @ train.features, labels=train.labels
-        )
-        predict = lambda rc: nn_cosine_classify(
-            train_proj, proj.matrix.T @ work.values[rc[0], rc[1]]
-        ).label
-    else:
-        block_window = 1 if args.classifier == "somp" else cls_window
-        dictionary = BlockDictionary(
-            blocks=tuple(
-                evaluate.projected_block(proj, work, rc, block_window)
-                for rc in train.coords
-            ),
-            classes=train.labels,
-        )
-        predict = lambda rc: sbomp_classify(
-            dictionary,
-            evaluate.projected_block(proj, work, rc, cls_window),
-            args.sparsity,
-        ).label
+    is_train = np.zeros(gt.labels.shape, dtype=bool)
+    is_train[train.coords[:, 0], train.coords[:, 1]] = True
+    held_out = np.argwhere((gt.labels > 0) & ~is_train)
+    true = gt.labels[held_out[:, 0], held_out[:, 1]]
+    pred = predict(held_out)
 
     lines = ["row,col,true,predicted"]
-    correct = 0
-    for rc in held_out:
-        pred = predict(rc)
-        true = int(gt.labels[rc[0], rc[1]])
-        correct += pred == true
-        lines.append(f"{rc[0]},{rc[1]},{true},{pred}")
+    lines.extend(f"{r},{c},{t},{p}" for (r, c), t, p in zip(held_out, true, pred))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    acc = 100.0 * correct / max(len(held_out), 1)
+    acc = 100.0 * np.count_nonzero(pred == true) / max(len(held_out), 1)
     print(f"wrote {args.out}; held-out accuracy {acc:.1f}% over {len(held_out)} pixels")
     return 0
 
 
-def _config_from_args(args, **overrides):
-    base = dict(
-        method=args.method, classifier=args.classifier, r=args.r,
-        sigma=args.sigma, window=args.window, sparsity=args.sparsity,
-        ridge=args.ridge, n_train=args.n_train, n_test=args.n_test,
-        trials=args.trials, seed=args.seed, normalize=args.normalize,
-        dict_window=args.dict_window,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
 def _cmd_eval(args):
-    cube, gt = _load_data(args)
     config = _config_from_args(args)
+    cube, gt = _load_data(args)
     report = run_experiment(cube, gt, config)
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(accuracy_table([report]), end="")
@@ -287,17 +248,9 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     cube, gt = _load_data(args)
-    axes = {}
-    for name, values in (
-        ("r", args.r), ("sigma", args.sigma),
-        ("window", args.window), ("sparsity", args.sparsity),
-    ):
-        if len(values) > 1:
-            axes[name] = values
-    config = _config_from_args(
-        args, r=args.r[0], sigma=args.sigma[0], window=args.window[0],
-        sparsity=args.sparsity[0],
-    )
+    values = {name: getattr(args, name) for name in SWEEP_AXES}
+    axes = {name: v for name, v in values.items() if len(v) > 1}
+    config = _config_from_args(args, **{name: v[0] for name, v in values.items()})
     reports = sweep(cube, gt, config, axes) if axes else [run_experiment(cube, gt, config)]
     payload = "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
     Path(args.out).write_text(payload, encoding="utf-8")
@@ -312,15 +265,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_export_sphere(args):
-    cube, gt = _load_data(args)
-    work, train = _train_pixels(cube, gt, args.n_train, args.seed, args.normalize)
-    projections = []
-    for method in args.methods.split(","):
-        cfg = ExperimentConfig(
-            method=method.strip(), r=args.r, sigma=args.sigma,
-            window=args.window, ridge=args.ridge,
-        )
-        projections.append(evaluate.fit_projection(work, train, cfg))
+    configs = [_config_from_args(args, method=m.strip()) for m in args.methods.split(",")]
+    work, _, train = _train_pixels(args)
+    projections = [fit_projection(work, train, cfg) for cfg in configs]
     rows = export_sphere_coords(train, projections)
     Path(args.out).write_text(sphere_coords_csv(rows), encoding="utf-8")
     print(f"wrote {args.out} ({len(rows)} rows)")

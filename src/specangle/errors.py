@@ -84,3 +84,7 @@ class InsufficientSamplesError(SpecAngleError):
 
 class BadSpecError(SpecAngleError):
     """Synthetic scene parameters are inconsistent."""
+
+
+class InvalidConfigError(SpecAngleError):
+    """An experiment configuration value is unknown or out of range."""

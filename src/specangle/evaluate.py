@@ -24,15 +24,13 @@ from .data import (
     pixels_to_sample_set,
     split_train_test,
 )
-from .errors import ReducedDimTooSmallError, SpecAngleError, ZeroVectorError
-from .projections import (
-    DEFAULT_RIDGE,
-    fit_ada,
-    fit_lada,
-    fit_lpp,
-    fit_lspp,
-    fit_slspp,
+from .errors import (
+    InvalidConfigError,
+    ReducedDimTooSmallError,
+    SpecAngleError,
+    ZeroVectorError,
 )
+from .projections import DEFAULT_RIDGE, METHODS
 from .pursuit import BlockDictionary
 
 __all__ = [
@@ -40,7 +38,9 @@ __all__ = [
     "AccuracyReport",
     "run_experiment",
     "sweep",
+    "CLASSIFIERS",
     "fit_projection",
+    "fit_pipeline",
     "projected_block",
     "export_sphere_coords",
     "sphere_coords_csv",
@@ -48,9 +48,8 @@ __all__ = [
     "accuracy_curve_csv",
 ]
 
-PROJECTION_METHODS = ("lspp", "slspp", "ada", "lada", "lpp")
-# "oracle" returns the true label and exists to check harness plumbing.
-CLASSIFIERS = ("sbomp", "somp", "nn-cos", "oracle")
+# "somp" is "sbomp" with width-1 training blocks; see fit_pipeline.
+CLASSIFIERS = ("sbomp", "somp", "nn-cos")
 
 SWEEP_AXES = ("r", "sigma", "window", "sparsity")
 
@@ -81,14 +80,15 @@ class ExperimentConfig:
     dict_window: Optional[int] = None
 
     def __post_init__(self):
-        if self.method not in PROJECTION_METHODS:
-            raise ValueError(f"method must be one of {PROJECTION_METHODS}")
+        if self.method not in METHODS:
+            raise InvalidConfigError(f"method '{self.method}' is not one of {', '.join(METHODS)}")
         if self.classifier not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be >= 1")
+            raise InvalidConfigError(
+                f"classifier '{self.classifier}' is not one of {', '.join(CLASSIFIERS)}"
+            )
+        for name in ("sparsity", "n_train", "n_test", "trials"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def params(self):
         """Config as a plain dict, for reports."""
@@ -153,18 +153,8 @@ def _jsonable(v):
 
 
 def fit_projection(work_cube, train, config):
-    m = config.method
-    if m == "lspp":
-        return fit_lspp(train, config.r, sigma=config.sigma, ridge=config.ridge)
-    if m == "lpp":
-        return fit_lpp(train, config.r, sigma=config.sigma, ridge=config.ridge)
-    if m == "ada":
-        return fit_ada(train, r=config.r, ridge=config.ridge)
-    if m == "lada":
-        return fit_lada(train, r=config.r, sigma=config.sigma, ridge=config.ridge)
-    return fit_slspp(
-        work_cube, train.coords, config.r, window=config.window, sigma=config.sigma
-    )
+    """Fit the projection ``config.method`` on the training samples."""
+    return METHODS[config.method](work_cube, train, config)
 
 
 def projected_block(proj, cube, coord, window):
@@ -172,6 +162,53 @@ def projected_block(proj, cube, coord, window):
         return proj.matrix.T @ cube.values[coord[0], coord[1]][:, None]
     block = extract_neighborhood(cube, coord, window)
     return proj.matrix.T @ block.spectra
+
+
+def fit_pipeline(work_cube, train, config):
+    """Fit one projection x classifier pipeline on labeled training pixels.
+
+    ``train`` is a SampleSet with labels and coords in ``work_cube``. Returns
+    ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
+    coordinates to an (m,) array of labels. A SpecAngleError raised for one
+    pixel names that pixel.
+    """
+    proj = fit_projection(work_cube, train, config)
+    if config.classifier == "nn-cos":
+        train_proj = SampleSet(features=proj.matrix.T @ train.features, labels=train.labels)
+
+        def label(coord):
+            x = proj.matrix.T @ work_cube.values[coord[0], coord[1]]
+            return nn_cosine_classify(train_proj, x).label
+
+    else:
+        # Sparse-representation classifiers: block dictionary from the
+        # training pixels' neighborhoods (width 1 for somp), test side always
+        # the projected test neighborhood.
+        cls_window = config.window if config.dict_window is None else config.dict_window
+        block_window = 1 if config.classifier == "somp" else cls_window
+        dictionary = BlockDictionary(
+            blocks=tuple(
+                projected_block(proj, work_cube, coord, block_window)
+                for coord in train.coords
+            ),
+            classes=train.labels,
+        )
+
+        def label(coord):
+            S = projected_block(proj, work_cube, coord, cls_window)
+            return sbomp_classify(dictionary, S, config.sparsity).label
+
+    def predict(coords):
+        labels = np.empty(len(coords), dtype=np.int64)
+        for i, coord in enumerate(coords):
+            try:
+                labels[i] = label(coord)
+            except SpecAngleError as exc:
+                exc.args = (f"pixel ({coord[0]}, {coord[1]}): {exc}",)
+                raise
+        return labels
+
+    return proj, predict
 
 
 def _split_seed(seed, trial):
@@ -193,7 +230,13 @@ def run_experiment(cube, gt, config):
     for trial in range(config.trials):
         t0 = time.perf_counter()
         try:
-            confusions[trial] = _run_trial(work_cube, gt, config, trial)
+            train_coords, test_coords = split_train_test(
+                gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
+            )
+            train = pixels_to_sample_set(work_cube, train_coords, gt)
+            _, predict = fit_pipeline(work_cube, train, config)
+            true = gt.labels[test_coords[:, 0], test_coords[:, 1]]
+            np.add.at(confusions[trial], (true - 1, predict(test_coords) - 1), 1)
         except SpecAngleError as exc:
             exc.args = (f"trial {trial}: {exc}",)
             raise
@@ -201,49 +244,6 @@ def run_experiment(cube, gt, config):
     return AccuracyReport(
         params=config.params(), confusions=confusions, runtimes=tuple(runtimes)
     )
-
-
-def _run_trial(work_cube, gt, config, trial):
-    c = gt.n_classes
-    train_coords, test_coords = split_train_test(
-        gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
-    )
-    train = pixels_to_sample_set(work_cube, train_coords, gt)
-    test_labels = gt.labels[test_coords[:, 0], test_coords[:, 1]]
-    confusion = np.zeros((c, c), dtype=np.int64)
-
-    if config.classifier == "oracle":
-        for lab in test_labels:
-            confusion[lab - 1, lab - 1] += 1
-        return confusion
-
-    proj = fit_projection(work_cube, train, config)
-
-    if config.classifier == "nn-cos":
-        train_proj = SampleSet(
-            features=proj.matrix.T @ train.features, labels=train.labels
-        )
-        for coord, true in zip(test_coords, test_labels):
-            x = proj.matrix.T @ work_cube.values[coord[0], coord[1]]
-            pred = nn_cosine_classify(train_proj, x).label
-            confusion[true - 1, pred - 1] += 1
-        return confusion
-
-    # Sparse-representation classifiers: block dictionary from the training
-    # pixels' neighborhoods (width 1 for the simultaneous variant), test side
-    # always the projected test neighborhood.
-    cls_window = config.window if config.dict_window is None else config.dict_window
-    block_window = 1 if config.classifier == "somp" else cls_window
-    blocks = [
-        projected_block(proj, work_cube, coord, block_window)
-        for coord in train_coords
-    ]
-    dictionary = BlockDictionary(blocks=tuple(blocks), classes=train.labels)
-    for coord, true in zip(test_coords, test_labels):
-        S = projected_block(proj, work_cube, coord, cls_window)
-        pred = sbomp_classify(dictionary, S, config.sparsity).label
-        confusion[true - 1, pred - 1] += 1
-    return confusion
 
 
 def sweep(cube, gt, config, axes):

@@ -21,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import degree_diagonal, heat_kernel_affinity, median_heuristic_sigma
+from .affinity import (
+    _features_of,
+    degree_diagonal,
+    heat_kernel_affinity,
+    median_heuristic_sigma,
+)
 from .data import SampleSet, extract_neighborhood, pixels_to_sample_set
 from .errors import (
     DimensionMismatchError,
@@ -38,6 +43,7 @@ __all__ = [
     "ClassStats",
     "ScatterMatrices",
     "DEFAULT_RIDGE",
+    "METHODS",
     "fit_lspp",
     "fit_slspp",
     "fit_ada",
@@ -49,8 +55,6 @@ __all__ = [
     "lada_weights",
     "slspp_context_matrix",
 ]
-
-METHODS = ("lspp", "slspp", "ada", "lada", "lpp")
 
 # Hyperspectral band counts usually exceed the training sample count, which
 # leaves the constraint matrices rank deficient; a small relative ridge keeps
@@ -79,7 +83,7 @@ class Projection:
         if np.any(np.diff(ev) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got '{self.method}'")
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got '{self.method}'")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "eigenvalues", ev)
 
@@ -147,18 +151,19 @@ class Projection:
         )
 
 
-def _features_of(X):
-    F = getattr(X, "features", X)
-    return np.asarray(F, dtype=float)
-
-
 def _check_r(r, d):
     if not 1 <= r <= d:
         raise ReducedDimTooLargeError(f"r must be in [1, {d}], got {r}")
 
 
-def _graph_pencil(F, sigma):
-    """Return (XWX^t, XDX^t, resolved sigma) for the heat-kernel graph of F."""
+def _graph_pencil(X, r, sigma):
+    """Return (XWX^t, XDX^t, resolved sigma) for the heat-kernel graph of X,
+    after checking that X has at least two samples and r fits its dimension."""
+    F = _features_of(X)
+    d, n = F.shape
+    _check_r(r, d)
+    if n < 2:
+        raise TooFewSamplesError("need at least two samples")
     if sigma is None:
         sigma = median_heuristic_sigma(F)
     W = heat_kernel_affinity(F, sigma).weights
@@ -176,12 +181,7 @@ def fit_lspp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     generalized eigenvalues and P is constraint-feasible by construction.
     sigma defaults to the median heuristic.
     """
-    F = _features_of(X)
-    d, n = F.shape
-    _check_r(r, d)
-    if n < 2:
-        raise TooFewSamplesError("need at least two samples")
-    A, B, sigma = _graph_pencil(F, sigma)
+    A, B, sigma = _graph_pencil(X, r, sigma)
     w, V = gen_eig_desc(A, B, ridge)
     return Projection(
         matrix=V[:, :r],
@@ -198,12 +198,7 @@ def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     columns ordered smallest eigenvalue first. Stored eigenvalues are negated
     (see module docstring).
     """
-    F = _features_of(X)
-    d, n = F.shape
-    _check_r(r, d)
-    if n < 2:
-        raise TooFewSamplesError("need at least two samples")
-    A, B, sigma = _graph_pencil(F, sigma)
+    A, B, sigma = _graph_pencil(X, r, sigma)
     w, V = gen_eig_desc(B - A, B, ridge)
     return Projection(
         matrix=V[:, ::-1][:, :r],
@@ -404,3 +399,17 @@ def project(P, X):
             f"projection expects dimension {P.dim}, samples have {F.shape[0]}"
         )
     return SampleSet(features=P.matrix.T @ F, labels=labels, coords=coords)
+
+
+# The projection methods by name, each as the evaluation pipeline fits it:
+# (cube, train, config) -> Projection, where config carries r, sigma, window
+# and ridge. Its keys are the one list of method names.
+METHODS = {
+    "lspp": lambda cube, train, c: fit_lspp(train, c.r, sigma=c.sigma, ridge=c.ridge),
+    "slspp": lambda cube, train, c: fit_slspp(
+        cube, train.coords, c.r, window=c.window, sigma=c.sigma
+    ),
+    "ada": lambda cube, train, c: fit_ada(train, r=c.r, ridge=c.ridge),
+    "lada": lambda cube, train, c: fit_lada(train, r=c.r, sigma=c.sigma, ridge=c.ridge),
+    "lpp": lambda cube, train, c: fit_lpp(train, c.r, sigma=c.sigma, ridge=c.ridge),
+}

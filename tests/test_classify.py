@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import omp_oracle
-from specangle.classify import nn_cosine_classify, sbomp_classify, somp_classify
+from specangle.classify import nn_cosine_classify, sbomp_classify
 from specangle.data import SampleSet
-from specangle.errors import DimensionMismatchError, ZeroVectorError
+from specangle.errors import ZeroVectorError
 from specangle.pursuit import BlockDictionary, sbomp
 
 
@@ -78,21 +78,7 @@ class TestSbompClassify:
 
 
 class TestSompClassify:
-    def test_same_as_sbomp_on_width1(self):
-        rng = np.random.default_rng(210)
-        atoms = rng.standard_normal((7, 9))
-        classes = np.arange(9) % 3 + 1
-        d = width1_dictionary(atoms, classes)
-        S = rng.standard_normal((7, 4))
-        a = somp_classify(d, S, K=3)
-        b = sbomp_classify(d, S, K=3)
-        assert a.label == b.label
-        assert a.per_class_residuals == b.per_class_residuals
-
-    def test_rejects_wide_blocks(self):
-        d = BlockDictionary(blocks=(np.ones((3, 2)),), classes=np.array([1]))
-        with pytest.raises(DimensionMismatchError):
-            somp_classify(d, np.ones((3, 1)), K=1)
+    """The somp classifier: sbomp_classify over width-1 training blocks."""
 
     def test_single_column_matches_src_oracle(self):
         rng = np.random.default_rng(211)
@@ -103,7 +89,7 @@ class TestSompClassify:
                 continue
             s = rng.standard_normal(8)
             d = width1_dictionary(atoms, classes)
-            pred = somp_classify(d, s, K=3)
+            pred = sbomp_classify(d, s, K=3)
             support, coef = omp_oracle(atoms, s, K=3)
             best_cls, best_res = None, np.inf
             for k in np.unique(classes):
@@ -119,7 +105,7 @@ class TestSompClassify:
     def test_orthonormal_span(self):
         atoms = np.eye(5)
         d = width1_dictionary(atoms, classes=np.array([1, 1, 2, 2, 3]))
-        pred = somp_classify(d, 3.0 * atoms[:, [3]], K=1)
+        pred = sbomp_classify(d, 3.0 * atoms[:, [3]], K=1)
         assert pred.label == 2
 
 

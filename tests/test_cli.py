@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,41 @@ class TestExportSphere:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--trials", "0"],
+        ["eval", "--n-test", "0"],
+        ["export-sphere", "--methods", "slspp,bogus"],
+        ["classify", "--classifier", "sbomp", "--sparsity", "0"],
+    ])
+    def test_config_error_is_one_line(self, scene_dir, tmp_path, capsys, argv):
+        rc = main([*argv, *base_args(scene_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfigError: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,prefix", [
+        (["classify"], ""),
+        (["eval", "--n-test", "10", "--trials", "2"], "trial 0: "),
+    ])
+    def test_pixel_failure_names_the_pixel(self, tmp_path, capsys, command, prefix):
+        # noiseless patches make every window-3 neighborhood collinear
+        clean = tmp_path / "clean"
+        assert main([
+            "synth", "--rows", "18", "--cols", "18", "--bands", "12",
+            "--classes", "3", "--noise-sd", "0", "--patch-size", "6",
+            "--seed", "11", "--out", str(clean),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            *command, *base_args(clean), "--method", "slspp", "--classifier", "sbomp",
+            "--window", "3", "--sparsity", "2", "--n-train", "5",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error: RankDeficientError: {prefix}pixel \(\d+, \d+\): ", err)
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main([
             "eval", "--cube", str(tmp_path / "nope.csv"), "--gt",

@@ -32,12 +32,21 @@ def clean_scene():
     return synth_scene(18, 18, 12, 3, noise_sd=0.0, patch_size=6, seed=11)
 
 
+def oracle_pipeline(gt):
+    """A fit_pipeline stand-in that predicts the true label, to check the
+    harness plumbing around the pipeline."""
+
+    def fit(work_cube, train, config):
+        return None, lambda coords: gt.labels[coords[:, 0], coords[:, 1]]
+
+    return fit
+
+
 class TestRunExperiment:
-    def test_oracle_classifier_is_perfect(self, scene):
+    def test_oracle_classifier_is_perfect(self, scene, monkeypatch):
         cube, gt = scene
-        cfg = ExperimentConfig(
-            classifier="oracle", n_train=5, n_test=20, trials=3, seed=1
-        )
+        monkeypatch.setattr(evaluate, "fit_pipeline", oracle_pipeline(gt))
+        cfg = ExperimentConfig(n_train=5, n_test=20, trials=3, seed=1)
         rep = run_experiment(cube, gt, cfg)
         assert rep.overall_accuracy == 1.0
         off_diag = rep.confusions.sum() - np.trace(
@@ -160,11 +169,10 @@ class TestSweep:
         rho = spearmanr([1, 2, 3, 4, 5], accs).statistic
         assert not rho < 0  # nan (constant accuracies) counts as no trend
 
-    def test_oracle_accuracy_unaffected_by_post_split_params(self, scene):
+    def test_oracle_accuracy_unaffected_by_post_split_params(self, scene, monkeypatch):
         cube, gt = scene
-        cfg = ExperimentConfig(
-            classifier="oracle", n_train=5, n_test=10, trials=2, seed=12
-        )
+        monkeypatch.setattr(evaluate, "fit_pipeline", oracle_pipeline(gt))
+        cfg = ExperimentConfig(n_train=5, n_test=10, trials=2, seed=12)
         reports = sweep(cube, gt, cfg, {"window": [1, 3, 5, 7]})
         assert len(reports) == 4
         for rep in reports:
