@@ -10,7 +10,6 @@ harness reproduces the standard evaluation protocol at desk scale.
 
 from .affinity import (
     AffinityMatrix,
-    degree_diagonal,
     heat_kernel_affinity,
     median_heuristic_sigma,
 )
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityMatrix",
-    "degree_diagonal",
     "heat_kernel_affinity",
     "median_heuristic_sigma",
     "Prediction",

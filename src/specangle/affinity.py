@@ -1,8 +1,8 @@
 """Heat-kernel affinity graphs over sample sets.
 
 The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). Weights are
-computed densely over all pairs; an optional k-nearest-neighbor truncation is
-available for large sample counts but is off by default.
+computed densely over all pairs, from one pass over the pairwise distances that
+also gives the default bandwidth.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ from .errors import NonFiniteError, NonPositiveSigmaError, TooFewSamplesError
 __all__ = [
     "AffinityMatrix",
     "heat_kernel_affinity",
-    "degree_diagonal",
     "median_heuristic_sigma",
 ]
 
@@ -25,8 +24,7 @@ class AffinityMatrix:
     """Dense pairwise heat-kernel weights.
 
     weights is symmetric with unit diagonal; sigma is the bandwidth used
-    (squared-reflectance units). When built with k-nn truncation entries
-    outside the kept neighborhoods are exactly zero.
+    (squared-reflectance units).
     """
 
     weights: np.ndarray
@@ -55,54 +53,51 @@ def _features_of(X):
     return F
 
 
-def _pairwise_sq_dists(F):
-    # pdist computes each unordered pair once, so the squareform is exactly
-    # symmetric with an exactly zero diagonal.
-    return squareform(pdist(F.T, metric="sqeuclidean"))
+def _check_sigma(sigma):
+    # Written so that NaN fails too.
+    if not sigma > 0:
+        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
 
 
-def heat_kernel_affinity(X, sigma, knn=None):
+def _median_positive(d2):
+    """Median of the positive entries of d2, or 1.0 when there is none."""
+    positive = d2[d2 > 0.0]
+    return float(np.median(positive, overwrite_input=True)) if positive.size else 1.0
+
+
+def heat_kernel_affinity(X, sigma=None):
     """Dense heat-kernel affinity matrix over the samples of X.
 
     Parameters
     ----------
     X : SampleSet or (d, n) array_like
         Columns are samples.
-    sigma : float
-        Bandwidth, > 0. Distances are taken in raw spectral space.
-    knn : int, optional
-        If given, keep only the k largest weights per row (the unit diagonal
-        always survives) and re-symmetrize by elementwise max. Off by default;
-        the dense graph matches the all-pairs objective.
+    sigma : float, optional
+        Bandwidth, > 0. Distances are taken in raw spectral space. None means
+        the median heuristic (see ``median_heuristic_sigma``), taken from the
+        same pairwise distances the weights are built from.
 
     Returns
     -------
     AffinityMatrix
+        Its ``sigma`` is the bandwidth used, the resolved median when sigma
+        was None.
     """
-    if sigma <= 0:
-        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
+    if sigma is not None:
+        _check_sigma(sigma)
     F = _features_of(X)
     if F.shape[1] < 1:
         raise TooFewSamplesError("need at least one sample")
-    W = np.exp(-_pairwise_sq_dists(F) / sigma)
+    # pdist computes each unordered pair once, so the squareform is exactly
+    # symmetric; the kernel is applied in place on the condensed vector,
+    # which is freed on return.
+    d2 = pdist(F.T, metric="sqeuclidean")
+    if sigma is None:
+        sigma = _median_positive(d2)
+    d2 /= -sigma
+    W = squareform(np.exp(d2, out=d2))
     np.fill_diagonal(W, 1.0)
-    if knn is not None:
-        n = W.shape[0]
-        k = min(int(knn), n)
-        keep = np.zeros_like(W, dtype=bool)
-        # k largest per row; argpartition is enough, exact order irrelevant
-        cols = np.argpartition(-W, kth=k - 1, axis=1)[:, :k]
-        keep[np.arange(n)[:, None], cols] = True
-        W = np.where(keep, W, 0.0)
-        W = np.maximum(W, W.T)
-        np.fill_diagonal(W, 1.0)
     return AffinityMatrix(weights=W, sigma=float(sigma))
-
-
-def degree_diagonal(W):
-    """Row sums of an affinity matrix, one entry per sample."""
-    weights = W.weights if isinstance(W, AffinityMatrix) else np.asarray(W, dtype=float)
-    return weights.sum(axis=1)
 
 
 def median_heuristic_sigma(X):
@@ -114,8 +109,4 @@ def median_heuristic_sigma(X):
     F = _features_of(X)
     if F.shape[1] < 2:
         raise TooFewSamplesError("median heuristic needs at least two samples")
-    d2 = pdist(F.T, metric="sqeuclidean")
-    d2 = d2[d2 > 0.0]
-    if d2.size == 0:
-        return 1.0
-    return float(np.median(d2))
+    return _median_positive(pdist(F.T, metric="sqeuclidean"))

@@ -85,10 +85,6 @@ class HyperCube:
     def bands(self):
         return self.values.shape[2]
 
-    def spectrum(self, row, col):
-        """Band vector of one pixel."""
-        return self.values[row, col]
-
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -89,8 +89,8 @@ def regularized(B, ridge):
     """Return B + ridge * (trace(B)/n) * I, the ridge used by gen_eig_desc."""
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
-    if ridge < 0:
-        raise SpecAngleError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise SpecAngleError(f"ridge must be finite and >= 0, got {ridge}")
     if ridge == 0 or n == 0:
         return B.copy()
     return B + (ridge * np.trace(B) / n) * np.eye(n)

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .affinity import (
+    _check_sigma,
     _features_of,
-    degree_diagonal,
     heat_kernel_affinity,
     median_heuristic_sigma,
 )
@@ -164,13 +164,11 @@ def _graph_pencil(X, r, sigma):
     _check_r(r, d)
     if n < 2:
         raise TooFewSamplesError("need at least two samples")
-    if sigma is None:
-        sigma = median_heuristic_sigma(F)
-    W = heat_kernel_affinity(F, sigma).weights
-    deg = degree_diagonal(W)
+    graph = heat_kernel_affinity(F, sigma)
+    W = graph.weights
     A = F @ W @ F.T
-    B = (F * deg) @ F.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
+    B = (F * W.sum(axis=1)) @ F.T
+    return 0.5 * (A + A.T), 0.5 * (B + B.T), graph.sigma
 
 
 def fit_lspp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
@@ -240,6 +238,7 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
     if sigma is None:
         centers = pixels_to_sample_set(cube, coords)
         sigma = 1.0 if len(coords) == 1 else median_heuristic_sigma(centers)
+    _check_sigma(sigma)
     M = slspp_context_matrix(cube, coords, window, sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))
     return Projection(
@@ -322,10 +321,11 @@ def lada_weights(labels, affinity):
 
     For a same-class pair of class l: within = A_ij / n_l and
     between = A_ij * (1/n - 1/n_l); for a different-class pair the within
-    weight is 0 and the between weight is 1/n regardless of A_ij.
+    weight is 0 and the between weight is 1/n regardless of A_ij. affinity
+    is the (n, n) weight array A, such as ``AffinityMatrix.weights``.
     """
     labels = np.asarray(labels)
-    A = affinity.weights if hasattr(affinity, "weights") else np.asarray(affinity, dtype=float)
+    A = np.asarray(affinity, dtype=float)
     n = labels.size
     if A.shape != (n, n):
         raise DimensionMismatchError(
@@ -374,17 +374,15 @@ def fit_lada(X, r=None, sigma=None, ridge=DEFAULT_RIDGE):
     matrices become X W X^t with the weights of ``lada_weights``.
     """
     features, labels = _labeled_features(X)
-    if sigma is None:
-        sigma = median_heuristic_sigma(features)
     class_stats(features, labels)  # validates class structure
-    A = heat_kernel_affinity(features, sigma)
-    w_within, w_between = lada_weights(labels, A)
+    graph = heat_kernel_affinity(features, sigma)
+    w_within, w_between = lada_weights(labels, graph.weights)
     within = features @ w_within @ features.T
     between = features @ w_between @ features.T
     c = int(labels.max())
     return _discriminant_fit(
         between, within, r, features.shape[0], c, ridge,
-        "lada", {"sigma": float(sigma), "ridge": float(ridge)},
+        "lada", {"sigma": graph.sigma, "ridge": float(ridge)},
     )
 
 

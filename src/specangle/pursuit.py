@@ -72,10 +72,6 @@ class BlockDictionary:
     def widths(self):
         return self._widths
 
-    def block_rows(self, i):
-        """Row range of block i inside a support-concatenated coefficient matrix."""
-        return self._offsets[i], self._offsets[i + 1]
-
 
 @dataclass(frozen=True)
 class SparseSolution:

@@ -23,6 +23,7 @@ from oracles import (
     slspp_matrix_bruteforce,
     somp_oracle,
 )
+import specangle
 from specangle.data import HyperCube, load_cube, load_ground_truth, synth_scene
 from specangle.evaluate import ExperimentConfig, run_experiment, sweep
 from specangle.linalg import gen_eig_desc, least_squares, regularized, sym_eig_desc
@@ -282,8 +283,11 @@ def test_criterion_6_pavia_protocol():
 
 
 def test_criterion_7_determinism(tmp_path):
+    # The subprocesses import the same package as this test, from a checkout
+    # or an install.
+    src = str(Path(specangle.__file__).parents[1])
     env = dict(os.environ)
-    env.setdefault("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     scene = tmp_path / "scene"
     run = subprocess.run(
         [sys.executable, "-m", "specangle.cli", "synth", "--rows", "18",

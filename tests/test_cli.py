@@ -146,18 +146,29 @@ class TestExportSphere:
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
 
 
+CONFIG_ERRORS = [
+    (["eval", "--trials", "0"], "InvalidConfigError"),
+    (["eval", "--n-test", "0"], "InvalidConfigError"),
+    (["export-sphere", "--methods", "slspp,bogus"], "InvalidConfigError"),
+    (["classify", "--classifier", "sbomp", "--sparsity", "0"], "InvalidConfigError"),
+    (["fit", "--method", "slspp", "--sigma", "-1"], "NonPositiveSigmaError"),
+    (["fit", "--method", "slspp", "--sigma", "0"], "NonPositiveSigmaError"),
+    (["fit", "--method", "lspp", "--sigma", "nan"], "NonPositiveSigmaError"),
+    (["fit", "--method", "lspp", "--ridge", "nan"], "SpecAngleError"),
+    (["fit", "--method", "lspp", "--ridge", "inf"], "SpecAngleError"),
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("argv", [
-        ["eval", "--trials", "0"],
-        ["eval", "--n-test", "0"],
-        ["export-sphere", "--methods", "slspp,bogus"],
-        ["classify", "--classifier", "sbomp", "--sparsity", "0"],
-    ])
-    def test_config_error_is_one_line(self, scene_dir, tmp_path, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv,error", CONFIG_ERRORS, ids=[f"argv{i}" for i in range(len(CONFIG_ERRORS))]
+    )
+    def test_config_error_is_one_line(self, scene_dir, tmp_path, capsys, argv, error):
         rc = main([*argv, *base_args(scene_dir), "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidConfigError: ")
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("error:") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,prefix", [

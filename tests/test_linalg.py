@@ -7,6 +7,7 @@ from specangle.errors import (
     NotSquareError,
     RankDeficientError,
     SingularBError,
+    SpecAngleError,
 )
 from specangle.linalg import gen_eig_desc, least_squares, regularized, sym_eig_desc
 
@@ -122,6 +123,11 @@ class TestGenEig:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             gen_eig_desc(np.eye(2), np.eye(3), ridge=0.0)
+
+    @pytest.mark.parametrize("ridge", [-1e-6, float("nan"), float("inf")])
+    def test_bad_ridge(self, ridge):
+        with pytest.raises(SpecAngleError, match="ridge must be finite and >= 0"):
+            gen_eig_desc(np.eye(2), np.eye(2), ridge=ridge)
 
 
 class TestLeastSquares:

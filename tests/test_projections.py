@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from oracles import grid_best_direction, graph_pencil_bruteforce, slspp_matrix_bruteforce
-from specangle.affinity import heat_kernel_affinity
-from specangle.data import HyperCube, SampleSet, synth_scene
+from specangle import affinity
+from specangle.affinity import heat_kernel_affinity, median_heuristic_sigma
+from specangle.data import HyperCube, SampleSet, pixels_to_sample_set, split_train_test, synth_scene
 from specangle.errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -11,8 +15,10 @@ from specangle.errors import (
     ReducedDimTooLargeError,
     SingleClassError,
 )
+from specangle.evaluate import ExperimentConfig
 from specangle.linalg import regularized
 from specangle.projections import (
+    METHODS,
     Projection,
     ada_scatter,
     class_stats,
@@ -297,7 +303,7 @@ class TestLada:
         rng = np.random.default_rng(63)
         F = rng.standard_normal((3, 8))
         labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
-        A = heat_kernel_affinity(F, 1.0)
+        A = heat_kernel_affinity(F, 1.0).weights
         w_within, w_between = lada_weights(labels, A)
         O_lw = F @ w_within @ F.T
         O_lb = F @ w_between @ F.T
@@ -418,3 +424,41 @@ class TestPersistence:
         path.write_text("nope 2 1 - - -\n1\n2\n3\n")
         with pytest.raises(MalformedHeaderError):
             Projection.load(path)
+
+
+class TestDefaultSigma:
+    """sigma=None is the median heuristic, taken in the same distance pass as
+    the graph. The benchmark's traced passes pass that median explicitly and
+    require the same bytes as the sigma=None call."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cube, gt = synth_scene(12, 12, 10, 3, noise_sd=0.05, patch_size=4, seed=21)
+        train_coords, _ = split_train_test(gt, 6, 0, seed=21)
+        return cube, pixels_to_sample_set(cube, train_coords, gt)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_none_equals_explicit_median(self, scene, method):
+        # a method that takes no sigma (ada) passes trivially
+        cube, train = scene
+        samples = pixels_to_sample_set(cube, train.coords) if method == "slspp" else train
+        cfg = ExperimentConfig(method=method, r=4, window=3)
+        auto = METHODS[method](cube, train, cfg)
+        explicit = METHODS[method](
+            cube, train, replace(cfg, sigma=median_heuristic_sigma(samples))
+        )
+        np.testing.assert_array_equal(auto.matrix, explicit.matrix)
+        np.testing.assert_array_equal(auto.eigenvalues, explicit.eigenvalues)
+        assert auto.fit_params == explicit.fit_params
+
+    @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
+    def test_one_distance_pass(self, scene, monkeypatch, fit):
+        calls = []
+
+        def counting_pdist(*args, **kwargs):
+            calls.append(args)
+            return pdist(*args, **kwargs)
+
+        monkeypatch.setattr(affinity, "pdist", counting_pdist)
+        fit(scene[1], r=4)
+        assert len(calls) == 1
