@@ -57,7 +57,7 @@ reduced = project(slspp, train)
 print(f"\nprojected features: {reduced.features.shape[0]} x {reduced.features.shape[1]}")
 
 # Projections persist as self-describing text and round-trip exactly.
-slspp.save("/tmp/slspp_projection.txt")
-again = Projection.load("/tmp/slspp_projection.txt")
+slspp.save("slspp_projection.txt")
+again = Projection.load("slspp_projection.txt")
 print(f"saved and reloaded: method={again.method}, window={again.fit_params['window']}, "
       f"matrices identical: {np.array_equal(again.matrix, slspp.matrix)}")

@@ -34,9 +34,9 @@ rows = export_sphere_coords(train, [slspp, lpp])
 print(f"{len(rows)} rows: {dict(Counter(tag for tag, *_ in rows))}")
 
 csv_text = sphere_coords_csv(rows)
-with open("/tmp/sphere_coords.csv", "w") as fh:
+with open("sphere_coords.csv", "w") as fh:
     fh.write(csv_text)
-print("wrote /tmp/sphere_coords.csv; first rows:")
+print("wrote sphere_coords.csv; first rows:")
 print("\n".join(csv_text.splitlines()[:5]))
 
 # The same export is available from the command line:

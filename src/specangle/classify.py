@@ -2,7 +2,9 @@
 and a nearest-neighbor baseline with cosine angle distance.
 
 All tie-breaks pick the lowest id (class id or training index) and the
-returned Prediction flags whether a tie was broken.
+returned Prediction flags whether a tie was broken. The ``*_labels`` functions
+label a whole chunk of pixels at once; the ``*_classify`` functions are the
+same rules for one pixel, with the evidence attached.
 """
 
 from dataclasses import dataclass
@@ -12,9 +14,16 @@ import numpy as np
 
 from .data import SampleSet
 from .errors import DimensionMismatchError, ZeroVectorError
-from .pursuit import residual_by_class, sbomp
+from .pursuit import class_residuals
 
-__all__ = ["Prediction", "sbomp_classify", "nn_cosine_classify"]
+__all__ = [
+    "Prediction",
+    "sbomp_classify",
+    "sbomp_labels",
+    "nn_cosine_classify",
+    "nn_cosine_labels",
+    "training_norms",
+]
 
 
 @dataclass(frozen=True)
@@ -27,12 +36,21 @@ class Prediction:
     tie_broken: bool = False
 
 
-def _argbest(per_class, minimize):
-    items = sorted(per_class.items())
-    values = np.asarray([v for _, v in items])
-    best = values.min() if minimize else values.max()
-    hits = [cls for (cls, v) in items if v == best]
-    return hits[0], len(hits) > 1
+def _smallest_residual(residuals, class_ids):
+    """Class id of each row's smallest residual, the lowest id on ties, and
+    whether a tie was broken."""
+    best = np.argmin(residuals, axis=1)
+    low = np.take_along_axis(residuals, best[:, None], axis=1)
+    return class_ids[best], np.count_nonzero(residuals == low, axis=1) > 1
+
+
+def sbomp_labels(dictionary, S, K):
+    """sbomp_classify labels of a (P, d, w) stack of test blocks, as an array.
+
+    A failure names its pixel through the error's ``index``; see
+    ``pursuit.class_residuals``.
+    """
+    return _smallest_residual(class_residuals(dictionary, S, K), dictionary.class_ids)[0]
 
 
 def sbomp_classify(dictionary, S, K):
@@ -41,10 +59,57 @@ def sbomp_classify(dictionary, S, K):
     Runs the block pursuit at sparsity K, computes class-restricted residuals,
     and returns the argmin class.
     """
-    sol = sbomp(dictionary, S, K)
-    residuals = residual_by_class(dictionary, S, sol)
-    label, tied = _argbest(residuals, minimize=True)
-    return Prediction(label=label, per_class_residuals=residuals, tie_broken=tied)
+    S = np.asarray(S, dtype=float)
+    residuals = class_residuals(dictionary, S.reshape(1, len(S), -1), K)
+    label, tied = _smallest_residual(residuals, dictionary.class_ids)
+    return Prediction(
+        label=int(label[0]),
+        per_class_residuals={
+            int(c): float(v) for c, v in zip(dictionary.class_ids, residuals[0])
+        },
+        tie_broken=bool(tied[0]),
+    )
+
+
+def training_norms(train):
+    """Column norms of the training spectra, each checked to be nonzero.
+
+    Raises ZeroVectorError naming the first zero spectrum by its pixel when
+    ``train.coords`` is set, else by its column.
+    """
+    norms = np.linalg.norm(train.features, axis=0)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        i = zero[0]
+        where = (
+            f"training sample {i}" if train.coords is None
+            else f"training pixel ({train.coords[i, 0]}, {train.coords[i, 1]})"
+        )
+        raise ZeroVectorError(f"{where}: cosine distance is undefined for zero vectors")
+    return norms
+
+
+def _nearest(train, norms, X):
+    """Cosines (P, n) of the columns of X (d, P) against the training spectra,
+    and per column the index of the nearest one: the largest cosine, the
+    lowest training index on ties."""
+    x_norms = np.linalg.norm(X, axis=0)
+    zero = x_norms == 0.0
+    if np.any(zero):
+        exc = ZeroVectorError("cosine distance is undefined for zero vectors")
+        exc.index = int(np.argmax(zero))
+        raise exc
+    cosines = (X.T @ train.features) / (norms * x_norms[:, None])
+    return cosines, np.argmax(cosines, axis=1)
+
+
+def nn_cosine_labels(train, norms, X):
+    """Nearest-neighbor labels of the columns of X (d, P) under cosine similarity.
+
+    ``norms`` is training_norms(train). A zero column raises ZeroVectorError
+    with ``index`` set to the first one.
+    """
+    return train.labels[_nearest(train, norms, X)[1]]
 
 
 def nn_cosine_classify(train, x):
@@ -64,12 +129,8 @@ def nn_cosine_classify(train, x):
         raise DimensionMismatchError(
             f"test vector has dimension {x.shape[0]}, training {train.dim}"
         )
-    x_norm = np.linalg.norm(x)
-    col_norms = np.linalg.norm(train.features, axis=0)
-    if x_norm == 0.0 or np.any(col_norms == 0.0):
-        raise ZeroVectorError("cosine distance is undefined for zero vectors")
-    cosines = (train.features.T @ x) / (col_norms * x_norm)
-    best = int(np.argmax(cosines))  # lowest training index on ties
+    cosines, best = _nearest(train, training_norms(train), x[:, None])
+    cosines, best = cosines[0], int(best[0])
     tied = int(np.count_nonzero(cosines == cosines[best])) > 1
     scores = {
         int(cls): float(cosines[train.labels == cls].max())

@@ -18,6 +18,7 @@ Ground truth: a CSV grid of integer class ids (0 = unlabeled) or a
 single-band 8/16-bit ENVI raster.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +47,7 @@ __all__ = [
     "load_ground_truth",
     "save_ground_truth",
     "extract_neighborhood",
+    "neighborhood_spectra",
     "pixels_to_sample_set",
     "l2_normalize_pixels",
     "split_train_test",
@@ -351,26 +353,72 @@ def save_ground_truth(path, gt):
 # Neighborhoods and sample sets
 
 
+@functools.lru_cache(maxsize=8)
+def _window_offsets(window):
+    """Read-only (window**2, 2) member offsets: the centre, then the rest of
+    the box in row-major order."""
+    steps = range(-(window // 2), window // 2 + 1)
+    offsets = np.array([(0, 0)] + [(i, j) for i in steps for j in steps if i or j])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _window_members(cube, centers, window):
+    """Member coordinates of the window x window box around each centre.
+
+    Returns ``members`` (P, window**2, 2), each row the centre and then the
+    rest of its box in row-major order, and ``inside`` (P, window**2), which
+    marks the members within the image.
+    """
+    if window < 1 or window % 2 == 0:
+        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+    shape = np.array([cube.rows, cube.cols])
+    outside = ((centers < 0) | (centers >= shape)).any(axis=1)
+    if outside.any():
+        i = int(outside.argmax())
+        exc = OutOfBoundsError(
+            f"center ({centers[i, 0]}, {centers[i, 1]}) outside {cube.rows}x{cube.cols} image"
+        )
+        exc.index = i
+        raise exc
+    members = centers[:, None, :] + _window_offsets(window)
+    inside = ((members >= 0) & (members < shape)).all(axis=2)
+    return members, inside
+
+
 def extract_neighborhood(cube, center, window):
     """In-bounds pixels of the window x window box around center.
 
     The center pixel's spectrum is column 0; the remaining in-bounds pixels
     follow in row-major order. Windows are truncated at image edges.
     """
-    if window < 1 or window % 2 == 0:
-        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
-    r, c = int(center[0]), int(center[1])
-    if not (0 <= r < cube.rows and 0 <= c < cube.cols):
-        raise OutOfBoundsError(f"center {center} outside {cube.rows}x{cube.cols} image")
-    half = window // 2
-    coords = [(r, c)]
-    for i in range(max(0, r - half), min(cube.rows, r + half + 1)):
-        for j in range(max(0, c - half), min(cube.cols, c + half + 1)):
-            if (i, j) != (r, c):
-                coords.append((i, j))
-    idx = np.asarray(coords)
+    members, inside = _window_members(cube, [center], window)
+    idx = members[0, inside[0]]
+    coords = [tuple(rc) for rc in idx.tolist()]
     spectra = cube.values[idx[:, 0], idx[:, 1]].T
-    return NeighborhoodBlock(center=(r, c), spectra=spectra, member_coords=coords)
+    return NeighborhoodBlock(center=coords[0], spectra=spectra, member_coords=coords)
+
+
+def neighborhood_spectra(cube, centers, window):
+    """Window spectra of many pixels at once, by index arithmetic.
+
+    Returns ``spectra`` (P, window**2, bands) and ``counts`` (P,): the first
+    counts[i] rows of spectra[i] are the columns of extract_neighborhood for
+    centers[i]; the rows after them, for a window truncated at an image edge,
+    are zero. An out-of-bounds centre raises OutOfBoundsError with ``index``
+    set to the first such centre.
+    """
+    members, inside = _window_members(cube, centers, window)
+    # In-bounds members first, in their order; the rest read the centre and
+    # are zeroed below.
+    order = np.argsort(~inside, axis=1, kind="stable")
+    inside = np.take_along_axis(inside, order, axis=1)
+    members = np.take_along_axis(members, order[:, :, None], axis=1)
+    members = np.where(inside[:, :, None], members, members[:, :1])
+    spectra = cube.values[members[:, :, 0], members[:, :, 1]]
+    spectra[~inside] = 0.0
+    return spectra, inside.sum(axis=1)
 
 
 def pixels_to_sample_set(cube, coords, gt=None):

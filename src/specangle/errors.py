@@ -7,7 +7,13 @@ without importing this module.
 
 
 class SpecAngleError(ValueError):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A batched routine that fails for one item of its batch (a pixel of a
+    chunk, a matrix of a stack) sets ``index`` to that item's position.
+    """
+
+    index = None
 
 
 class NonFiniteError(SpecAngleError):

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import nn_cosine_classify, sbomp_classify
+from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
     SampleSet,
-    extract_neighborhood,
     l2_normalize_pixels,
+    neighborhood_spectra,
     pixels_to_sample_set,
     split_train_test,
 )
@@ -42,6 +42,9 @@ __all__ = [
     "fit_projection",
     "fit_pipeline",
     "projected_block",
+    "projected_windows",
+    "CHUNK_BYTES",
+    "chunk_pixels",
     "export_sphere_coords",
     "sphere_coords_csv",
     "accuracy_table",
@@ -52,6 +55,10 @@ __all__ = [
 CLASSIFIERS = ("sbomp", "somp", "nn-cos")
 
 SWEEP_AXES = ("r", "sigma", "window", "sparsity")
+
+# Byte budget for the largest array of one predict chunk: the (atoms, P*w)
+# pursuit scores, or the gathered (P, w, bands) spectra if those are larger.
+CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -157,11 +164,41 @@ def fit_projection(work_cube, train, config):
     return METHODS[config.method](work_cube, train, config)
 
 
+def chunk_pixels(values_per_pixel):
+    """Pixels per predict chunk when the largest array holds this many
+    float64 values per pixel."""
+    return max(1, CHUNK_BYTES // (8 * values_per_pixel))
+
+
+def projected_windows(proj, cube, coords, window):
+    """Projected neighborhoods of many pixels, with one product.
+
+    Returns ``S`` (P, r, window**2) and ``counts`` (P,): S[i, :, :counts[i]]
+    is projected_block of coords[i]; the columns after it are zero.
+    """
+    spectra, counts = neighborhood_spectra(cube, coords, window)
+    P, w, bands = spectra.shape
+    S = (spectra.reshape(P * w, bands) @ proj.matrix).reshape(P, w, proj.r)
+    return S.transpose(0, 2, 1), counts
+
+
 def projected_block(proj, cube, coord, window):
-    if window == 1:
-        return proj.matrix.T @ cube.values[coord[0], coord[1]][:, None]
-    block = extract_neighborhood(cube, coord, window)
-    return proj.matrix.T @ block.spectra
+    """proj^T times the in-bounds window spectra around coord, (r, members)."""
+    S, counts = projected_windows(proj, cube, [coord], window)
+    return S[0, :, : counts[0]]
+
+
+def _label_chunk(label, coords):
+    """label(coords), or the error of the first failing pixel in coords."""
+    try:
+        return label(coords)
+    except SpecAngleError as exc:
+        i = exc.index or 0
+        if i:
+            # A pixel before the one that failed may still fail later on.
+            _label_chunk(label, coords[:i])
+        exc.args = (f"pixel ({coords[i, 0]}, {coords[i, 1]}): {exc}",)
+        raise
 
 
 def fit_pipeline(work_cube, train, config):
@@ -169,16 +206,22 @@ def fit_pipeline(work_cube, train, config):
 
     ``train`` is a SampleSet with labels and coords in ``work_cube``. Returns
     ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
-    coordinates to an (m,) array of labels. A SpecAngleError raised for one
-    pixel names that pixel.
+    coordinates to an (m,) int64 array of labels. It labels the pixels in
+    chunks sized by CHUNK_BYTES, and the labels do not depend on the
+    chunking. A SpecAngleError raised for a pixel names the first failing
+    pixel in input order.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
-        train_proj = SampleSet(features=proj.matrix.T @ train.features, labels=train.labels)
+        train_proj = SampleSet(
+            features=proj.matrix.T @ train.features, labels=train.labels, coords=train.coords
+        )
+        norms = training_norms(train_proj)
+        chunk = chunk_pixels(max(train.n_samples, work_cube.bands))
 
-        def label(coord):
-            x = proj.matrix.T @ work_cube.values[coord[0], coord[1]]
-            return nn_cosine_classify(train_proj, x).label
+        def label(coords):
+            X, _ = projected_windows(proj, work_cube, coords, 1)
+            return nn_cosine_labels(train_proj, norms, X[:, :, 0].T)
 
     else:
         # Sparse-representation classifiers: block dictionary from the
@@ -186,26 +229,21 @@ def fit_pipeline(work_cube, train, config):
         # the projected test neighborhood.
         cls_window = config.window if config.dict_window is None else config.dict_window
         block_window = 1 if config.classifier == "somp" else cls_window
+        blocks, counts = projected_windows(proj, work_cube, train.coords, block_window)
         dictionary = BlockDictionary(
-            blocks=tuple(
-                projected_block(proj, work_cube, coord, block_window)
-                for coord in train.coords
-            ),
-            classes=train.labels,
+            blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
         )
+        chunk = chunk_pixels(cls_window**2 * max(dictionary.n_atoms, work_cube.bands))
 
-        def label(coord):
-            S = projected_block(proj, work_cube, coord, cls_window)
-            return sbomp_classify(dictionary, S, config.sparsity).label
+        def label(coords):
+            S, _ = projected_windows(proj, work_cube, coords, cls_window)
+            return sbomp_labels(dictionary, S, config.sparsity)
 
     def predict(coords):
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         labels = np.empty(len(coords), dtype=np.int64)
-        for i, coord in enumerate(coords):
-            try:
-                labels[i] = label(coord)
-            except SpecAngleError as exc:
-                exc.args = (f"pixel ({coord[0]}, {coord[1]}): {exc}",)
-                raise
+        for start in range(0, len(coords), chunk):
+            labels[start:start + chunk] = _label_chunk(label, coords[start:start + chunk])
         return labels
 
     return proj, predict

@@ -1,5 +1,5 @@
 """Dense numerical kernels: symmetric and symmetric-definite eigendecompositions
-and least-squares solves.
+and least-squares solves, the latter also over stacks of systems.
 
 All functions are pure and operate on float64 numpy arrays. Eigenvectors are
 returned as matrix columns, unit norm (or B-orthonormal for the generalized
@@ -25,9 +25,9 @@ __all__ = ["sym_eig_desc", "gen_eig_desc", "least_squares", "regularized"]
 _SYM_DEFECT_TOL = 1e-8
 
 
-def _as_matrix(A, name="matrix"):
+def _as_matrix(A, name="matrix", stacked=False):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
+    if A.ndim != 2 and not (stacked and A.ndim > 2):
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NonFiniteError(f"{name} contains NaN or Inf")
@@ -146,38 +146,48 @@ def gen_eig_desc(A, B, ridge=0.0):
 
 
 def least_squares(A, B):
-    """Minimize ||B - A C||_F for C via column-pivoted QR.
+    """Minimize ||B - A C||_F for C via Householder QR, for one system or a stack.
 
     Parameters
     ----------
-    A : (m, k) array_like
-        Design matrix, required to have full column rank.
-    B : (m, p) array_like
-        Right-hand sides, one per column.
+    A : (..., m, k) array_like
+        Design matrices, each required to have full column rank.
+    B : (..., m, p) array_like
+        Right-hand sides, one per column, with the leading dimensions of A.
 
     Returns
     -------
-    C : (k, p) ndarray
+    C : (..., k, p) ndarray
 
     Raises
     ------
     RankDeficientError
-        If pivoted factorization detects linearly dependent columns, e.g.
-        duplicate atoms selected by a pursuit.
+        If a design matrix has more columns than rows, or if some |R_jj| of
+        its QR factor is at most max(m, k) * eps * (its largest column norm),
+        e.g. duplicate atoms selected by a pursuit. For stacked input the
+        error's ``index`` is the position of the first such matrix in the
+        flattened stack.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    if A.shape[0] != B.shape[0]:
+    A = _as_matrix(A, "A", stacked=True)
+    B = _as_matrix(B, "B", stacked=True)
+    if A.shape[:-1] != B.shape[:-1]:
         raise DimensionMismatchError(
-            f"row counts differ: A has {A.shape[0]}, B has {B.shape[0]}"
+            f"row counts or stacks differ: A is {A.shape}, B is {B.shape}"
         )
-    m, k = A.shape
-    Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(m, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    if k > 0 and (diag.size < k or diag[0] == 0.0 or np.any(diag <= tol)):
-        raise RankDeficientError("design matrix has linearly dependent columns")
-    C_piv = scipy.linalg.solve_triangular(R[:k, :k], Q.T[:k] @ B, lower=False)
-    C = np.empty_like(C_piv)
-    C[piv] = C_piv
-    return C
+    m, k = A.shape[-2:]
+    if k == 0:
+        return np.zeros(A.shape[:-2] + (0, B.shape[-1]))
+    # The triangular factor of [A B] holds R of A and, beside it, Q^t B.
+    R = np.linalg.qr(np.concatenate([A, B], axis=-1), mode="r")
+    diag = np.abs(np.diagonal(R[..., :k, :k], axis1=-2, axis2=-1))
+    largest = np.linalg.norm(A, axis=-2).max(axis=-1)
+    tol = max(m, k) * np.finfo(float).eps * largest
+    deficient = (k > m) | (largest == 0.0) | np.any(diag <= tol[..., None], axis=-1)
+    if np.any(deficient):
+        exc = RankDeficientError("design matrix has linearly dependent columns")
+        if A.ndim > 2:
+            exc.index = int(np.argmax(deficient.ravel()))
+        raise exc
+    # R is exactly upper triangular, so this LU solve pivots nothing and is
+    # back substitution.
+    return np.linalg.solve(R[..., :k, :k], R[..., :k, k:])

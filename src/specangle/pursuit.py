@@ -5,13 +5,26 @@ column reduce to plain orthogonal matching pursuit, width-1 blocks with a
 matrix right-hand side to the simultaneous variant, and wide blocks with a
 single column to the block variant.
 
-Each iteration scores every unselected block by the l2,1 norm of its
-correlation with the residual, appends the best block to the support, refits
-the coefficients by least squares over the full selected support, and updates
-the residual. Ties go to the lowest block index. The loop ends after K
-iterations, or early when the residual is numerically zero or every remaining
-score is zero; continuing past an exact representation would only produce
-rank-deficient solves.
+The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
+slice, against the fixed dictionary. Each iteration scores every block for
+every pixel with one product against the stacked dictionary: the l2,1 norm of
+the block's correlation with that pixel's residual. It masks the blocks a
+pixel has already selected, appends the best block to the pixel's support
+(ties go to the lowest block index), refits the pixel's coefficients by least
+squares over its whole support, with one stacked QR per support width, and
+updates the residual. Each pixel stops on its own: after K iterations, or
+early when its residual is numerically zero or every remaining score is zero;
+continuing past an exact representation would only produce rank-deficient
+solves. A pixel that has stopped keeps its support and coefficients. Test
+blocks of different widths share a stack by zero-padding to the widest; zero
+columns change neither the scores nor the residuals. Class residuals then
+come from one segmented reduction over every pixel's selected blocks.
+
+The largest array of one call is the (atoms, P*w) score product, 8*atoms*w
+bytes per pixel, so a caller bounds memory through P; ``predict`` from
+``evaluate.fit_pipeline`` keeps it near ``evaluate.CHUNK_BYTES``. ``sbomp``,
+``residual_by_class`` and ``classify.sbomp_classify`` run the same engine on
+a stack of one.
 """
 
 from dataclasses import dataclass
@@ -19,10 +32,22 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, SpecAngleError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    RankDeficientError,
+    SpecAngleError,
+)
 from .linalg import least_squares
 
-__all__ = ["BlockDictionary", "SparseSolution", "selection_score", "sbomp", "residual_by_class"]
+__all__ = [
+    "BlockDictionary",
+    "SparseSolution",
+    "selection_score",
+    "sbomp",
+    "residual_by_class",
+    "class_residuals",
+]
 
 # Residual Frobenius norm below this fraction of ||S||_F counts as exact.
 _EXACT_RTOL = 1e-10
@@ -59,6 +84,14 @@ class BlockDictionary:
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_stacked", np.hstack(blocks))
+        # Row j: the atoms (columns of _stacked) of block j, padded with -1
+        # to the widest block.
+        cols = np.arange(widths.max())
+        slots = np.where(cols < widths[:, None], offsets[:-1, None] + cols, -1)
+        class_ids, class_pos = np.unique(classes, return_inverse=True)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_class_ids", class_ids)
+        object.__setattr__(self, "_class_pos", class_pos)
 
     @property
     def n_blocks(self):
@@ -71,6 +104,16 @@ class BlockDictionary:
     @property
     def widths(self):
         return self._widths
+
+    @property
+    def n_atoms(self):
+        """Total column count over all blocks."""
+        return int(self._offsets[-1])
+
+    @property
+    def class_ids(self):
+        """Distinct class ids in ascending order."""
+        return self._class_ids
 
 
 @dataclass(frozen=True)
@@ -100,10 +143,114 @@ def selection_score(Ai, R):
     return float(np.linalg.norm(Ai.T @ R, axis=1).sum())
 
 
-def _all_scores(dictionary, R):
-    G = dictionary._stacked.T @ R
-    row_norms = np.linalg.norm(G, axis=1)
-    return np.add.reduceat(row_norms, dictionary._offsets[:-1])
+def _block_scores(dictionary, R):
+    """Selection score of every block against every residual: (P, n_blocks)."""
+    P, d, w = R.shape
+    G = (dictionary._stacked.T @ R.transpose(1, 0, 2).reshape(d, P * w)).reshape(-1, P, w)
+    row_norms = np.sqrt(np.einsum("apw,apw->ap", G, G))
+    return np.add.reduceat(row_norms, dictionary._offsets[:-1], axis=0).T
+
+
+def _pursue(dictionary, S, K):
+    """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
+
+    Returns ``support`` (P, K), block indices in selection order padded with
+    -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
+    block and the rows of support slot k start at k * width (zero rows past
+    the block's own width); and ``norms`` (P, K + 1), the residual history,
+    NaN after each pixel's last iteration. A rank-deficient refit raises with
+    ``index`` set to its pixel.
+    """
+    P, d, w = S.shape
+    slots = dictionary._slots
+    support = np.full((P, K), -1, dtype=np.int64)
+    coefficients = np.zeros((P, K * slots.shape[1], w))
+    norms = np.full((P, K + 1), np.nan)
+    norms[:, 0] = np.linalg.norm(S, axis=(1, 2))
+    R = S.copy()
+    active = np.arange(P)
+    for t in range(K):
+        if not active.size:
+            break
+        scores = _block_scores(dictionary, R[active])
+        rows = np.arange(len(active))
+        scores[rows[:, None], support[active, :t]] = -np.inf
+        best = np.argmax(scores, axis=1)
+        go = scores[rows, best] > 0.0
+        active = active[go]
+        support[active, t] = best[go]
+        # The selected atoms of each pixel in support order, then padding.
+        atoms = slots[support[active, : t + 1]].reshape(len(active), (t + 1) * slots.shape[1])
+        order = np.argsort(atoms < 0, axis=1, kind="stable")
+        widths = np.count_nonzero(atoms >= 0, axis=1)
+        for m in np.unique(widths):
+            group = widths == m
+            pix, pos = active[group], order[group, :m]
+            cols = np.take_along_axis(atoms[group], pos, axis=1)
+            A = dictionary._stacked[:, cols].transpose(1, 0, 2)
+            try:
+                X = least_squares(A, S[pix])
+            except RankDeficientError as exc:
+                exc.index = int(pix[exc.index])
+                raise
+            coefficients[pix[:, None], pos] = X
+            R[pix] = S[pix] - A @ X
+        norms[active, t + 1] = np.linalg.norm(R[active], axis=(1, 2))
+        active = active[norms[active, t + 1] > _EXACT_RTOL * norms[active, 0]]
+    return support, coefficients, norms
+
+
+def _class_residuals(dictionary, S, support, coefficients):
+    """Residual norm per class, (P, n_classes), from one solution per pixel.
+
+    Each selected block's partial reconstruction is summed over the selected
+    blocks of its own class (one segmented reduction); a class with no
+    selected block keeps ||S_i||_F.
+    """
+    P, d, w = S.shape
+    K = support.shape[1]
+    used = support >= 0
+    selected = np.where(used, support, 0)
+    # Padding slots point at the last atom but carry zero coefficients.
+    slots = dictionary._slots[selected]
+    blocks = dictionary._stacked[:, slots].transpose(1, 2, 0, 3)
+    parts = blocks @ coefficients.reshape(P, K, slots.shape[2], w)
+    cls = dictionary._class_pos[selected]
+    same = (cls[:, :, None] == cls[:, None, :]) & used[:, None, :]
+    recon = np.einsum("pkl,pldw->pkdw", same.astype(float), parts)
+    by_slot = np.linalg.norm(S[:, None] - recon, axis=(2, 3))
+    out = np.repeat(np.linalg.norm(S, axis=(1, 2))[:, None], len(dictionary.class_ids), axis=1)
+    p, k = np.nonzero(used)
+    out[p, cls[p, k]] = by_slot[p, k]
+    return out
+
+
+def _checked_stack(dictionary, S, K):
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 3 or S.shape[1] != dictionary.dim:
+        raise DimensionMismatchError(
+            f"S must be (P, {dictionary.dim}, w), got shape {S.shape}"
+        )
+    if not 1 <= K <= dictionary.n_blocks:
+        raise SpecAngleError(
+            f"K must be in [1, {dictionary.n_blocks}], got {K}"
+        )
+    finite = np.all(np.isfinite(S), axis=(1, 2))
+    if not np.all(finite):
+        exc = NonFiniteError("S contains NaN or Inf")
+        exc.index = int(np.argmin(finite))
+        raise exc
+    return S
+
+
+def _one_block(S):
+    S = np.asarray(S, dtype=float)
+    return S.reshape(S.shape[0], -1)
+
+
+def _slot_rows(dictionary, support):
+    """Rows of the slot layout that hold the coefficients of ``support``."""
+    return np.flatnonzero(dictionary._slots[support].ravel() >= 0)
 
 
 def sbomp(dictionary, S, K):
@@ -127,43 +274,13 @@ def sbomp(dictionary, S, K):
         Propagated from the least-squares refit when the selected blocks are
         collinear (duplicate atoms).
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim == 1:
-        S = S[:, None]
-    if not np.all(np.isfinite(S)):
-        raise NonFiniteError("S contains NaN or Inf")
-    if S.shape[0] != dictionary.dim:
-        raise DimensionMismatchError(
-            f"S has {S.shape[0]} rows, dictionary has {dictionary.dim}"
-        )
-    if not 1 <= K <= dictionary.n_blocks:
-        raise SpecAngleError(
-            f"K must be in [1, {dictionary.n_blocks}], got {K}"
-        )
-
-    s_norm = float(np.linalg.norm(S))
-    R = S
-    support = []
-    coeffs = np.zeros((0, S.shape[1]))
-    norms = [s_norm]
-    for _ in range(K):
-        scores = _all_scores(dictionary, R)
-        if support:
-            scores[np.asarray(support)] = -np.inf
-        best = int(np.argmax(scores))
-        if scores[best] <= 0.0:
-            break
-        support.append(best)
-        A_sel = np.hstack([dictionary.blocks[j] for j in support])
-        coeffs = least_squares(A_sel, S)
-        R = S - A_sel @ coeffs
-        norms.append(float(np.linalg.norm(R)))
-        if norms[-1] <= _EXACT_RTOL * s_norm:
-            break
+    S = _one_block(S)
+    support, coefficients, norms = _pursue(dictionary, _checked_stack(dictionary, S[None], K), K)
+    chosen = support[0][support[0] >= 0]
     return SparseSolution(
-        support=tuple(support),
-        coefficients=coeffs,
-        residual_norms=np.asarray(norms),
+        support=tuple(int(j) for j in chosen),
+        coefficients=coefficients[0, _slot_rows(dictionary, chosen)],
+        residual_norms=norms[0, : len(chosen) + 1],
     )
 
 
@@ -174,18 +291,38 @@ def residual_by_class(dictionary, S, sol):
     are kept; the residual is the Frobenius norm of S minus that partial
     reconstruction. A class with no selected block therefore scores ||S||_F.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim == 1:
-        S = S[:, None]
-    row_groups = np.concatenate(
-        [[0], np.cumsum([dictionary.widths[j] for j in sol.support])]
-    ).astype(int)
-    residuals = {}
-    for cls in np.unique(dictionary.classes):
-        recon = np.zeros_like(S)
-        for pos, j in enumerate(sol.support):
-            if dictionary.classes[j] == cls:
-                rows = slice(row_groups[pos], row_groups[pos + 1])
-                recon = recon + dictionary.blocks[j] @ sol.coefficients[rows]
-        residuals[int(cls)] = float(np.linalg.norm(S - recon))
-    return residuals
+    S = _one_block(S)
+    support = np.asarray(sol.support, dtype=np.int64)
+    coefficients = np.zeros((len(support) * dictionary._slots.shape[1], S.shape[1]))
+    coefficients[_slot_rows(dictionary, support)] = sol.coefficients
+    res = _class_residuals(dictionary, S[None], support[None], coefficients[None])[0]
+    return {int(c): float(v) for c, v in zip(dictionary.class_ids, res)}
+
+
+def class_residuals(dictionary, S, K):
+    """Pursue every test block of a stack at sparsity K; residuals per class.
+
+    Parameters
+    ----------
+    dictionary : BlockDictionary
+    S : (P, d, w) array_like
+        One test block per pixel. A narrower block is zero-padded on the
+        right; zero columns change neither its pursuit nor its residuals.
+    K : int
+        Maximum number of blocks to select, 1 <= K <= number of blocks.
+
+    Returns
+    -------
+    (P, n_classes) ndarray
+        Row i holds residual_by_class of sbomp(dictionary, S[i], K), columns
+        in ``dictionary.class_ids`` order.
+
+    Raises
+    ------
+    SpecAngleError
+        A NonFiniteError or RankDeficientError for one pixel has ``index``
+        set to that pixel. It is a failing pixel, not necessarily the first.
+    """
+    S = _checked_stack(dictionary, S, K)
+    support, coefficients, _ = _pursue(dictionary, S, K)
+    return _class_residuals(dictionary, S, support, coefficients)

@@ -4,9 +4,20 @@ import re
 import numpy as np
 import pytest
 
+from specangle import evaluate
+from specangle.classify import sbomp_classify
 from specangle.cli import main
-from specangle.data import load_cube, load_ground_truth
+from specangle.data import (
+    extract_neighborhood,
+    load_cube,
+    load_ground_truth,
+    pixels_to_sample_set,
+    split_train_test,
+)
+from specangle.errors import RankDeficientError
+from specangle.evaluate import ExperimentConfig, fit_projection
 from specangle.projections import Projection
+from specangle.pursuit import BlockDictionary
 
 
 @pytest.fixture
@@ -159,6 +170,34 @@ CONFIG_ERRORS = [
 ]
 
 
+def first_failing_pixel(scene, command):
+    """The first pixel, in the order the command labels them, for which a
+    per-pixel sbomp_classify call raises, with the settings of
+    test_pixel_failure_names_the_pixel."""
+    cube = load_cube(scene / "cube.csv", "csv_bands")
+    gt = load_ground_truth(scene / "gt.csv", "csv")
+    if command == "classify":
+        train_coords, _ = split_train_test(gt, 5, 0, 0)
+        taken = {tuple(rc) for rc in train_coords}
+        coords = [rc for rc in map(tuple, np.argwhere(gt.labels > 0)) if rc not in taken]
+    else:
+        train_coords, coords = split_train_test(gt, 5, 10, evaluate._split_seed(0, 0))
+    train = pixels_to_sample_set(cube, train_coords, gt)
+    config = ExperimentConfig(method="slspp", classifier="sbomp", window=3, sparsity=2, n_train=5)
+    P = fit_projection(cube, train, config).matrix
+
+    def block(rc):
+        return P.T @ extract_neighborhood(cube, rc, 3).spectra
+
+    dictionary = BlockDictionary(blocks=tuple(map(block, train_coords)), classes=train.labels)
+    for rc in coords:
+        try:
+            sbomp_classify(dictionary, block(rc), 2)
+        except RankDeficientError:
+            return rc
+    raise AssertionError("no pixel fails")
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "argv,error", CONFIG_ERRORS, ids=[f"argv{i}" for i in range(len(CONFIG_ERRORS))]
@@ -192,6 +231,8 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert re.match(rf"error: RankDeficientError: {prefix}pixel \(\d+, \d+\): ", err)
+        r, c = first_failing_pixel(clean, command[0])
+        assert err.startswith(f"error: RankDeficientError: {prefix}pixel ({r}, {c}): ")
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main([

@@ -6,6 +6,7 @@ from specangle.data import (
     HyperCube,
     class_signatures,
     extract_neighborhood,
+    neighborhood_spectra,
     l2_normalize_pixels,
     load_cube,
     load_ground_truth,
@@ -212,6 +213,22 @@ class TestNeighborhoods:
                     )
                     block = extract_neighborhood(cube, (r, c), window)
                     assert block.spectra.shape[1] == count
+
+    def test_stacked_spectra_pad_each_neighborhood(self, cube):
+        centers = [(r, c) for r in range(cube.rows) for c in range(cube.cols)]
+        for window in (1, 3, 5):
+            spectra, counts = neighborhood_spectra(cube, centers, window)
+            assert spectra.shape == (len(centers), window**2, cube.bands)
+            for rc, rows, n in zip(centers, spectra, counts):
+                block = extract_neighborhood(cube, rc, window)
+                assert n == block.spectra.shape[1]
+                np.testing.assert_array_equal(rows[:n], block.spectra.T)
+                assert not np.any(rows[n:])
+
+    def test_stacked_spectra_name_first_outside_center(self, cube):
+        with pytest.raises(OutOfBoundsError, match=r"center \(5, 0\) outside") as info:
+            neighborhood_spectra(cube, [(0, 0), (5, 0), (-1, 2)], 3)
+        assert info.value.index == 1
 
     def test_errors(self, cube):
         with pytest.raises(EvenWindowError):

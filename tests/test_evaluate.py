@@ -7,6 +7,7 @@ import specangle.evaluate as evaluate
 from specangle.data import SampleSet, synth_scene
 from specangle.errors import (
     InsufficientSamplesError,
+    RankDeficientError,
     ReducedDimTooSmallError,
 )
 from specangle.evaluate import (
@@ -113,6 +114,26 @@ class TestRunExperiment:
         raw = run_experiment(cube, gt, base)
         unit = run_experiment(cube, gt, ExperimentConfig(**{**base.params(), "normalize": True}))
         np.testing.assert_array_equal(raw.confusions, unit.confusions)
+
+
+class TestFirstFailure:
+    def test_names_first_failing_pixel_in_input_order(self):
+        # A batch reports the failure it meets first, here the last bad pixel
+        # of the batch; the error must still name the first one in order.
+        bad = {3, 7}
+
+        def label(coords):
+            hits = [i for i, row in enumerate(coords[:, 0]) if row in bad]
+            if hits:
+                exc = RankDeficientError("collinear")
+                exc.index = hits[-1]
+                raise exc
+            return coords[:, 0]
+
+        coords = np.stack([np.arange(10), np.full(10, 4)], axis=1)
+        np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:3]), [0, 1, 2])
+        with pytest.raises(RankDeficientError, match=r"^pixel \(3, 4\): collinear$"):
+            evaluate._label_chunk(label, coords)
 
 
 class TestSweep:

@@ -155,6 +155,24 @@ class TestLeastSquares:
         with pytest.raises(RankDeficientError):
             least_squares(np.ones((2, 4)), np.ones((2, 1)))
 
+    def test_stack_solves_each_system(self):
+        rng = np.random.default_rng(32)
+        A = rng.standard_normal((5, 7, 3))
+        B = rng.standard_normal((5, 7, 2))
+        C = least_squares(A, B)
+        assert C.shape == (5, 3, 2)
+        for i in range(5):
+            np.testing.assert_allclose(C[i], least_squares(A[i], B[i]), rtol=1e-12, atol=1e-12)
+
+    def test_stack_names_first_deficient_system(self):
+        rng = np.random.default_rng(33)
+        A = rng.standard_normal((5, 7, 3))
+        A[3, :, 2] = A[3, :, 0]
+        A[1, :, 1] = 2.0 * A[1, :, 0]
+        with pytest.raises(RankDeficientError) as info:
+            least_squares(A, rng.standard_normal((5, 7, 2)))
+        assert info.value.index == 1
+
     def test_normal_equation_residual_random(self):
         rng = np.random.default_rng(31)
         for _ in range(50):

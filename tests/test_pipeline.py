@@ -2,8 +2,10 @@
 
 For every registered method x classifier, the outputs of both commands are
 checked against a reference loop written here over the classifier
-primitives. A name added to either registry is covered automatically, and a
-classifier name without a reference below fails the test.
+primitives, one pixel at a time. A name added to either registry is covered
+automatically, and a classifier name without a reference below fails the
+test. ``predict`` labels pixels in chunks; further tests pin that its labels
+do not depend on the chunking and that its errors name the right pixel.
 """
 
 import itertools
@@ -15,18 +17,21 @@ from specangle import evaluate
 from specangle.classify import nn_cosine_classify, sbomp_classify
 from specangle.cli import main
 from specangle.data import (
+    HyperCube,
     SampleSet,
+    extract_neighborhood,
     load_cube,
     load_ground_truth,
     pixels_to_sample_set,
     split_train_test,
     synth_scene,
 )
+from specangle.errors import SpecAngleError, ZeroVectorError
 from specangle.evaluate import (
     CLASSIFIERS,
     ExperimentConfig,
+    fit_pipeline,
     fit_projection,
-    projected_block,
     run_experiment,
 )
 from specangle.projections import METHODS
@@ -37,28 +42,43 @@ R, WINDOW, SPARSITY, N_TRAIN, N_TEST, SEED = 10, 3, 1, 5, 20, 4
 PIPELINES = list(itertools.product(METHODS, CLASSIFIERS))
 
 
-def reference_labels(classifier, proj, cube, train, coords):
+def reference_labels(classifier, proj, cube, train, coords, window=WINDOW, sparsity=SPARSITY):
     """Label each pixel in coords with one direct classifier call."""
     P = proj.matrix
     if classifier == "nn-cos":
         train_proj = SampleSet(features=P.T @ train.features, labels=train.labels)
         return [nn_cosine_classify(train_proj, P.T @ cube.values[r, c]).label for r, c in coords]
-    train_window = {"sbomp": WINDOW, "somp": 1}[classifier]
+
+    def block(rc, w):
+        return P.T @ extract_neighborhood(cube, rc, w).spectra
+
+    train_window = {"sbomp": window, "somp": 1}[classifier]
     dictionary = BlockDictionary(
-        blocks=tuple(projected_block(proj, cube, rc, train_window) for rc in train.coords),
-        classes=train.labels,
+        blocks=tuple(block(rc, train_window) for rc in train.coords), classes=train.labels
     )
-    return [
-        sbomp_classify(dictionary, projected_block(proj, cube, rc, WINDOW), SPARSITY).label
-        for rc in coords
-    ]
+    labels = []
+    for r, c in coords:
+        try:
+            labels.append(sbomp_classify(dictionary, block((r, c), window), sparsity).label)
+        except SpecAngleError as exc:
+            raise type(exc)(f"pixel ({r}, {c}): {exc}") from exc
+    return labels
 
 
-def config(method, classifier):
-    return ExperimentConfig(
-        method=method, classifier=classifier, r=R, window=WINDOW, sparsity=SPARSITY,
-        n_train=N_TRAIN, n_test=N_TEST, trials=1, seed=SEED,
-    )
+def outcome(label, *args, **kwargs):
+    """The labels as a list, or the error as 'Type: message'."""
+    try:
+        return list(label(*args, **kwargs))
+    except SpecAngleError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def config(method, classifier, **overrides):
+    return ExperimentConfig(**{
+        "method": method, "classifier": classifier, "r": R, "window": WINDOW,
+        "sparsity": SPARSITY, "n_train": N_TRAIN, "n_test": N_TEST, "trials": 1,
+        "seed": SEED, **overrides,
+    })
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +131,89 @@ def test_eval_confusion_matches_reference(method, classifier):
     for (r, c), p in zip(test_coords, reference_labels(classifier, proj, cube, train, test_coords)):
         expected[gt.labels[r, c] - 1, p - 1] += 1
     np.testing.assert_array_equal(report.confusions[0], expected)
+
+
+# K * window**2 <= r, so K=2 refits over window-3 blocks are not
+# rank-deficient by their size alone.
+WIDE_BANDS, WIDE_R, WIDE_K = 30, 20, 2
+
+
+@pytest.fixture(scope="module")
+def wide_scene():
+    cube, gt = synth_scene(18, 18, WIDE_BANDS, 3, noise_sd=0.05, patch_size=6, seed=11)
+    train_coords, _ = split_train_test(gt, N_TRAIN, 0, SEED)
+    return cube, pixels_to_sample_set(cube, train_coords, gt)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_block_pursuit_k2_matches_reference_on_every_pixel(wide_scene, method):
+    """Every pixel of the image, so edge and corner windows are truncated.
+
+    The lspp, lpp and lada fits on this n < d scene stretch some directions
+    thousands of times more than others, so some K=2 refits are
+    rank-deficient: predict must then name the first pixel that fails when
+    the pixels are classified one at a time.
+    """
+    cube, train = wide_scene
+    proj, predict = fit_pipeline(cube, train, config(method, "sbomp", r=WIDE_R, sparsity=WIDE_K))
+    coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    expected = outcome(reference_labels, "sbomp", proj, cube, train, coords, sparsity=WIDE_K)
+    if method in ("slspp", "ada"):
+        assert isinstance(expected, list)
+    assert outcome(predict, coords) == expected
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier):
+    cube, train = wide_scene
+    chunks, chunk_pixels = [], evaluate.chunk_pixels
+
+    def spy(values_per_pixel):
+        chunks.append(chunk_pixels(values_per_pixel))
+        return chunks[-1]
+
+    monkeypatch.setattr(evaluate, "chunk_pixels", spy)
+    cfg = config("slspp", classifier, r=WIDE_R, sparsity=WIDE_K)
+    _, predict = fit_pipeline(cube, train, cfg)
+    [chunk] = chunks
+
+    pixels = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    order = np.random.default_rng(5).permutation(chunk + 1) % len(pixels)
+    coords = pixels[order]
+    labels = predict(coords)
+    assert labels.dtype == np.int64 and labels.shape == (chunk + 1,)
+    for n in (chunk - 1, chunk):
+        np.testing.assert_array_equal(predict(coords[:n]), labels[:n])
+    k = min(7, chunk)
+    np.testing.assert_array_equal(np.concatenate([predict(coords[:k]), predict(coords[k:])]), labels)
+    empty = predict(np.empty((0, 2), dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+def zeroed(cube, pixel):
+    values = cube.values.copy()
+    values[pixel] = 0.0
+    return HyperCube(values=values)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_training_spectrum_names_the_training_pixel(method):
+    cube, gt = synth_scene(18, 18, 12, 3, noise_sd=0.05, patch_size=6, seed=11)
+    train_coords, _ = split_train_test(gt, N_TRAIN, N_TEST, evaluate._split_seed(SEED, 0))
+    r, c = train_coords[N_TRAIN + 1]
+    with pytest.raises(ZeroVectorError) as info:
+        run_experiment(zeroed(cube, (r, c)), gt, config(method, "nn-cos"))
+    assert str(info.value) == (
+        f"trial 0: training pixel ({r}, {c}): cosine distance is undefined for zero vectors"
+    )
+
+
+def test_zero_test_spectrum_names_that_pixel(wide_scene):
+    cube, train = wide_scene
+    taken = {tuple(rc) for rc in train.coords}
+    coords = np.array([rc for rc in np.ndindex(cube.rows, cube.cols) if rc not in taken][:40])
+    r, c = coords[25]
+    _, predict = fit_pipeline(zeroed(cube, (r, c)), train, config("lspp", "nn-cos", r=WIDE_R))
+    predict(coords[:25])
+    with pytest.raises(ZeroVectorError, match=rf"^pixel \({r}, {c}\): cosine distance is undefined"):
+        predict(coords)

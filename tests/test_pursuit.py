@@ -4,11 +4,14 @@ import pytest
 from oracles import bomp_oracle, omp_oracle, somp_oracle
 from specangle.errors import (
     DimensionMismatchError,
+    NonFiniteError,
     RankDeficientError,
     SpecAngleError,
 )
+from specangle import pursuit
 from specangle.pursuit import (
     BlockDictionary,
+    class_residuals,
     residual_by_class,
     sbomp,
     selection_score,
@@ -229,3 +232,71 @@ class TestResidualByClass:
             pytest.skip("pursuit left class 1 for this draw")
         res = residual_by_class(d, S, sol)
         assert res[1] == pytest.approx(sol.residual_norms[-1], abs=1e-10)
+
+
+class TestBatch:
+    """The engine on a stack of pixels against each pixel run on its own.
+
+    The stack's products have other shapes than a single pixel's, so float
+    results may differ in the last bits: TOL allows a few hundred ulps.
+    """
+
+    TOL = 256 * np.finfo(float).eps
+
+    def test_mixed_early_stops_match_batch_of_one(self):
+        rng = np.random.default_rng(107)
+        # The last 3 rows are zero in every block, so a test block living
+        # there scores exactly 0 and stops before its first selection.
+        blocks = [np.vstack([rng.standard_normal((9, m)), np.zeros((3, m))]) for m in (3, 2, 3, 1, 2)]
+        d = BlockDictionary(blocks=tuple(blocks), classes=np.array([1, 1, 2, 2, 3]))
+        K = 3
+        orthogonal = np.zeros((12, 3))
+        orthogonal[9:] = rng.standard_normal((3, 3))
+        tests = [
+            rng.standard_normal((12, 3)),
+            3.0 * blocks[2] @ rng.standard_normal((3, 3)),  # block 2 alone represents it
+            rng.standard_normal((12, 2)),  # zero-padded to width 3 in the stack
+            orthogonal,
+            rng.standard_normal((12, 3)),
+        ]
+        S = np.zeros((len(tests), 12, 3))
+        for i, T in enumerate(tests):
+            S[i, :, : T.shape[1]] = T
+
+        support, coefficients, norms = pursuit._pursue(d, S, K)
+        assert list(support[1]) == [2, -1, -1]
+        assert list(support[3]) == [-1, -1, -1]
+        assert np.all(support[[0, 2, 4]] >= 0)
+        for i, T in enumerate(tests):
+            sol = sbomp(d, T, K)
+            n = len(sol.support)
+            assert tuple(int(j) for j in support[i, :n]) == sol.support
+            rows = pursuit._slot_rows(d, support[i, :n])
+            np.testing.assert_allclose(
+                coefficients[i, rows, : T.shape[1]], sol.coefficients, rtol=self.TOL, atol=self.TOL
+            )
+            assert not np.any(np.delete(coefficients[i], rows, axis=0))
+            assert not np.any(coefficients[i, :, T.shape[1]:])
+            np.testing.assert_allclose(norms[i, : n + 1], sol.residual_norms, rtol=self.TOL, atol=self.TOL)
+            assert np.all(np.isnan(norms[i, n + 1:]))
+
+        residuals = class_residuals(d, S, K)
+        for i, T in enumerate(tests):
+            expected = residual_by_class(d, T, sbomp(d, T, K))
+            np.testing.assert_allclose(
+                residuals[i], [expected[c] for c in d.class_ids], rtol=self.TOL, atol=self.TOL
+            )
+
+    def test_errors_carry_the_pixel(self):
+        a = np.array([[1.0], [2.0], [0.0]])
+        d = BlockDictionary(blocks=(np.hstack([a, a]), np.eye(3)[:, [2]]), classes=np.array([1, 2]))
+        S = np.zeros((4, 3, 1))
+        S[:, 2, 0] = 1.0  # block 1 represents these exactly
+        S[2, :, 0] = a[:, 0]  # selects the rank-deficient block 0
+        with pytest.raises(RankDeficientError) as info:
+            class_residuals(d, S, 1)
+        assert info.value.index == 2
+        S[1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            class_residuals(d, S, 1)
+        assert info.value.index == 1
