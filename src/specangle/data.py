@@ -38,6 +38,8 @@ from .errors import (
 )
 
 __all__ = [
+    "CHUNK_BYTES",
+    "chunk_pixels",
     "HyperCube",
     "GroundTruth",
     "SampleSet",
@@ -55,6 +57,10 @@ __all__ = [
 ]
 
 CUBE_FORMATS = ("envi_bsq", "envi_bil", "csv_bands")
+
+# Byte budget for the largest array of one chunk of pixels: a block of graph
+# weights, gathered window spectra or pursuit scores.
+CHUNK_BYTES = 4 << 20
 
 # ENVI data type code <-> numpy dtype, little-endian baseline.
 _ENVI_DTYPES = {1: "u1", 12: "u2", 4: "f4", 5: "f8"}
@@ -351,6 +357,12 @@ def save_ground_truth(path, gt):
 
 # ---------------------------------------------------------------------------
 # Neighborhoods and sample sets
+
+
+def chunk_pixels(values_per_pixel):
+    """Pixels per chunk when the largest array holds this many float64
+    values per pixel."""
+    return max(1, CHUNK_BYTES // (8 * values_per_pixel))
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,7 +18,9 @@ import numpy as np
 
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
+    CHUNK_BYTES,
     SampleSet,
+    chunk_pixels,
     l2_normalize_pixels,
     neighborhood_spectra,
     pixels_to_sample_set,
@@ -55,11 +57,6 @@ __all__ = [
 CLASSIFIERS = ("sbomp", "somp", "nn-cos")
 
 SWEEP_AXES = ("r", "sigma", "window", "sparsity")
-
-# Byte budget for the largest array of one predict chunk: the (atoms, P*w)
-# pursuit scores, or the gathered (P, w, bands) spectra if those are larger.
-CHUNK_BYTES = 4 << 20
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -162,12 +159,6 @@ def _jsonable(v):
 def fit_projection(work_cube, train, config):
     """Fit the projection ``config.method`` on the training samples."""
     return METHODS[config.method](work_cube, train, config)
-
-
-def chunk_pixels(values_per_pixel):
-    """Pixels per predict chunk when the largest array holds this many
-    float64 values per pixel."""
-    return max(1, CHUNK_BYTES // (8 * values_per_pixel))
 
 
 def projected_windows(proj, cube, coords, window):

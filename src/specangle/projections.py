@@ -24,10 +24,17 @@ import numpy as np
 from .affinity import (
     _check_sigma,
     _features_of,
-    heat_kernel_affinity,
+    heat_kernel_products,
     median_heuristic_sigma,
+    sq_distances,
 )
-from .data import SampleSet, extract_neighborhood, pixels_to_sample_set
+from .data import (
+    SampleSet,
+    _window_members,
+    chunk_pixels,
+    neighborhood_spectra,
+    pixels_to_sample_set,
+)
 from .errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -164,15 +171,14 @@ def _graph_pencil(X, r, sigma):
     _check_r(r, d)
     if n < 2:
         raise TooFewSamplesError("need at least two samples")
-    graph = heat_kernel_affinity(F, sigma)
-    W = graph.weights
-    A = F @ W @ F.T
-    B = (F * W.sum(axis=1)) @ F.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T), graph.sigma
+    d2, sigma = sq_distances(F, sigma)
+    A, degrees = heat_kernel_products(F, d2, sigma)
+    B = (F * degrees) @ F.T
+    return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
 
 
 def fit_lspp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
-    """Similarity-preserving projection from the dense heat-kernel graph.
+    """Similarity-preserving projection from the heat-kernel graph.
 
     Solves the pencil (XWX^t, XDX^t + ridge) for the top-r eigenvectors, so
     the achieved objective tr(P^t XWX^t P) is the sum of the r largest
@@ -213,14 +219,15 @@ def slspp_context_matrix(cube, coords, window, sigma):
     spectrum z_k; the center belongs to its own neighborhood (W_ii = 1), and
     windows are truncated at image edges.
     """
-    d = cube.bands
-    M = np.zeros((d, d))
-    for coord in coords:
-        block = extract_neighborhood(cube, coord, window)
-        Z = block.spectra
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    M = np.zeros((cube.bands, cube.bands))
+    step = chunk_pixels(window**2 * cube.bands)
+    for lo in range(0, len(coords), step):
+        # Zero rows past a truncated window add nothing, since their z is 0.
+        Z, _ = neighborhood_spectra(cube, coords[lo : lo + step], window)
         x = Z[:, 0]
-        w = np.exp(-np.sum((Z - x[:, None]) ** 2, axis=0) / sigma)
-        M += np.outer(Z @ w, x)
+        w = np.exp(-np.sum((Z - x[:, None]) ** 2, axis=2) / sigma)
+        M += np.einsum("pk,pkd->dp", w, Z) @ x
     return M
 
 
@@ -235,6 +242,8 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if len(coords) < 1:
         raise TooFewSamplesError("need at least one center pixel")
+    # Window and centres are checked before the bandwidth's distance pass.
+    _window_members(cube, coords, window)
     if sigma is None:
         centers = pixels_to_sample_set(cube, coords)
         sigma = 1.0 if len(coords) == 1 else median_heuristic_sigma(centers)
@@ -367,22 +376,46 @@ def fit_ada(X, r=None, ridge=DEFAULT_RIDGE):
     )
 
 
+def _lada_scatter(features, labels, sigma):
+    """Raw LADA within/between matrices, X W X^t with the ``lada_weights``
+    weights, and the resolved sigma.
+
+    Off-class pairs weigh 1/n whatever their affinity, so only the
+    same-class graphs are formed: with A_l = X_l W_l X_l^t, s = X 1 and
+    s_l = X_l 1, within = sum_l A_l / n_l and
+    between = sum_l (1/n - 1/n_l) A_l + (s s^t - sum_l s_l s_l^t) / n.
+    """
+    d, n = features.shape
+    d2, sigma = sq_distances(features, sigma)
+    within = np.zeros((d, d))
+    between = np.zeros((d, d))
+    same_class_sums = np.zeros((d, d))
+    for l in range(1, int(labels.max()) + 1):
+        members = np.flatnonzero(labels == l)
+        A_l, _ = heat_kernel_products(features, d2, sigma, members)
+        within += A_l / members.size
+        between += (1.0 / n - 1.0 / members.size) * A_l
+        s_l = features[:, members].sum(axis=1)
+        same_class_sums += np.outer(s_l, s_l)
+    s = features.sum(axis=1)
+    between += (np.outer(s, s) - same_class_sums) / n
+    return ScatterMatrices(within=within, between=between), sigma
+
+
 def fit_lada(X, r=None, sigma=None, ridge=DEFAULT_RIDGE):
     """Locality-aware angular discriminant projection.
 
     Pairwise heat-kernel affinities modulate the class structure: the scatter
-    matrices become X W X^t with the weights of ``lada_weights``.
+    matrices become X W X^t with the weights of ``lada_weights``, formed from
+    the same-class graphs only.
     """
     features, labels = _labeled_features(X)
     class_stats(features, labels)  # validates class structure
-    graph = heat_kernel_affinity(features, sigma)
-    w_within, w_between = lada_weights(labels, graph.weights)
-    within = features @ w_within @ features.T
-    between = features @ w_between @ features.T
+    sc, sigma = _lada_scatter(features, labels, sigma)
     c = int(labels.max())
     return _discriminant_fit(
-        between, within, r, features.shape[0], c, ridge,
-        "lada", {"sigma": graph.sigma, "ridge": float(ridge)},
+        sc.between, sc.within, r, features.shape[0], c, ridge,
+        "lada", {"sigma": sigma, "ridge": float(ridge)},
     )
 
 

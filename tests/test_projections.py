@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,21 +6,27 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from oracles import grid_best_direction, graph_pencil_bruteforce, slspp_matrix_bruteforce
-from specangle import affinity
+from specangle import affinity, data
 from specangle.affinity import heat_kernel_affinity, median_heuristic_sigma
 from specangle.data import HyperCube, SampleSet, pixels_to_sample_set, split_train_test, synth_scene
 from specangle.errors import (
     DimensionMismatchError,
     EmptyClassError,
+    EvenWindowError,
     MalformedHeaderError,
+    OutOfBoundsError,
     ReducedDimTooLargeError,
     SingleClassError,
+    SpecAngleError,
 )
 from specangle.evaluate import ExperimentConfig
-from specangle.linalg import regularized
+from specangle.linalg import gen_eig_desc, regularized
 from specangle.projections import (
+    DEFAULT_RIDGE,
     METHODS,
     Projection,
+    _graph_pencil,
+    _lada_scatter,
     ada_scatter,
     class_stats,
     fit_ada,
@@ -205,6 +212,37 @@ class TestSlspp:
             assert np.trace(P.T @ M @ P) == pytest.approx(
                 np.trace(P.T @ sym @ P), abs=1e-10
             )
+
+    def test_matrix_over_chunks_matches_bruteforce(self, monkeypatch):
+        # Three pixels per chunk: edge, corner and interior windows fall in
+        # different chunks, and the last of the 7 chunks holds 2 pixels.
+        rng = np.random.default_rng(55)
+        cube = HyperCube(values=rng.standard_normal((6, 7, 4)))
+        coords = [(r, c) for r in range(5) for c in range(0, 7, 2)]
+        monkeypatch.setattr(data, "CHUNK_BYTES", 3 * 8 * 25 * 4)
+        M = slspp_context_matrix(cube, coords, window=5, sigma=1.3)
+        brute = slspp_matrix_bruteforce(cube.values, coords, 5, 1.3)
+        np.testing.assert_allclose(M, brute, rtol=1e-12, atol=1e-12 * np.abs(brute).max())
+
+    @pytest.mark.parametrize(
+        "coords, window, error",
+        [
+            ([[100, 100], [1, 1]], 3, OutOfBoundsError),
+            ([[1, 1], [-1, 2]], 3, OutOfBoundsError),
+            ([[1, 1], [2, 2]], 2, EvenWindowError),
+        ],
+        ids=["past-edge", "negative", "even-window"],
+    )
+    def test_bad_centres_and_window_fail_before_the_bandwidth(
+        self, monkeypatch, coords, window, error
+    ):
+        calls = []
+        monkeypatch.setattr(affinity, "pdist", lambda *a, **k: calls.append(a))
+        cube = HyperCube(values=np.ones((5, 5, 3)))
+        with pytest.raises(error) as info:
+            fit_slspp(cube, coords, 2, window=window)
+        assert isinstance(info.value, SpecAngleError)
+        assert calls == []
 
     def test_columns_orthonormal(self):
         cube, _ = synth_scene(10, 10, 8, 2, noise_sd=0.1, patch_size=5, seed=4)
@@ -462,3 +500,139 @@ class TestDefaultSigma:
         monkeypatch.setattr(affinity, "pdist", counting_pdist)
         fit(scene[1], r=4)
         assert len(calls) == 1
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Entrywise agreement relative to the largest entry of expected."""
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=rtol * np.abs(expected).max())
+
+
+class TestStreamedGraph:
+    """The fits stream X W X^t from the condensed distances a block of rows at
+    a time; they must agree with the dense heat_kernel_affinity and
+    lada_weights reference, whatever the chunking and sample order."""
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        # One row per block at first for n = 50, up to a few rows as the
+        # rows shorten, so every graph with more than a dozen samples spans
+        # at least 3 blocks. The spy records each block's width.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 16 * 3)
+        calls = []
+        chunk_pixels = affinity.chunk_pixels
+
+        def spy(width):
+            calls.append(width)
+            return chunk_pixels(width)
+
+        monkeypatch.setattr(affinity, "chunk_pixels", spy)
+        return calls
+
+    @staticmethod
+    def samples(n, seed, duplicates=0):
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((6, n)) * rng.uniform(0.5, 2.0, n)
+        # Exact copies of earlier columns: zero distances, unit weights.
+        F[:, n - duplicates :] = F[:, :duplicates]
+        return F
+
+    @staticmethod
+    def dense_pencil(F, sigma):
+        W = heat_kernel_affinity(F, sigma).weights
+        A = F @ W @ F.T
+        B = (F * W.sum(axis=1)) @ F.T
+        return 0.5 * (A + A.T), 0.5 * (B + B.T)
+
+    @pytest.mark.parametrize(
+        "n, duplicates, sigma",
+        [(50, 0, 3.0), (50, 7, None), (2, 0, 1.0), (2, 1, None)],
+        ids=["generic", "duplicates", "two", "two-equal"],
+    )
+    def test_pencil_matches_dense(self, chunks, n, duplicates, sigma):
+        F = self.samples(n, 90 + n, duplicates)
+        A, B, resolved = _graph_pencil(F, 2, sigma)
+        if sigma is None:
+            assert resolved == median_heuristic_sigma(F)
+        A_ref, B_ref = self.dense_pencil(F, resolved)
+        assert_close(A, A_ref)
+        assert_close(B, B_ref)
+        if n == 50:
+            assert len(chunks) >= 3
+
+    def test_pencil_permutation(self, chunks):
+        F = self.samples(50, 91, duplicates=3)
+        perm = np.random.default_rng(92).permutation(50)
+        A, B, sigma = _graph_pencil(F[:, perm], 2, None)
+        A_ref, B_ref = self.dense_pencil(F, median_heuristic_sigma(F))
+        assert_close(A, A_ref)
+        assert_close(B, B_ref)
+
+    @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp])
+    def test_fit_matches_dense_pencil(self, chunks, fit):
+        F = self.samples(50, 93, duplicates=2)
+        proj = fit(F, 3)
+        A, B = self.dense_pencil(F, proj.fit_params["sigma"])
+        w, _ = gen_eig_desc(A if fit is fit_lspp else B - A, B, DEFAULT_RIDGE)
+        expected = w[:3] if fit is fit_lspp else -w[::-1][:3]
+        np.testing.assert_allclose(proj.eigenvalues, expected, rtol=1e-10)
+
+    def test_members_must_ascend(self):
+        F = self.samples(4, 98)
+        d2, sigma = affinity.sq_distances(F)
+        for members in ([2, 0], [1, 1]):
+            with pytest.raises(ValueError, match="ascending"):
+                affinity.heat_kernel_products(F, d2, sigma, members)
+
+    @staticmethod
+    def dense_scatter(F, labels, sigma):
+        W = heat_kernel_affinity(F, sigma).weights
+        w_within, w_between = lada_weights(labels, W)
+        return F @ w_within @ F.T, F @ w_between @ F.T
+
+    @pytest.mark.parametrize(
+        "labels, duplicates, sigma",
+        [
+            (np.arange(50) % 3 + 1, 0, 2.0),
+            (np.r_[np.arange(49) % 2 + 1, 3], 4, None),  # class 3 has one sample
+            (np.array([1, 2]), 0, None),
+            (np.array([2, 1]), 1, 1.5),
+        ],
+        ids=["generic", "singleton-class", "two", "two-equal"],
+    )
+    def test_lada_scatter_matches_dense(self, chunks, labels, duplicates, sigma):
+        F = self.samples(labels.size, 94 + labels.size, duplicates)
+        sc, resolved = _lada_scatter(F, labels, sigma)
+        if sigma is None:
+            assert resolved == median_heuristic_sigma(F)
+        within, between = self.dense_scatter(F, labels, resolved)
+        assert_close(sc.within, within)
+        assert_close(sc.between, between)
+
+    def test_lada_permutation(self, chunks):
+        F = self.samples(50, 95, duplicates=5)
+        labels = np.arange(50) % 4 + 1
+        perm = np.random.default_rng(96).permutation(50)
+        sc, sigma = _lada_scatter(F[:, perm], labels[perm], None)
+        within, between = self.dense_scatter(F, labels, median_heuristic_sigma(F))
+        assert_close(sc.within, within)
+        assert_close(sc.between, between)
+        # Widths shrink within a graph, so a wider block starts the next one.
+        starts = [i for i, w in enumerate(chunks) if i == 0 or w > chunks[i - 1]]
+        assert len(starts) == 4
+        assert min(np.diff(starts + [len(chunks)])) >= 3
+
+    @pytest.mark.parametrize("method", ["lspp", "lpp", "lada"])
+    def test_peak_memory_below_two_and_a_half_condensed(self, method):
+        # The condensed distances plus the median's copy of them is about
+        # 2.1x their size; one more n x n float array would add 8x.
+        n, d = 2000, 20
+        rng = np.random.default_rng(97)
+        X = SampleSet(features=rng.standard_normal((d, n)), labels=np.arange(n) % 4 + 1)
+        condensed = n * (n - 1) // 2 * 8
+        tracemalloc.start()
+        try:
+            METHODS[method](None, X, ExperimentConfig(method=method, r=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * condensed
