@@ -1,11 +1,12 @@
 """Heat-kernel affinity graphs over sample sets.
 
-The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). One pass
-over the pairwise distances gives both the default bandwidth and the weights.
-The fits never form the n x n weight matrix: ``heat_kernel_products``
-streams X W X^t and the degrees from the condensed distances, a block of rows
-at a time. ``heat_kernel_affinity`` builds the dense matrix, for small graphs
-and as the reference the tests check the products against.
+The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). The fits
+never store the pairwise distances: ``_distance_blocks`` computes them from
+Gram blocks a block of rows at a time, ``heat_kernel_products`` streams
+X W X^t and the degrees from those blocks, and the default bandwidth, the
+median of the positive distances, is selected exactly from two streamed
+passes. ``heat_kernel_affinity`` builds the dense matrix from ``pdist``, the
+reference the tests check the streamed products against.
 """
 
 from dataclasses import dataclass
@@ -21,8 +22,10 @@ __all__ = [
     "heat_kernel_affinity",
     "heat_kernel_products",
     "median_heuristic_sigma",
-    "sq_distances",
 ]
+
+# Bins of one histogram pass of the streamed median: 2**19 int64 counts, 4 MiB.
+_HISTOGRAM_BITS = 19
 
 
 @dataclass(frozen=True)
@@ -71,24 +74,12 @@ def _median_positive(d2):
     return float(np.median(positive, overwrite_input=True)) if positive.size else 1.0
 
 
-def sq_distances(F, sigma=None):
-    """The one distance pass over the columns of a (d, n) feature matrix.
-
-    Returns ``(d2, sigma)``: the condensed squared distances, in the order
-    of ``scipy.spatial.distance.pdist`` (pair (i, j), i < j, sits at
-    i*n - i*(i+1)/2 + j - i - 1), and the bandwidth, the median heuristic
-    (see ``median_heuristic_sigma``) taken from d2 when sigma is None.
-    """
-    if sigma is not None:
-        _check_sigma(sigma)
-    d2 = pdist(F.T, metric="sqeuclidean")
-    if sigma is None:
-        sigma = _median_positive(d2)
-    return d2, float(sigma)
-
-
 def heat_kernel_affinity(X, sigma=None):
     """Dense heat-kernel affinity matrix over the samples of X.
+
+    The reference the streamed products are checked against: its distances
+    come from ``scipy.spatial.distance.pdist``, so they may differ from the
+    fits' Gram-block distances in the last bits.
 
     Parameters
     ----------
@@ -96,8 +87,8 @@ def heat_kernel_affinity(X, sigma=None):
         Columns are samples.
     sigma : float, optional
         Bandwidth, > 0. Distances are taken in raw spectral space. None means
-        the median heuristic (see ``median_heuristic_sigma``), taken from the
-        same pairwise distances the weights are built from.
+        the median of the positive pairwise squared distances (1.0 when every
+        pair coincides), taken from pdist's distances.
 
     Returns
     -------
@@ -112,65 +103,193 @@ def heat_kernel_affinity(X, sigma=None):
         raise TooFewSamplesError("need at least one sample")
     # pdist computes each unordered pair once, so the squareform is exactly
     # symmetric; the kernel is applied in place on the condensed vector.
-    d2, sigma = sq_distances(F, sigma)
+    d2 = pdist(F.T, metric="sqeuclidean")
+    sigma = _median_positive(d2) if sigma is None else float(sigma)
     d2 /= -sigma
     W = squareform(np.exp(d2, out=d2))
     np.fill_diagonal(W, 1.0)
     return AffinityMatrix(weights=W, sigma=sigma)
 
 
-def heat_kernel_products(F, d2, sigma, members=None):
-    """X W X^t and the degrees of the heat-kernel graph, without forming W.
+def _distance_blocks(X):
+    """Yield the squared distances between the columns of X, a block of rows
+    at a time.
 
-    F is the (d, n) feature matrix and d2 its condensed squared distances
-    (see ``sq_distances``). The graph is over the columns ``members`` of F,
-    ascending (default all): X = F[:, members] and W = exp(-d2 / sigma) on
-    its pairs with a unit diagonal. Returns ``(X W X^t, degrees)``, the
-    degrees being the row sums of W.
+    Yields ``(lo, D)``: D[k, c] is ||x_(lo+k) - x_(lo+c)||^2 for c > k and 0
+    on and left of the diagonal, so each unordered pair appears once. A block
+    holds ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
+    ``chunk_pixels(m) >= m`` is one m x m block.
 
-    The strict upper triangle of W is read from d2 a block of rows at a
-    time, into a (rows, m - first row) block U sized by ``chunk_pixels``
-    whose entries on and left of the diagonal are zero; then
-    C += X[:, rows] (U X[:, first row:]^t) and X W X^t = C + C^t + X X^t.
+    Each block is one GEMM of the augmented matrices [-2X; |x|^2; 1]^t and
+    [X; 1; |x|^2]. That expansion cancels for near-coincident columns, so an
+    entry at or below its rounding level, 8 (d + 2) eps (|x_i|^2 + |x_j|^2),
+    is recomputed from the difference of the columns: coincident columns are
+    exactly 0 apart and no distance is negative.
     """
-    n = F.shape[1]
-    idx = np.arange(n) if members is None else np.asarray(members, dtype=np.int64)
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("members must be strictly ascending")
-    X = F[:, idx]
-    m = idx.size
-    # d2 position of pair (idx[k], j) for j > idx[k] is base[k] + j.
-    base = idx * (2 * n - idx - 1) // 2 - idx - 1
-    C = np.zeros((F.shape[0], F.shape[0]))
-    degrees = np.ones(m)
+    d, m = X.shape
+    sq = np.einsum("ij,ij->j", X, X)
+    # Both augmented factors share one buffer: one allocation per pass.
+    left, right = np.empty((2, d + 2, m))
+    np.multiply(X, -2.0, out=left[:d])
+    left[d], left[d + 1] = sq, 1.0
+    right[:d], right[d], right[d + 1] = X, 1.0, sq
+    level = 8 * (d + 2) * np.finfo(float).eps
+    # Largest squared norm from each column on, for one bound per block
+    # that most blocks clear without a search for candidates.
+    tail_max = np.maximum.accumulate(sq[::-1])[::-1]
+    step = chunk_pixels(d)
     lo = 0
     while lo < m - 1:
-        width = m - lo
-        hi = min(m - 1, lo + chunk_pixels(width))
-        # The positions left of the diagonal are clipped into range; their
-        # values are distances of other pairs, zeroed below.
-        U = d2.take(base[lo:hi, None] + idx[lo:], mode="clip")
+        hi = min(m, lo + chunk_pixels(m - lo))
+        D = left[:, lo:hi].T @ right[:, lo:]
+        # The diagonal and the lower triangle are set aside, so that they
+        # are never candidates, and zeroed after.
+        square, lower = D[:, : hi - lo], np.tri(hi - lo, dtype=bool)
+        square[lower] = np.inf
+        bound = level * (sq[lo:hi].max() + tail_max[lo])
+        if D.min() <= bound:
+            k, c = np.nonzero(D <= bound)
+            near = D[k, c] <= level * (sq[lo + k] + sq[lo + c])
+            k, c = k[near], c[near]
+            for s in range(0, k.size, step):
+                diff = X[:, lo + k[s : s + step]] - X[:, lo + c[s : s + step]]
+                D[k[s : s + step], c[s : s + step]] = np.einsum("ij,ij->j", diff, diff)
+        square[lower] = 0.0
+        yield lo, D
+        lo = hi
+
+
+def _streamed_median(X):
+    """Exact median of the positive squared distances between the columns
+    of X, or 1.0 when there is none, holding no more of them than X has
+    entries (or one chunk, if more).
+
+    Nonnegative doubles sort as their bit patterns read as int64. A
+    histogram pass counts the distances whose patterns lie in [a, b] into at
+    most 2**19 bins of equal width and finds the bins of the middle ranks
+    (Floyd & Rivest's bucket-then-select, CACM 1975). When both lie in one
+    bin, [a, b] narrows to it; once it holds few enough distances, a last
+    pass keeps them and selects. That is usually the second pass. Two
+    middle ranks in two bins have only empty bins between them, so a last
+    pass takes the largest distance below the upper bin and the smallest in
+    or above it.
+    """
+    budget = max(X.size, chunk_pixels(1))
+    a, b = 1, int(np.finfo(float).max.view(np.int64))  # positive finite doubles
+    below = 0  # distances with patterns below a
+    ranks = None
+    while True:
+        shift = max(0, (b - a).bit_length() - _HISTOGRAM_BITS)
+        bins = ((b - a) >> shift) + 1
+        # Bins -1 and `bins` collect the patterns below a and above b.
+        counts = np.zeros(bins + 2, dtype=np.int64)
+        for _, D in _distance_blocks(X):
+            keys = D.view(np.int64).ravel()
+            keys -= a
+            keys >>= shift
+            np.clip(keys, -1, bins, out=keys)
+            keys += 1
+            counts += np.bincount(keys, minlength=bins + 2)
+        cum = np.cumsum(counts[1:-1])
+        if ranks is None:
+            if cum[-1] == 0:
+                return 1.0
+            ranks = np.array([(cum[-1] - 1) // 2, cum[-1] // 2])
+        first, last = (int(i) for i in np.searchsorted(cum, ranks - below, side="right"))
+        if first != last:
+            split = np.array(a + (last << shift)).view(float)
+            low, high = 0.0, np.inf
+            for _, D in _distance_blocks(X):
+                low = max(low, D[D < split].max(initial=0.0))
+                high = min(high, D[D >= split].min(initial=np.inf))
+            return float((low + high) / 2)
+        skipped = int(cum[first - 1]) if first else 0
+        a, b = a + (first << shift), min(b, a + ((first + 1) << shift) - 1)
+        below += skipped
+        if shift == 0:
+            return float(np.array(a).view(float))
+        if cum[first] - skipped <= budget:
+            break
+    low, high = np.array([a, b]).view(float)
+    kept = np.concatenate(
+        [D[(D >= low) & (D <= high)] for _, D in _distance_blocks(X)]
+    )
+    kth = ranks - below
+    kept.partition(kth)
+    return float((kept[kth[0]] + kept[kth[1]]) / 2)
+
+
+def _graph_bandwidth(F, sigma):
+    """The bandwidth of the heat-kernel graph over the columns of F, and
+    the distances of a graph small enough for one block.
+
+    Returns ``(sigma, block)``: sigma itself, or the median of the positive
+    distances when it is None; block is the one ``_distance_blocks`` block
+    of a graph with at most ``chunk_pixels`` columns, shared between the
+    median and ``heat_kernel_products``, else None. A graph of one block
+    takes one distance pass whatever sigma; a larger one takes two for the
+    median.
+    """
+    if sigma is not None:
+        _check_sigma(sigma)
+    m = F.shape[1]
+    block = None
+    if 2 <= m <= chunk_pixels(m):
+        ((_, block),) = _distance_blocks(F)
+        if sigma is None:
+            sigma = _median_positive(block)
+    elif sigma is None:
+        sigma = _streamed_median(F)
+    return float(sigma), block
+
+
+def heat_kernel_products(F, sigma, members=None, block=None):
+    """X W X^t and the degrees of the heat-kernel graph, without forming W.
+
+    The graph is over the columns ``members`` of the (d, n) feature matrix
+    F, ascending (default all): X = F[:, members] and W = exp(-D / sigma)
+    with a unit diagonal, D its squared distances. Returns
+    ``(X W X^t, degrees)``, the degrees being the row sums of W. block is
+    the distance block of the whole graph over F when it has one (see
+    ``_graph_bandwidth``); the graph's distances are then read from it,
+    otherwise from a ``_distance_blocks`` pass over X.
+
+    Each block U of strict upper-triangle weights adds
+    C += X[:, rows] (U X[:, first row:]^t); then X W X^t = C + C^t + X X^t.
+    """
+    idx = None if members is None else np.asarray(members, dtype=np.int64)
+    if idx is not None and np.any(np.diff(idx) <= 0):
+        raise ValueError("members must be strictly ascending")
+    X = F if idx is None else F[:, idx]
+    if block is None:
+        blocks = _distance_blocks(X)
+    else:
+        blocks = [(0, block.copy() if idx is None else block[np.ix_(idx, idx)])]
+    C = np.zeros((F.shape[0], F.shape[0]))
+    degrees = np.ones(X.shape[1])
+    for lo, U in blocks:
+        rows = U.shape[0]
         U /= -sigma
         # Weights lie in [0, 1] exactly when their exponents are <= 0 (NaN
         # fails too).
         if not U.max() <= 0.0:
             raise ValueError("weights must lie in [0, 1]")
         np.exp(U, out=U)
-        U *= np.arange(width) > np.arange(hi - lo)[:, None]
-        degrees[lo:hi] += U.sum(axis=1)
+        U[:, :rows][np.tri(rows, dtype=bool)] = 0.0
+        degrees[lo : lo + rows] += U.sum(axis=1)
         degrees[lo:] += U.sum(axis=0)
-        C += X[:, lo:hi] @ (U @ X[:, lo:].T)
-        lo = hi
+        C += X[:, lo : lo + rows] @ (U @ X[:, lo:].T)
     return C + C.T + X @ X.T, degrees
 
 
 def median_heuristic_sigma(X):
     """Median of the pairwise squared distances, excluding zero-distance pairs.
 
-    Falls back to 1.0 when every pair coincides. Raises TooFewSamplesError
-    below two samples.
+    Exact for the distances the fits use (see ``_distance_blocks``), which
+    are never stored. Falls back to 1.0 when every pair coincides. Raises
+    TooFewSamplesError below two samples.
     """
     F = _features_of(X)
     if F.shape[1] < 2:
         raise TooFewSamplesError("median heuristic needs at least two samples")
-    return sq_distances(F)[1]
+    return _graph_bandwidth(F, None)[0]

@@ -24,9 +24,9 @@ import numpy as np
 from .affinity import (
     _check_sigma,
     _features_of,
+    _graph_bandwidth,
     heat_kernel_products,
     median_heuristic_sigma,
-    sq_distances,
 )
 from .data import (
     SampleSet,
@@ -171,8 +171,8 @@ def _graph_pencil(X, r, sigma):
     _check_r(r, d)
     if n < 2:
         raise TooFewSamplesError("need at least two samples")
-    d2, sigma = sq_distances(F, sigma)
-    A, degrees = heat_kernel_products(F, d2, sigma)
+    sigma, block = _graph_bandwidth(F, sigma)
+    A, degrees = heat_kernel_products(F, sigma, block=block)
     B = (F * degrees) @ F.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
 
@@ -386,13 +386,13 @@ def _lada_scatter(features, labels, sigma):
     between = sum_l (1/n - 1/n_l) A_l + (s s^t - sum_l s_l s_l^t) / n.
     """
     d, n = features.shape
-    d2, sigma = sq_distances(features, sigma)
+    sigma, block = _graph_bandwidth(features, sigma)
     within = np.zeros((d, d))
     between = np.zeros((d, d))
     same_class_sums = np.zeros((d, d))
     for l in range(1, int(labels.max()) + 1):
         members = np.flatnonzero(labels == l)
-        A_l, _ = heat_kernel_products(features, d2, sigma, members)
+        A_l, _ = heat_kernel_products(features, sigma, members, block)
         within += A_l / members.size
         between += (1.0 / n - 1.0 / members.size) * A_l
         s_l = features[:, members].sum(axis=1)

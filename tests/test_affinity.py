@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from specangle.affinity import heat_kernel_affinity, median_heuristic_sigma
+from specangle import affinity, data
+from specangle.affinity import heat_kernel_affinity, heat_kernel_products, median_heuristic_sigma
 from specangle.errors import NonFiniteError, NonPositiveSigmaError, TooFewSamplesError
 
 
@@ -81,3 +83,105 @@ class TestMedianHeuristic:
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
             median_heuristic_sigma(np.array([[1.0]]))
+
+
+def numpy_median(d2):
+    """np.median of the positive distances, or 1.0 when there is none."""
+    positive = d2[d2 > 0.0]
+    return np.median(positive) if positive.size else 1.0
+
+
+def streamed_upper(F):
+    """The (n, n) strict upper triangle of the streamed distances, 0 elsewhere."""
+    n = F.shape[1]
+    D = np.zeros((n, n))
+    for lo, block in affinity._distance_blocks(F):
+        D[lo : lo + block.shape[0], lo:] = block
+    return D
+
+
+class TestStreamedMedian:
+    """median_heuristic_sigma selects the median from streamed Gram-block
+    distances without storing them. On integer features the Gram form is
+    exact, so it must equal np.median of pdist's positive distances bit for
+    bit, from one block or from many."""
+
+    @pytest.fixture(params=["one-block", "many-blocks"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "many-blocks":
+            # 24 // width rows per block: every graph below spans several.
+            monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 8 * 3)
+        return request.param
+
+    @staticmethod
+    def integers(d, n, seed):
+        return np.random.default_rng(seed).integers(-20, 20, (d, n)).astype(float)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 40], ids=["15-pairs", "21-pairs", "28-pairs", "780-pairs"])
+    def test_equals_numpy_median(self, blocks, n):
+        F = self.integers(5, n, n)
+        assert median_heuristic_sigma(F) == numpy_median(pdist(F.T, "sqeuclidean"))
+
+    def test_middle_ranks_in_two_bins(self, blocks):
+        # Pairwise squared distances {1, 4, 9, 49, 81, 100}: the middle two
+        # lie in different histogram bins (the top 20 bits of the double).
+        F = np.array([[0.0, 1.0, 3.0, 10.0]])
+        d2 = np.sort(pdist(F.T, "sqeuclidean"))
+        assert d2[2].view(np.int64) >> 44 != d2[3].view(np.int64) >> 44
+        assert median_heuristic_sigma(F) == numpy_median(d2) == 29.0
+
+    def test_duplicate_columns_are_excluded(self, blocks):
+        F = self.integers(3, 12, 31)
+        F[:, 8:] = F[:, :4]
+        d2 = pdist(F.T, "sqeuclidean")
+        assert np.count_nonzero(d2 == 0.0) >= 4
+        assert median_heuristic_sigma(F) == numpy_median(d2)
+
+    def test_all_coincident(self, blocks):
+        assert median_heuristic_sigma(np.full((4, 9), 7.0)) == 1.0
+
+    @pytest.mark.parametrize("n", [59, 60])
+    def test_equals_median_of_the_streamed_distances(self, blocks, n):
+        # Real-valued features: the Gram distances round differently from
+        # pdist's, but the selection is exact on the distances streamed.
+        F = np.random.default_rng(n).standard_normal((5, n))
+        assert median_heuristic_sigma(F) == np.median(streamed_upper(F)[np.triu_indices(n, 1)])
+
+    @pytest.mark.parametrize(
+        "copies, median, passes",
+        [([10, 10, 2], 1.0, 4), ([8, 8, 4], 2.5, 2)],
+        ids=["one-bin", "two-bins"],
+    )
+    def test_crowded_bins(self, monkeypatch, copies, median, passes):
+        # Copies of the points 0, 1 and 3 give distances of 1, 4 and 9 only,
+        # more of each than the selection may keep (F's 20 or 22 entries). Middle
+        # ranks that share a bin narrow it over three more histogram passes,
+        # to a bin one double wide; middle ranks in two bins (1 and 4) take
+        # one pass for the largest and smallest distances around the split.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 16)
+        calls = []
+        distance_blocks = affinity._distance_blocks
+        monkeypatch.setattr(
+            affinity, "_distance_blocks", lambda X: calls.append(X) or distance_blocks(X)
+        )
+        F = np.repeat([0.0, 1.0, 3.0], copies)[None, :]
+        assert median_heuristic_sigma(F) == numpy_median(pdist(F.T, "sqeuclidean")) == median
+        assert len(calls) == passes
+
+    def test_uint16_scale_repeated_spectra(self, blocks):
+        # At reflectance ~1e4 the expanded form |x|^2 + |y|^2 - 2 x.y cancels
+        # to a few ulps of 1e10 for repeated spectra, not to 0.
+        F = np.random.default_rng(12).uniform(5000.0, 15000.0, (103, 30))
+        F[:, 20:] = F[:, :10]
+        sq = np.einsum("ij,ij->j", F, F)
+        expanded = sq[:, None] + sq[None, :] - 2.0 * (F.T @ F)
+        assert np.any(expanded[np.arange(10), np.arange(20, 30)] != 0.0)
+        D = streamed_upper(F)
+        i, j = np.triu_indices(30, 1)
+        repeated = j - i == 20
+        assert np.all(D[i[repeated], j[repeated]] == 0.0)
+        assert np.all(D[i[~repeated], j[~repeated]] > 0.0)
+        sigma = median_heuristic_sigma(F)
+        for k in range(10):
+            _, degrees = heat_kernel_products(F, sigma, [k, k + 20])
+            np.testing.assert_array_equal(degrees, [2.0, 2.0])

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
 
 from oracles import grid_best_direction, graph_pencil_bruteforce, slspp_matrix_bruteforce
 from specangle import affinity, data
@@ -237,7 +236,7 @@ class TestSlspp:
         self, monkeypatch, coords, window, error
     ):
         calls = []
-        monkeypatch.setattr(affinity, "pdist", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
         cube = HyperCube(values=np.ones((5, 5, 3)))
         with pytest.raises(error) as info:
             fit_slspp(cube, coords, 2, window=window)
@@ -465,15 +464,32 @@ class TestPersistence:
 
 
 class TestDefaultSigma:
-    """sigma=None is the median heuristic, taken in the same distance pass as
-    the graph. The benchmark's traced passes pass that median explicitly and
-    require the same bytes as the sigma=None call."""
+    """sigma=None is the median heuristic, selected from the same streamed
+    distances as the graph. The benchmark's traced passes pass that median
+    explicitly and require the same bytes as the sigma=None call."""
 
     @pytest.fixture(scope="class")
     def scene(self):
         cube, gt = synth_scene(12, 12, 10, 3, noise_sd=0.05, patch_size=4, seed=21)
         train_coords, _ = split_train_test(gt, 6, 0, seed=21)
         return cube, pixels_to_sample_set(cube, train_coords, gt)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Spy on the distance passes: the column count of each, and no pdist."""
+        calls = []
+        distance_blocks = affinity._distance_blocks
+
+        def spy(X):
+            calls.append(X.shape[1])
+            return distance_blocks(X)
+
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("fits must not call pdist")
+
+        monkeypatch.setattr(affinity, "_distance_blocks", spy)
+        monkeypatch.setattr(affinity, "pdist", no_pdist)
+        return calls
 
     @pytest.mark.parametrize("method", METHODS)
     def test_none_equals_explicit_median(self, scene, method):
@@ -490,16 +506,29 @@ class TestDefaultSigma:
         assert auto.fit_params == explicit.fit_params
 
     @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
-    def test_one_distance_pass(self, scene, monkeypatch, fit):
-        calls = []
+    def test_one_distance_pass(self, scene, passes, fit):
+        # 18 samples fit one block, shared by the median, the products and
+        # LADA's class graphs.
+        for sigma in (None, 0.7):
+            passes.clear()
+            fit(scene[1], r=4, sigma=sigma)
+            assert passes == [18]
 
-        def counting_pdist(*args, **kwargs):
-            calls.append(args)
-            return pdist(*args, **kwargs)
+    @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
+    def test_passes_on_a_multi_block_graph(self, scene, passes, monkeypatch, fit):
+        # Two passes select the median over the whole graph; then one pass
+        # streams the products, over each class graph for LADA.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 18 * 4)
+        products = [6, 6, 6] if fit is fit_lada else [18]
+        for sigma, median in ((None, [18, 18]), (0.7, [])):
+            passes.clear()
+            fit(scene[1], r=4, sigma=sigma)
+            assert passes == median + products
 
-        monkeypatch.setattr(affinity, "pdist", counting_pdist)
-        fit(scene[1], r=4)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
+    def test_no_fit_calls_pdist(self, scene, passes, method):
+        cube, train = scene
+        METHODS[method](cube, train, ExperimentConfig(method=method, r=4, window=3))
 
 
 def assert_close(actual, expected, rtol=1e-12):
@@ -516,16 +545,20 @@ class TestStreamedGraph:
     def chunks(self, monkeypatch):
         # One row per block at first for n = 50, up to a few rows as the
         # rows shorten, so every graph with more than a dozen samples spans
-        # at least 3 blocks. The spy records each block's width.
+        # at least 3 blocks. The spy records, for each distance pass, its
+        # column count and the row count of each of its blocks.
         monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 16 * 3)
         calls = []
-        chunk_pixels = affinity.chunk_pixels
+        distance_blocks = affinity._distance_blocks
 
-        def spy(width):
-            calls.append(width)
-            return chunk_pixels(width)
+        def spy(X):
+            rows = []
+            calls.append((X.shape[1], rows))
+            for lo, D in distance_blocks(X):
+                rows.append(D.shape[0])
+                yield lo, D
 
-        monkeypatch.setattr(affinity, "chunk_pixels", spy)
+        monkeypatch.setattr(affinity, "_distance_blocks", spy)
         return calls
 
     @staticmethod
@@ -551,13 +584,13 @@ class TestStreamedGraph:
     def test_pencil_matches_dense(self, chunks, n, duplicates, sigma):
         F = self.samples(n, 90 + n, duplicates)
         A, B, resolved = _graph_pencil(F, 2, sigma)
+        if n == 50:
+            assert chunks and all(len(rows) >= 3 for _, rows in chunks)
         if sigma is None:
             assert resolved == median_heuristic_sigma(F)
         A_ref, B_ref = self.dense_pencil(F, resolved)
         assert_close(A, A_ref)
         assert_close(B, B_ref)
-        if n == 50:
-            assert len(chunks) >= 3
 
     def test_pencil_permutation(self, chunks):
         F = self.samples(50, 91, duplicates=3)
@@ -578,10 +611,9 @@ class TestStreamedGraph:
 
     def test_members_must_ascend(self):
         F = self.samples(4, 98)
-        d2, sigma = affinity.sq_distances(F)
         for members in ([2, 0], [1, 1]):
             with pytest.raises(ValueError, match="ascending"):
-                affinity.heat_kernel_products(F, d2, sigma, members)
+                affinity.heat_kernel_products(F, 1.0, members)
 
     @staticmethod
     def dense_scatter(F, labels, sigma):
@@ -613,26 +645,28 @@ class TestStreamedGraph:
         labels = np.arange(50) % 4 + 1
         perm = np.random.default_rng(96).permutation(50)
         sc, sigma = _lada_scatter(F[:, perm], labels[perm], None)
+        # Two passes over the whole graph select the median; then each class
+        # graph is streamed on its own, in at least 3 blocks.
+        assert [m for m, _ in chunks] == [50, 50, 13, 13, 12, 12]
+        assert min(len(rows) for _, rows in chunks) >= 3
         within, between = self.dense_scatter(F, labels, median_heuristic_sigma(F))
         assert_close(sc.within, within)
         assert_close(sc.between, between)
-        # Widths shrink within a graph, so a wider block starts the next one.
-        starts = [i for i, w in enumerate(chunks) if i == 0 or w > chunks[i - 1]]
-        assert len(starts) == 4
-        assert min(np.diff(starts + [len(chunks)])) >= 3
 
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada"])
-    def test_peak_memory_below_two_and_a_half_condensed(self, method):
-        # The condensed distances plus the median's copy of them is about
-        # 2.1x their size; one more n x n float array would add 8x.
-        n, d = 2000, 20
+    def test_peak_memory_linear_in_samples(self, method):
+        # The features and their augmented copies are O(n d); a distance
+        # block, the median's histogram and the weight block are a chunk
+        # each. The condensed distances alone would be 15 MiB at n = 2,000
+        # and 61 MiB at n = 4,000, against bounds of 26 and 29 MiB.
+        d = 20
         rng = np.random.default_rng(97)
-        X = SampleSet(features=rng.standard_normal((d, n)), labels=np.arange(n) % 4 + 1)
-        condensed = n * (n - 1) // 2 * 8
-        tracemalloc.start()
-        try:
-            METHODS[method](None, X, ExperimentConfig(method=method, r=3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * condensed
+        for n in (2000, 4000):
+            X = SampleSet(features=rng.standard_normal((d, n)), labels=np.arange(n) % 4 + 1)
+            tracemalloc.start()
+            try:
+                METHODS[method](None, X, ExperimentConfig(method=method, r=3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * d * 8 + 6 * data.CHUNK_BYTES
