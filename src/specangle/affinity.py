@@ -4,9 +4,10 @@ The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). The fits
 never store the pairwise distances: ``_distance_blocks`` computes them from
 Gram blocks a block of rows at a time, ``heat_kernel_products`` streams
 X W X^t and the degrees from those blocks, and the default bandwidth, the
-median of the positive distances, is selected exactly from two streamed
-passes. ``heat_kernel_affinity`` builds the dense matrix from ``pdist``, the
-reference the tests check the streamed products against.
+median of the positive distances, is selected exactly, usually from one
+streamed pass bracketed by a sample of pairs. ``heat_kernel_affinity``
+builds the dense matrix from ``pdist``, the reference the tests check the
+streamed products against.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .data import chunk_pixels
+from .data import _philox, chunk_pixels
 from .errors import NonFiniteError, NonPositiveSigmaError, TooFewSamplesError
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
 
 # Bins of one histogram pass of the streamed median: 2**19 int64 counts, 4 MiB.
 _HISTOGRAM_BITS = 19
+# Standard errors of the sample median on either side of the sampled bracket.
+_BRACKET_Z = 4.0
 
 
 @dataclass(frozen=True)
@@ -159,61 +162,144 @@ def _distance_blocks(X):
         lo = hi
 
 
+def _sampled_bracket(X, budget):
+    """A bracket [lo, hi] about the median of the positive squared distances
+    between the columns of X, from a random sample of column pairs.
+
+    The k pairs i != j come from a fixed-key Philox stream and their exact
+    distances from the column differences, a chunk at a time. The sample's
+    positive order statistics at ranks 1/2 -+ z / (2 sqrt(k)) bracket the
+    median unless it lies z standard errors off, and k = 4 z^2 (pairs /
+    budget)^2 (at most the budget) leaves about half the budget of
+    distances inside. When every pair fits the budget, or no sampled
+    distance is positive, the bracket is all positive doubles.
+    """
+    d, m = X.shape
+    pairs = m * (m - 1) // 2
+    everything = 5e-324, np.finfo(float).max
+    if pairs <= budget:
+        return everything
+    k = min(budget, int(np.ceil(4 * _BRACKET_Z**2 * (pairs / budget) ** 2)))
+    # A fixed key: the bracket, and so the pass count, repeats.
+    rng = _philox(0)
+    sample = np.empty(k)
+    # Each sampled pair gathers two contiguous spectra.
+    spectra = np.ascontiguousarray(X.T)
+    step = chunk_pixels(d)
+    for s in range(0, k, step):
+        i = rng.integers(m, size=min(step, k - s))
+        j = rng.integers(m - 1, size=i.size)
+        j += j >= i
+        diff = spectra[i]
+        diff -= spectra[j]
+        sample[s : s + i.size] = np.einsum("ij,ij->i", diff, diff)
+    zeros = k - np.count_nonzero(sample)
+    if zeros == k:
+        return everything
+    # The zeros sort first; the ranks count the positive distances after them.
+    mid, half = (k - zeros) / 2, _BRACKET_Z * np.sqrt(k - zeros) / 2
+    ranks = zeros + np.clip([np.floor(mid - half), np.ceil(mid + half)], 0, k - zeros - 1)
+    ranks = ranks.astype(np.int64)
+    sample.partition(ranks)
+    return float(sample[ranks[0]]), float(sample[ranks[1]])
+
+
+def _bracket_pass(X, lo, hi, budget):
+    """One distance pass that splits the positive distances into three bins,
+    [lo, hi] and either side of it.
+
+    Returns ``(cum, edge, kept)``: the cumulative counts of the bins, the
+    first bit pattern of bin i as ``edge(i)``, and the distances in the
+    middle bin, or None when they outnumber the budget (they are kept only
+    while they fit).
+    """
+    below = inside = total = 0
+    kept = []
+    for _, D in _distance_blocks(X):
+        D = D.ravel()
+        # No distance is negative, so the zeros are below lo too.
+        zeros = np.count_nonzero(D == 0.0)
+        total += D.size - zeros
+        below += np.count_nonzero(D < lo) - zeros
+        middle = (D >= lo) & (D <= hi)
+        inside += np.count_nonzero(middle)
+        if inside <= budget:
+            kept.append(D[middle])
+    kept = np.concatenate(kept) if inside <= budget else None
+    lo, hi = (int(key) for key in np.array([lo, hi]).view(np.int64))
+    edges = (1, lo, hi + 1, int(np.array(np.inf).view(np.int64)))
+    return np.array([below, below + inside, total]), edges.__getitem__, kept
+
+
+def _histogram_pass(X, a, b):
+    """One distance pass that counts the distances with bit patterns in
+    [a, b] into at most 2**19 bins of equal width.
+
+    Returns ``(cum, edge)``: the cumulative counts of the bins and the first
+    pattern of bin i as ``edge(i)``.
+    """
+    shift = max(0, (b - a).bit_length() - _HISTOGRAM_BITS)
+    bins = ((b - a) >> shift) + 1
+    # Bins -1 and `bins` collect the patterns below a and above b.
+    counts = np.zeros(bins + 2, dtype=np.int64)
+    for _, D in _distance_blocks(X):
+        keys = D.view(np.int64).ravel()
+        keys -= a
+        keys >>= shift
+        np.clip(keys, -1, bins, out=keys)
+        keys += 1
+        counts += np.bincount(keys, minlength=bins + 2)
+    return np.cumsum(counts[1:-1]), lambda i: min(a + (i << shift), b + 1)
+
+
 def _streamed_median(X):
     """Exact median of the positive squared distances between the columns
     of X, or 1.0 when there is none, holding no more of them than X has
     entries (or one chunk, if more).
 
-    Nonnegative doubles sort as their bit patterns read as int64. A
-    histogram pass counts the distances whose patterns lie in [a, b] into at
-    most 2**19 bins of equal width and finds the bins of the middle ranks
-    (Floyd & Rivest's bucket-then-select, CACM 1975). When both lie in one
-    bin, [a, b] narrows to it; once it holds few enough distances, a last
-    pass keeps them and selects. That is usually the second pass. Two
-    middle ranks in two bins have only empty bins between them, so a last
-    pass takes the largest distance below the upper bin and the smallest in
-    or above it.
+    This is Floyd & Rivest's SELECT (CACM 1975). Nonnegative doubles sort as
+    their bit patterns read as int64, and each pass counts the distances in
+    bins of patterns. The first pass has three bins, a sampled bracket
+    about the median (``_sampled_bracket``) and either side of it, and keeps
+    the distances inside the bracket: when both middle ranks fall among
+    them, selecting there ends the search in one pass. Otherwise the search
+    narrows to the bin that holds the middle ranks, by histogram passes of
+    2**19 bins, until the bin holds few enough distances for a last pass to
+    keep them and select. Middle ranks in two bins have only empty bins
+    between them, so a last pass takes the largest distance below the upper
+    bin and the smallest in or above it. The sample sets the number of
+    passes, never the result.
     """
     budget = max(X.size, chunk_pixels(1))
-    a, b = 1, int(np.finfo(float).max.view(np.int64))  # positive finite doubles
-    below = 0  # distances with patterns below a
-    ranks = None
+    cum, edge, kept = _bracket_pass(X, *_sampled_bracket(X, budget), budget)
+    if cum[-1] == 0:
+        return 1.0
+    ranks = np.array([(cum[-1] - 1) // 2, cum[-1] // 2])
+    below = 0  # distances with patterns below the bins searched
     while True:
-        shift = max(0, (b - a).bit_length() - _HISTOGRAM_BITS)
-        bins = ((b - a) >> shift) + 1
-        # Bins -1 and `bins` collect the patterns below a and above b.
-        counts = np.zeros(bins + 2, dtype=np.int64)
-        for _, D in _distance_blocks(X):
-            keys = D.view(np.int64).ravel()
-            keys -= a
-            keys >>= shift
-            np.clip(keys, -1, bins, out=keys)
-            keys += 1
-            counts += np.bincount(keys, minlength=bins + 2)
-        cum = np.cumsum(counts[1:-1])
-        if ranks is None:
-            if cum[-1] == 0:
-                return 1.0
-            ranks = np.array([(cum[-1] - 1) // 2, cum[-1] // 2])
         first, last = (int(i) for i in np.searchsorted(cum, ranks - below, side="right"))
         if first != last:
-            split = np.array(a + (last << shift)).view(float)
+            split = np.array(edge(last)).view(float)
             low, high = 0.0, np.inf
             for _, D in _distance_blocks(X):
                 low = max(low, D[D < split].max(initial=0.0))
                 high = min(high, D[D >= split].min(initial=np.inf))
             return float((low + high) / 2)
         skipped = int(cum[first - 1]) if first else 0
-        a, b = a + (first << shift), min(b, a + ((first + 1) << shift) - 1)
+        a, b = edge(first), edge(first + 1) - 1
         below += skipped
-        if shift == 0:
+        if a == b:
             return float(np.array(a).view(float))
         if cum[first] - skipped <= budget:
             break
-    low, high = np.array([a, b]).view(float)
-    kept = np.concatenate(
-        [D[(D >= low) & (D <= high)] for _, D in _distance_blocks(X)]
-    )
+        cum, edge = _histogram_pass(X, a, b)
+        kept = None
+    # kept holds the bracket, bin 1 of the first pass, if it was not overrun.
+    if kept is None or first != 1:
+        low, high = np.array([a, b]).view(float)
+        kept = np.concatenate(
+            [D[(D >= low) & (D <= high)] for _, D in _distance_blocks(X)]
+        )
     kth = ranks - below
     kept.partition(kth)
     return float((kept[kth[0]] + kept[kth[1]]) / 2)
@@ -227,8 +313,8 @@ def _graph_bandwidth(F, sigma):
     distances when it is None; block is the one ``_distance_blocks`` block
     of a graph with at most ``chunk_pixels`` columns, shared between the
     median and ``heat_kernel_products``, else None. A graph of one block
-    takes one distance pass whatever sigma; a larger one takes two for the
-    median.
+    takes one distance pass whatever sigma; a larger one usually takes one
+    for the median (see ``_streamed_median``).
     """
     if sigma is not None:
         _check_sigma(sigma)

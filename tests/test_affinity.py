@@ -149,15 +149,18 @@ class TestStreamedMedian:
 
     @pytest.mark.parametrize(
         "copies, median, passes",
-        [([10, 10, 2], 1.0, 4), ([8, 8, 4], 2.5, 2)],
+        [([10, 10, 2], 1.0, 4), ([8, 8, 4], 2.5, 3)],
         ids=["one-bin", "two-bins"],
     )
     def test_crowded_bins(self, monkeypatch, copies, median, passes):
         # Copies of the points 0, 1 and 3 give distances of 1, 4 and 9 only,
-        # more of each than the selection may keep (F's 20 or 22 entries). Middle
-        # ranks that share a bin narrow it over three more histogram passes,
-        # to a bin one double wide; middle ranks in two bins (1 and 4) take
-        # one pass for the largest and smallest distances around the split.
+        # more of each than the selection may keep (F's 20 or 22 entries).
+        # The sampled bracket, [1, 9], holds them all, so the first pass
+        # learns only that the middle ranks lie in it. Middle ranks that
+        # share a histogram bin narrow it over two more histogram passes, to
+        # a bin one double wide; middle ranks in two bins (1 and 4) take one
+        # histogram pass and one for the largest and smallest distances
+        # around the split.
         monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 16)
         calls = []
         distance_blocks = affinity._distance_blocks
@@ -185,3 +188,87 @@ class TestStreamedMedian:
         for k in range(10):
             _, degrees = heat_kernel_products(F, sigma, [k, k + 20])
             np.testing.assert_array_equal(degrees, [2.0, 2.0])
+
+
+class TestSampledBracket:
+    """The median's first pass counts the distances against a bracket drawn
+    from a sample of pairs and keeps those inside it. On a large graph of
+    real-valued features the bracket holds the middle ranks and that pass is
+    the only one. A bracket that misses them, or holds more distances than
+    the budget, costs passes but never changes the median."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # 21 rows of 1,500 columns a block at first, so a pass over the large
+        # graph spans 37 blocks; its budget is F's 60,000 entries.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 18)
+        calls = []
+        distance_blocks = affinity._distance_blocks
+        monkeypatch.setattr(
+            affinity, "_distance_blocks", lambda X: calls.append(X) or distance_blocks(X)
+        )
+        return calls
+
+    @staticmethod
+    def positive_distances(F, passes):
+        """The sorted positive streamed distances, and no pass counted."""
+        d2 = streamed_upper(F)[np.triu_indices(F.shape[1], 1)]
+        passes.clear()
+        return np.sort(d2[d2 > 0.0])
+
+    def bracket(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(affinity, "_sampled_bracket", lambda X, budget: (lo, hi))
+
+    @pytest.fixture
+    def real(self, passes):
+        F = np.random.default_rng(40).standard_normal((40, 1500))
+        return F, self.positive_distances(F, passes)
+
+    def test_one_pass_when_the_bracket_holds_the_median(self, real, passes):
+        F, d2 = real
+        lo, hi = affinity._sampled_bracket(F, F.size)
+        assert lo <= np.median(d2) <= hi
+        assert np.count_nonzero((d2 >= lo) & (d2 <= hi)) <= F.size
+        assert median_heuristic_sigma(F) == np.median(d2)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize(
+        "quantiles", [(0.1, 0.2), (0.8, 0.9), (0.3, 0.7)], ids=["below", "above", "over-budget"]
+    )
+    def test_a_missed_bracket_costs_one_histogram_pass(self, real, passes, monkeypatch, quantiles):
+        # The histogram search alone takes 2 passes here. A bracket beside
+        # the middle ranks, or around them but holding 40% of the distances,
+        # leaves that search one bin to narrow from: 1 + 2 passes.
+        F, d2 = real
+        self.bracket(monkeypatch, *(d2[int(q * d2.size)] for q in quantiles))
+        assert median_heuristic_sigma(F) == np.median(d2)
+        assert len(passes) == 3
+
+    @pytest.mark.parametrize(
+        "bracket, count", [((5.0, 5.0), 1), ((4.0, 5.0), 2), ((4.0, 6.0), 4)]
+    )
+    def test_crowded_tie_bins(self, passes, monkeypatch, bracket, count):
+        # Features in {0, 1, 2} give integer distances in ties, most larger
+        # than the budget of 32,768; the median, 5.0, has 147,697 copies.
+        # The histogram search alone takes 4 passes. A bracket of that one
+        # tie is one double wide: the pass that finds the ranks in it ends
+        # the search. A bracket over two or three ties is overrun, and the
+        # search narrows from it in no more passes than from all doubles.
+        F = np.random.default_rng(41).integers(0, 3, (4, 1500)).astype(float)
+        d2 = self.positive_distances(F, passes)
+        assert np.count_nonzero(d2 == 5.0) > max(F.size, data.chunk_pixels(1))
+        self.bracket(monkeypatch, *bracket)
+        assert median_heuristic_sigma(F) == np.median(d2) == 5.0
+        assert len(passes) == count
+
+    def test_a_graph_too_small_to_sample(self, passes):
+        # 31,125 pairs fit the budget of 32,768 (a chunk of doubles): the
+        # bracket is every positive double and one pass keeps them all,
+        # where the histogram search takes 2.
+        F = np.random.default_rng(42).standard_normal((40, 250))
+        assert data.chunk_pixels(250) < 250
+        d2 = self.positive_distances(F, passes)
+        everything = (5e-324, np.finfo(float).max)
+        assert affinity._sampled_bracket(F, data.chunk_pixels(1)) == everything
+        assert median_heuristic_sigma(F) == np.median(d2)
+        assert len(passes) == 1

@@ -516,14 +516,40 @@ class TestDefaultSigma:
 
     @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
     def test_passes_on_a_multi_block_graph(self, scene, passes, monkeypatch, fit):
-        # Two passes select the median over the whole graph; then one pass
-        # streams the products, over each class graph for LADA.
+        # The 153 pairs fit the median's budget (a chunk of 72 doubles or
+        # the 180 entries of the features), so one pass keeps them all and
+        # selects the median; then one pass streams the products, over each
+        # class graph for LADA.
         monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 18 * 4)
         products = [6, 6, 6] if fit is fit_lada else [18]
-        for sigma, median in ((None, [18, 18]), (0.7, [])):
+        for sigma, median in ((None, [18]), (0.7, [])):
             passes.clear()
             fit(scene[1], r=4, sigma=sigma)
             assert passes == median + products
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        cube, gt = synth_scene(40, 40, 40, 4, seed=22)
+        return cube, pixels_to_sample_set(cube, np.argwhere(gt.labels > 0), gt)
+
+    @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
+    def test_one_median_pass_on_a_large_graph(self, large, passes, monkeypatch, method):
+        # 1,600 real-valued samples of 40 bands, each pass in 42 blocks. The
+        # median's bracket, sampled from a stream of its own and not the
+        # global one, holds the middle ranks and one pass selects it. The
+        # products take one more pass, one over each class graph for LADA;
+        # the SLSPP context takes none.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 18)
+        cube, train = large
+        m = train.n_samples
+        classes = list(np.bincount(train.labels)[1:])
+        products = {"lspp": [m], "lpp": [m], "lada": classes, "slspp": []}
+        np.random.seed(23)
+        expected = np.random.random_sample(3)
+        np.random.seed(23)
+        METHODS[method](cube, train, ExperimentConfig(method=method, r=3, window=3))
+        assert passes == [m] + products[method]
+        np.testing.assert_array_equal(np.random.random_sample(3), expected)
 
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
     def test_no_fit_calls_pdist(self, scene, passes, method):
@@ -645,9 +671,10 @@ class TestStreamedGraph:
         labels = np.arange(50) % 4 + 1
         perm = np.random.default_rng(96).permutation(50)
         sc, sigma = _lada_scatter(F[:, perm], labels[perm], None)
-        # Two passes over the whole graph select the median; then each class
-        # graph is streamed on its own, in at least 3 blocks.
-        assert [m for m, _ in chunks] == [50, 50, 13, 13, 12, 12]
+        # One pass over the whole graph selects the median, its sampled
+        # bracket holding the middle ranks; then each class graph is
+        # streamed on its own, in at least 3 blocks.
+        assert [m for m, _ in chunks] == [50, 13, 13, 12, 12]
         assert min(len(rows) for _, rows in chunks) >= 3
         within, between = self.dense_scatter(F, labels, median_heuristic_sigma(F))
         assert_close(sc.within, within)
