@@ -3,11 +3,12 @@
 The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). The fits
 never store the pairwise distances: ``_distance_blocks`` computes them from
 Gram blocks a block of rows at a time, ``heat_kernel_products`` streams
-X W X^t and the degrees from those blocks, and the default bandwidth, the
-median of the positive distances, is selected exactly, usually from one
-streamed pass bracketed by a sample of pairs. ``heat_kernel_affinity``
-builds the dense matrix from ``pdist``, the reference the tests check the
-streamed products against.
+X W X^t and the degrees from those blocks, and ``_bandwidth`` resolves
+every default bandwidth, the median of the positive distances, selected
+exactly, usually from one streamed pass bracketed by a sample of pairs.
+Every graph takes this path whatever its size. ``heat_kernel_affinity``
+builds the dense matrix from ``pdist`` with the fits' bandwidth, the
+reference the tests check the streamed products against.
 """
 
 from dataclasses import dataclass
@@ -65,24 +66,13 @@ def _features_of(X):
     return F
 
 
-def _check_sigma(sigma):
-    # Written so that NaN fails too.
-    if not sigma > 0:
-        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
-
-
-def _median_positive(d2):
-    """Median of the positive entries of d2, or 1.0 when there is none."""
-    positive = d2[d2 > 0.0]
-    return float(np.median(positive, overwrite_input=True)) if positive.size else 1.0
-
-
 def heat_kernel_affinity(X, sigma=None):
     """Dense heat-kernel affinity matrix over the samples of X.
 
-    The reference the streamed products are checked against: its distances
-    come from ``scipy.spatial.distance.pdist``, so they may differ from the
-    fits' Gram-block distances in the last bits.
+    The reference the streamed products are checked against: its weights
+    come from the distances of ``scipy.spatial.distance.pdist``, so they may
+    differ from the fits' Gram-block distances in the last bits. Its
+    bandwidth is the fits' own (see ``_bandwidth``).
 
     Parameters
     ----------
@@ -91,7 +81,8 @@ def heat_kernel_affinity(X, sigma=None):
     sigma : float, optional
         Bandwidth, > 0. Distances are taken in raw spectral space. None means
         the median of the positive pairwise squared distances (1.0 when every
-        pair coincides), taken from pdist's distances.
+        pair coincides), exactly as the fits and ``median_heuristic_sigma``
+        select it.
 
     Returns
     -------
@@ -99,15 +90,13 @@ def heat_kernel_affinity(X, sigma=None):
         Its ``sigma`` is the bandwidth used, the resolved median when sigma
         was None.
     """
-    if sigma is not None:
-        _check_sigma(sigma)
     F = _features_of(X)
     if F.shape[1] < 1:
         raise TooFewSamplesError("need at least one sample")
+    sigma = _bandwidth(F, sigma)
     # pdist computes each unordered pair once, so the squareform is exactly
     # symmetric; the kernel is applied in place on the condensed vector.
     d2 = pdist(F.T, metric="sqeuclidean")
-    sigma = _median_positive(d2) if sigma is None else float(sigma)
     d2 /= -sigma
     W = squareform(np.exp(d2, out=d2))
     np.fill_diagonal(W, 1.0)
@@ -214,7 +203,8 @@ def _bracket_pass(X, lo, hi, budget):
     while they fit).
     """
     below = inside = total = 0
-    kept = []
+    # A graph of fewer than two columns has no blocks: nothing is kept.
+    kept = [np.empty(0)]
     for _, D in _distance_blocks(X):
         D = D.ravel()
         # No distance is negative, so the zeros are below lo too.
@@ -305,55 +295,32 @@ def _streamed_median(X):
     return float((kept[kth[0]] + kept[kth[1]]) / 2)
 
 
-def _graph_bandwidth(F, sigma):
-    """The bandwidth of the heat-kernel graph over the columns of F, and
-    the distances of a graph small enough for one block.
-
-    Returns ``(sigma, block)``: sigma itself, or the median of the positive
-    distances when it is None; block is the one ``_distance_blocks`` block
-    of a graph with at most ``chunk_pixels`` columns, shared between the
-    median and ``heat_kernel_products``, else None. A graph of one block
-    takes one distance pass whatever sigma; a larger one usually takes one
-    for the median (see ``_streamed_median``).
-    """
-    if sigma is not None:
-        _check_sigma(sigma)
-    m = F.shape[1]
-    block = None
-    if 2 <= m <= chunk_pixels(m):
-        ((_, block),) = _distance_blocks(F)
-        if sigma is None:
-            sigma = _median_positive(block)
-    elif sigma is None:
-        sigma = _streamed_median(F)
-    return float(sigma), block
+def _bandwidth(X, sigma):
+    """The heat-kernel bandwidth over the columns of X: sigma itself,
+    checked, or the median of the positive squared distances when it is
+    None (see ``_streamed_median``)."""
+    if sigma is None:
+        return _streamed_median(X)
+    # Written so that NaN fails too.
+    if not sigma > 0:
+        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
+    return float(sigma)
 
 
-def heat_kernel_products(F, sigma, members=None, block=None):
-    """X W X^t and the degrees of the heat-kernel graph, without forming W.
+def heat_kernel_products(X, sigma):
+    """X W X^t and the degrees of the heat-kernel graph over the columns of
+    X, without forming W.
 
-    The graph is over the columns ``members`` of the (d, n) feature matrix
-    F, ascending (default all): X = F[:, members] and W = exp(-D / sigma)
-    with a unit diagonal, D its squared distances. Returns
-    ``(X W X^t, degrees)``, the degrees being the row sums of W. block is
-    the distance block of the whole graph over F when it has one (see
-    ``_graph_bandwidth``); the graph's distances are then read from it,
-    otherwise from a ``_distance_blocks`` pass over X.
+    W = exp(-D / sigma) with a unit diagonal, D the squared distances of one
+    ``_distance_blocks`` pass over X. Returns ``(X W X^t, degrees)``, the
+    degrees being the row sums of W.
 
     Each block U of strict upper-triangle weights adds
     C += X[:, rows] (U X[:, first row:]^t); then X W X^t = C + C^t + X X^t.
     """
-    idx = None if members is None else np.asarray(members, dtype=np.int64)
-    if idx is not None and np.any(np.diff(idx) <= 0):
-        raise ValueError("members must be strictly ascending")
-    X = F if idx is None else F[:, idx]
-    if block is None:
-        blocks = _distance_blocks(X)
-    else:
-        blocks = [(0, block.copy() if idx is None else block[np.ix_(idx, idx)])]
-    C = np.zeros((F.shape[0], F.shape[0]))
+    C = np.zeros((X.shape[0], X.shape[0]))
     degrees = np.ones(X.shape[1])
-    for lo, U in blocks:
+    for lo, U in _distance_blocks(X):
         rows = U.shape[0]
         U /= -sigma
         # Weights lie in [0, 1] exactly when their exponents are <= 0 (NaN
@@ -378,4 +345,4 @@ def median_heuristic_sigma(X):
     F = _features_of(X)
     if F.shape[1] < 2:
         raise TooFewSamplesError("median heuristic needs at least two samples")
-    return _graph_bandwidth(F, None)[0]
+    return _bandwidth(F, None)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
-    CHUNK_BYTES,
     SampleSet,
     chunk_pixels,
     l2_normalize_pixels,
@@ -45,8 +44,6 @@ __all__ = [
     "fit_pipeline",
     "projected_block",
     "projected_windows",
-    "CHUNK_BYTES",
-    "chunk_pixels",
     "export_sphere_coords",
     "sphere_coords_csv",
     "accuracy_table",
@@ -198,7 +195,7 @@ def fit_pipeline(work_cube, train, config):
     ``train`` is a SampleSet with labels and coords in ``work_cube``. Returns
     ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
     coordinates to an (m,) int64 array of labels. It labels the pixels in
-    chunks sized by CHUNK_BYTES, and the labels do not depend on the
+    chunks sized by ``data.CHUNK_BYTES``, and the labels do not depend on the
     chunking. A SpecAngleError raised for a pixel names the first failing
     pixel in input order.
     """

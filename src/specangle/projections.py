@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import (
-    _check_sigma,
-    _features_of,
-    _graph_bandwidth,
-    heat_kernel_products,
-    median_heuristic_sigma,
-)
+from .affinity import _bandwidth, _features_of, heat_kernel_products
 from .data import (
     SampleSet,
     _window_members,
@@ -171,8 +165,8 @@ def _graph_pencil(X, r, sigma):
     _check_r(r, d)
     if n < 2:
         raise TooFewSamplesError("need at least two samples")
-    sigma, block = _graph_bandwidth(F, sigma)
-    A, degrees = heat_kernel_products(F, sigma, block=block)
+    sigma = _bandwidth(F, sigma)
+    A, degrees = heat_kernel_products(F, sigma)
     B = (F * degrees) @ F.T
     return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
 
@@ -244,10 +238,7 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
         raise TooFewSamplesError("need at least one center pixel")
     # Window and centres are checked before the bandwidth's distance pass.
     _window_members(cube, coords, window)
-    if sigma is None:
-        centers = pixels_to_sample_set(cube, coords)
-        sigma = 1.0 if len(coords) == 1 else median_heuristic_sigma(centers)
-    _check_sigma(sigma)
+    sigma = _bandwidth(pixels_to_sample_set(cube, coords).features, sigma)
     M = slspp_context_matrix(cube, coords, window, sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))
     return Projection(
@@ -386,16 +377,16 @@ def _lada_scatter(features, labels, sigma):
     between = sum_l (1/n - 1/n_l) A_l + (s s^t - sum_l s_l s_l^t) / n.
     """
     d, n = features.shape
-    sigma, block = _graph_bandwidth(features, sigma)
+    sigma = _bandwidth(features, sigma)
     within = np.zeros((d, d))
     between = np.zeros((d, d))
     same_class_sums = np.zeros((d, d))
     for l in range(1, int(labels.max()) + 1):
-        members = np.flatnonzero(labels == l)
-        A_l, _ = heat_kernel_products(features, sigma, members, block)
-        within += A_l / members.size
-        between += (1.0 / n - 1.0 / members.size) * A_l
-        s_l = features[:, members].sum(axis=1)
+        X_l = features[:, labels == l]
+        A_l, _ = heat_kernel_products(X_l, sigma)
+        within += A_l / X_l.shape[1]
+        between += (1.0 / n - 1.0 / X_l.shape[1]) * A_l
+        s_l = X_l.sum(axis=1)
         same_class_sums += np.outer(s_l, s_l)
     s = features.sum(axis=1)
     between += (np.outer(s, s) - same_class_sums) / n

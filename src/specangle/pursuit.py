@@ -22,7 +22,7 @@ come from one segmented reduction over every pixel's selected blocks.
 
 The largest array of one call is the (atoms, P*w) score product, 8*atoms*w
 bytes per pixel, so a caller bounds memory through P; ``predict`` from
-``evaluate.fit_pipeline`` keeps it near ``evaluate.CHUNK_BYTES``. ``sbomp``,
+``evaluate.fit_pipeline`` keeps it near ``data.CHUNK_BYTES``. ``sbomp``,
 ``residual_by_class`` and ``classify.sbomp_classify`` run the same engine on
 a stack of one.
 """

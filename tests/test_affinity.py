@@ -57,6 +57,19 @@ class TestHeatKernel:
         off = ~np.eye(7, dtype=bool)
         assert np.all(W_big[off] >= W_small[off])
 
+    def test_default_sigma_is_the_fits_median(self):
+        # pdist's distances round differently from the fits' Gram-block
+        # distances; the reference still takes the fits' bandwidth, bit for
+        # bit, so that it checks the fits at the sigma they resolve.
+        rng = np.random.default_rng(0)
+        F = rng.standard_normal((5, 40)) * rng.uniform(0.5, 2.0, 40)
+        assert heat_kernel_affinity(F).sigma == median_heuristic_sigma(F)
+
+    def test_one_sample(self):
+        am = heat_kernel_affinity(np.array([[2.0], [3.0]]))
+        np.testing.assert_array_equal(am.weights, [[1.0]])
+        assert am.sigma == 1.0
+
     def test_errors(self):
         X = np.zeros((2, 3))
         with pytest.raises(NonPositiveSigmaError):
@@ -140,6 +153,10 @@ class TestStreamedMedian:
     def test_all_coincident(self, blocks):
         assert median_heuristic_sigma(np.full((4, 9), 7.0)) == 1.0
 
+    def test_one_column(self):
+        # No pair, so no positive distance: the fallback, from an empty pass.
+        assert affinity._streamed_median(np.ones((3, 1))) == 1.0
+
     @pytest.mark.parametrize("n", [59, 60])
     def test_equals_median_of_the_streamed_distances(self, blocks, n):
         # Real-valued features: the Gram distances round differently from
@@ -186,7 +203,7 @@ class TestStreamedMedian:
         assert np.all(D[i[~repeated], j[~repeated]] > 0.0)
         sigma = median_heuristic_sigma(F)
         for k in range(10):
-            _, degrees = heat_kernel_products(F, sigma, [k, k + 20])
+            _, degrees = heat_kernel_products(F[:, [k, k + 20]], sigma)
             np.testing.assert_array_equal(degrees, [2.0, 2.0])
 
 

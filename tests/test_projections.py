@@ -243,6 +243,12 @@ class TestSlspp:
         assert isinstance(info.value, SpecAngleError)
         assert calls == []
 
+    def test_one_centre_default_sigma(self):
+        # One centre has no pair to take a median of: sigma falls back to 1.
+        cube = HyperCube(values=np.random.default_rng(56).standard_normal((4, 4, 3)))
+        proj = fit_slspp(cube, [(1, 2)], r=2, window=3)
+        assert proj.fit_params["sigma"] == 1.0
+
     def test_columns_orthonormal(self):
         cube, _ = synth_scene(10, 10, 8, 2, noise_sd=0.1, patch_size=5, seed=4)
         coords = [(r, c) for r in range(0, 10, 3) for c in range(0, 10, 3)]
@@ -505,22 +511,17 @@ class TestDefaultSigma:
         np.testing.assert_array_equal(auto.eigenvalues, explicit.eigenvalues)
         assert auto.fit_params == explicit.fit_params
 
+    @pytest.mark.parametrize(
+        "chunk_bytes", [data.CHUNK_BYTES, 8 * 18 * 4], ids=["one-block", "multi-block"]
+    )
     @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
-    def test_one_distance_pass(self, scene, passes, fit):
-        # 18 samples fit one block, shared by the median, the products and
-        # LADA's class graphs.
-        for sigma in (None, 0.7):
-            passes.clear()
-            fit(scene[1], r=4, sigma=sigma)
-            assert passes == [18]
-
-    @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
-    def test_passes_on_a_multi_block_graph(self, scene, passes, monkeypatch, fit):
-        # The 153 pairs fit the median's budget (a chunk of 72 doubles or
-        # the 180 entries of the features), so one pass keeps them all and
-        # selects the median; then one pass streams the products, over each
-        # class graph for LADA.
-        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 18 * 4)
+    def test_passes_on_a_multi_block_graph(self, scene, passes, monkeypatch, fit, chunk_bytes):
+        # The same passes whether the 18 samples fit one block or span
+        # several: the 153 pairs fit the median's budget (at least the 180
+        # entries of the features), so one pass keeps them all and selects
+        # the median; then one pass streams the products, over each class
+        # graph for LADA.
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
         products = [6, 6, 6] if fit is fit_lada else [18]
         for sigma, median in ((None, [18]), (0.7, [])):
             passes.clear()
@@ -634,12 +635,6 @@ class TestStreamedGraph:
         w, _ = gen_eig_desc(A if fit is fit_lspp else B - A, B, DEFAULT_RIDGE)
         expected = w[:3] if fit is fit_lspp else -w[::-1][:3]
         np.testing.assert_allclose(proj.eigenvalues, expected, rtol=1e-10)
-
-    def test_members_must_ascend(self):
-        F = self.samples(4, 98)
-        for members in ([2, 0], [1, 1]):
-            with pytest.raises(ValueError, match="ascending"):
-                affinity.heat_kernel_products(F, 1.0, members)
 
     @staticmethod
     def dense_scatter(F, labels, sigma):

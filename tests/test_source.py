@@ -1,0 +1,71 @@
+"""Static checks over the package source, with the standard library's ast.
+
+Every import in src/specangle must be referenced in its module or listed in
+its __all__, and every name in an __all__ must be bound at the top level of
+its module. A helper whose last caller is removed then takes its import
+with it, and the public lists cannot name what is gone.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specangle").glob("*.py"))
+
+
+def imported_names(tree):
+    """The names each import of the module binds, mapped to their line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def top_level_names(tree):
+    """The names bound by the module's top-level statements."""
+    names = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def exported_names(tree):
+    """The strings of the module's __all__, or none when it has no __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unused = {
+        name: line
+        for name, line in imported_names(tree).items()
+        if name not in loaded and name not in exported_names(tree)
+    }
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    missing = set(exported_names(tree)) - top_level_names(tree)
+    assert not missing, f"{path.name}: __all__ lists unbound names {sorted(missing)}"
