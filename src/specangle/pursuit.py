@@ -11,14 +11,20 @@ every pixel with one product against the stacked dictionary: the l2,1 norm of
 the block's correlation with that pixel's residual. It masks the blocks a
 pixel has already selected, appends the best block to the pixel's support
 (ties go to the lowest block index), refits the pixel's coefficients by least
-squares over its whole support, with one stacked QR per support width, and
-updates the residual. Each pixel stops on its own: after K iterations, or
-early when its residual is numerically zero or every remaining score is zero;
-continuing past an exact representation would only produce rank-deficient
-solves. A pixel that has stopped keeps its support and coefficients. Test
-blocks of different widths share a stack by zero-padding to the widest; zero
-columns change neither the scores nor the residuals. Class residuals then
-come from one segmented reduction over every pixel's selected blocks.
+squares over its whole support and updates the residual. The refit of support
+I is X = pinv(A_I) S, and pinv(A_I) depends on the dictionary and the ordered
+support, not on the pixel. Pixels choose few distinct supports, so each one is
+factored once per dictionary and kept in its cache for every later pixel and
+chunk that selects it: the supports an iteration misses are factored with one
+stacked QR per support width. The cache is cleared before its pseudo-inverses
+would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
+iterations, or early when its residual is numerically zero or every remaining
+score is zero; continuing past an exact representation would only produce
+rank-deficient solves. A pixel that has stopped keeps its support and
+coefficients. Test blocks of different widths share a stack by zero-padding to
+the widest; zero columns change neither the scores nor the residuals. Class
+residuals then come from one segmented reduction over every pixel's selected
+blocks.
 
 The largest array of one call is the (atoms, P*w) score product, 8*atoms*w
 bytes per pixel, so a caller bounds memory through P; ``predict`` from
@@ -32,6 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import data
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -92,6 +99,8 @@ class BlockDictionary:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_class_ids", class_ids)
         object.__setattr__(self, "_class_pos", class_pos)
+        # Ordered support tuple -> (pos, cols, pinv), filled by _refits.
+        object.__setattr__(self, "_refits", {})
 
     @property
     def n_blocks(self):
@@ -151,6 +160,53 @@ def _block_scores(dictionary, R):
     return np.add.reduceat(row_norms, dictionary._offsets[:-1], axis=0).T
 
 
+def _refits(dictionary, supports, first):
+    """Least-squares refit of each row of ``supports``: (pos, cols, pinv).
+
+    ``pos`` are the support's rows in the slot layout of ``_pursue``, ``cols``
+    its atoms (columns of ``_stacked``) in support order and ``pinv`` the
+    (len(cols), d) pseudo-inverse of those atoms, so a test block S refits to
+    pinv @ S. The entries depend on the dictionary and the ordered support
+    only, so they are kept in the dictionary's cache; the missing ones are
+    factored with one stacked least-squares solve against the identity per
+    width. The cache is cleared when its pinv bytes would pass
+    ``data.CHUNK_BYTES``. A rank-deficient support is never cached, so it
+    raises the same error whatever the cache holds, with ``index`` set to its
+    row's entry of ``first``.
+    """
+    cache = dictionary._refits
+    keys = [tuple(row) for row in supports.tolist()]
+    refits = [cache.get(key) for key in keys]
+    miss = np.array([i for i, entry in enumerate(refits) if entry is None], dtype=np.int64)
+    if not miss.size:
+        return refits
+    atoms = dictionary._slots[supports[miss]].reshape(len(miss), -1)
+    widths = np.count_nonzero(atoms >= 0, axis=1)
+    order = np.argsort(atoms < 0, axis=1, kind="stable")
+    d = dictionary.dim
+    used = sum(pinv.nbytes for _, _, pinv in cache.values())
+    for m in np.unique(widths):
+        group = widths == m
+        pos = order[group, :m]
+        cols = np.take_along_axis(atoms[group], pos, axis=1)
+        A = dictionary._stacked[:, cols].transpose(1, 0, 2)
+        try:
+            pinv = least_squares(A, np.broadcast_to(np.eye(d), (len(A), d, d)))
+        except RankDeficientError as exc:
+            exc.index = int(first[miss[group][exc.index]])
+            raise
+        size = pinv[0].nbytes
+        for i, entry in zip(miss[group], zip(pos, cols, pinv)):
+            refits[i] = entry
+            if used + size > data.CHUNK_BYTES:
+                cache.clear()
+                used = 0
+            if size <= data.CHUNK_BYTES:
+                cache[keys[i]] = entry
+                used += size
+    return refits
+
+
 def _pursue(dictionary, S, K):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
@@ -158,8 +214,10 @@ def _pursue(dictionary, S, K):
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. A rank-deficient refit raises with
-    ``index`` set to its pixel.
+    NaN after each pixel's last iteration. Each iteration refits every active
+    pixel with the pseudo-inverse of its support from ``_refits``: one stacked
+    QR per support width for the supports not yet factored. A rank-deficient
+    refit raises with ``index`` set to the first pixel with that support.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -179,22 +237,19 @@ def _pursue(dictionary, S, K):
         go = scores[rows, best] > 0.0
         active = active[go]
         support[active, t] = best[go]
-        # The selected atoms of each pixel in support order, then padding.
-        atoms = slots[support[active, : t + 1]].reshape(len(active), (t + 1) * slots.shape[1])
-        order = np.argsort(atoms < 0, axis=1, kind="stable")
-        widths = np.count_nonzero(atoms >= 0, axis=1)
+        distinct, first, inverse = np.unique(
+            support[active, : t + 1], axis=0, return_index=True, return_inverse=True
+        )
+        refits = _refits(dictionary, distinct, active[first])
+        widths = dictionary.widths[distinct].sum(axis=1)
         for m in np.unique(widths):
-            group = widths == m
-            pix, pos = active[group], order[group, :m]
-            cols = np.take_along_axis(atoms[group], pos, axis=1)
-            A = dictionary._stacked[:, cols].transpose(1, 0, 2)
-            try:
-                X = least_squares(A, S[pix])
-            except RankDeficientError as exc:
-                exc.index = int(pix[exc.index])
-                raise
+            same = np.flatnonzero(widths == m)
+            group = np.isin(inverse, same)
+            pix, which = active[group], np.searchsorted(same, inverse[group])
+            pos, cols, pinv = (np.stack([refits[i][f] for i in same])[which] for f in range(3))
+            X = pinv @ S[pix]
             coefficients[pix[:, None], pos] = X
-            R[pix] = S[pix] - A @ X
+            R[pix] = S[pix] - dictionary._stacked[:, cols].transpose(1, 0, 2) @ X
         norms[active, t + 1] = np.linalg.norm(R[active], axis=(1, 2))
         active = active[norms[active, t + 1] > _EXACT_RTOL * norms[active, 0]]
     return support, coefficients, norms

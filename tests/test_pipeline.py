@@ -5,7 +5,8 @@ checked against a reference loop written here over the classifier
 primitives, one pixel at a time. A name added to either registry is covered
 automatically, and a classifier name without a reference below fails the
 test. ``predict`` labels pixels in chunks; further tests pin that its labels
-do not depend on the chunking and that its errors name the right pixel.
+do not depend on the chunking or on the pursuit's refit cache, that each
+distinct support is factored once, and that its errors name the right pixel.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from specangle import evaluate
+from specangle import data, evaluate, pursuit
 from specangle.classify import nn_cosine_classify, sbomp_classify
 from specangle.cli import main
 from specangle.data import (
@@ -35,7 +36,7 @@ from specangle.evaluate import (
     run_experiment,
 )
 from specangle.projections import METHODS
-from specangle.pursuit import BlockDictionary
+from specangle.pursuit import BlockDictionary, class_residuals
 
 # window 3 blocks have 9 columns, so r >= 9 keeps the K=1 solves full rank
 R, WINDOW, SPARSITY, N_TRAIN, N_TEST, SEED = 10, 3, 1, 5, 20, 4
@@ -188,6 +189,83 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier):
     np.testing.assert_array_equal(np.concatenate([predict(coords[:k]), predict(coords[k:])]), labels)
     empty = predict(np.empty((0, 2), dtype=np.int64))
     assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+def spy_refits(monkeypatch):
+    """Record every stacked factorization (matrix count) and pursuit support."""
+    factored, supports = [], []
+    least_squares, pursue = pursuit.least_squares, pursuit._pursue
+
+    def count(A, B):
+        factored.append(len(A))
+        return least_squares(A, B)
+
+    def record(dictionary, S, K):
+        out = pursue(dictionary, S, K)
+        supports.append(out[0])
+        return out
+
+    monkeypatch.setattr(pursuit, "least_squares", count)
+    monkeypatch.setattr(pursuit, "_pursue", record)
+    return factored, supports
+
+
+def distinct_supports(supports):
+    """The distinct ordered supports (every selection prefix) of the pixels."""
+    rows = np.concatenate(supports).tolist()
+    return {tuple(row[:k]) for row in rows for k in range(1, len(row) + 1) if row[k - 1] >= 0}
+
+
+def test_each_support_is_factored_once(wide_scene, monkeypatch):
+    """Refits factor each distinct ordered support once, not once per pixel."""
+    cube, train = wide_scene
+    monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 18)
+    factored, supports = spy_refits(monkeypatch)
+    _, predict = fit_pipeline(cube, train, config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K))
+    predict(np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool)))
+    distinct = distinct_supports(supports)
+    assert len(supports) > 1
+    assert sum(factored) == len(distinct)
+    assert np.count_nonzero(np.concatenate(supports) >= 0) > 10 * len(distinct)
+
+
+def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
+    """Cold, warm and repeatedly cleared caches give the same bits."""
+    cube, train = wide_scene
+    cfg = config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K)
+    coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    proj, predict = fit_pipeline(cube, train, cfg)
+    S, _ = evaluate.projected_windows(proj, cube, coords, WINDOW)
+    blocks, counts = evaluate.projected_windows(proj, cube, train.coords, WINDOW)
+
+    def fresh():
+        return BlockDictionary(
+            blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
+        )
+
+    labels = predict(coords)
+    np.testing.assert_array_equal(predict(coords), labels)
+    dictionary = fresh()
+    residuals = class_residuals(dictionary, S, WIDE_K)
+    np.testing.assert_array_equal(class_residuals(dictionary, S, WIDE_K), residuals)
+
+    budget = 1 << 16
+    monkeypatch.setattr(data, "CHUNK_BYTES", budget)
+    factored, supports = spy_refits(monkeypatch)
+    refits, peak = pursuit._refits, []
+
+    def bounded(dictionary, *args):
+        out = refits(dictionary, *args)
+        peak.append(sum(pinv.nbytes for _, _, pinv in dictionary._refits.values()))
+        return out
+
+    monkeypatch.setattr(pursuit, "_refits", bounded)
+    _, small = fit_pipeline(cube, train, cfg)
+    np.testing.assert_array_equal(small(coords), labels)
+    np.testing.assert_array_equal(class_residuals(fresh(), S, WIDE_K), residuals)
+    # More factorizations than supports: the cache was cleared and refilled.
+    assert sum(factored) > len(distinct_supports(supports))
+    assert 0 < max(peak) <= budget
 
 
 def zeroed(cube, pixel):

@@ -248,7 +248,11 @@ class TestBatch:
         # The last 3 rows are zero in every block, so a test block living
         # there scores exactly 0 and stops before its first selection.
         blocks = [np.vstack([rng.standard_normal((9, m)), np.zeros((3, m))]) for m in (3, 2, 3, 1, 2)]
-        d = BlockDictionary(blocks=tuple(blocks), classes=np.array([1, 1, 2, 2, 3]))
+
+        def fresh():
+            return BlockDictionary(blocks=tuple(blocks), classes=np.array([1, 1, 2, 2, 3]))
+
+        d = fresh()
         K = 3
         orthogonal = np.zeros((12, 3))
         orthogonal[9:] = rng.standard_normal((3, 3))
@@ -268,7 +272,8 @@ class TestBatch:
         assert list(support[3]) == [-1, -1, -1]
         assert np.all(support[[0, 2, 4]] >= 0)
         for i, T in enumerate(tests):
-            sol = sbomp(d, T, K)
+            # A fresh dictionary, so that no factorization is shared with the stack.
+            sol = sbomp(fresh(), T, K)
             n = len(sol.support)
             assert tuple(int(j) for j in support[i, :n]) == sol.support
             rows = pursuit._slot_rows(d, support[i, :n])
@@ -282,7 +287,8 @@ class TestBatch:
 
         residuals = class_residuals(d, S, K)
         for i, T in enumerate(tests):
-            expected = residual_by_class(d, T, sbomp(d, T, K))
+            one = fresh()
+            expected = residual_by_class(one, T, sbomp(one, T, K))
             np.testing.assert_allclose(
                 residuals[i], [expected[c] for c in d.class_ids], rtol=self.TOL, atol=self.TOL
             )
@@ -292,10 +298,17 @@ class TestBatch:
         d = BlockDictionary(blocks=(np.hstack([a, a]), np.eye(3)[:, [2]]), classes=np.array([1, 2]))
         S = np.zeros((4, 3, 1))
         S[:, 2, 0] = 1.0  # block 1 represents these exactly
-        S[2, :, 0] = a[:, 0]  # selects the rank-deficient block 0
-        with pytest.raises(RankDeficientError) as info:
-            class_residuals(d, S, 1)
-        assert info.value.index == 2
+        S[[2, 3], :, 0] = a[:, 0]  # selects the rank-deficient block 0
+        errors = []
+        for _ in range(2):  # the second run finds block 1 factored already
+            with pytest.raises(RankDeficientError) as info:
+                class_residuals(d, S, 1)
+            errors.append((info.value.index, str(info.value)))
+        assert errors[0] == errors[1] == (2, "design matrix has linearly dependent columns")
+        fresh = BlockDictionary(blocks=d.blocks, classes=d.classes)
+        np.testing.assert_array_equal(
+            class_residuals(d, S[:2], 1), class_residuals(fresh, S[:2], 1)
+        )
         S[1, 0, 0] = np.nan
         with pytest.raises(NonFiniteError) as info:
             class_residuals(d, S, 1)
