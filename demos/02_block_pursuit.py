@@ -16,9 +16,8 @@ from specangle import (
     nn_cosine_classify,
     residual_by_class,
     sbomp,
-    sbomp_classify,
-    selection_score,
 )
+from specangle.classify import sbomp_labels
 from specangle.data import SampleSet
 
 rng = np.random.default_rng(0)
@@ -34,7 +33,7 @@ S = blocks[4] @ rng.standard_normal((4, 5)) + 0.05 * rng.standard_normal((10, 5)
 
 # Each iteration picks the block whose correlation with the residual has the
 # largest l2,1 norm (sum of row norms), then refits jointly.
-scores = [selection_score(B, S) for B in blocks]
+scores = [np.linalg.norm(B.T @ S, axis=1).sum() for B in blocks]
 print("initial selection scores:", np.round(scores, 2))
 
 sol = sbomp(dictionary, S, K=2)
@@ -45,8 +44,11 @@ print("residual history:", np.round(sol.residual_norms, 4))
 residuals = residual_by_class(dictionary, S, sol)
 print("per-class residuals:", {k: round(v, 4) for k, v in residuals.items()})
 
-pred = sbomp_classify(dictionary, S, K=2)
-print(f"predicted class: {pred.label} (tie_broken={pred.tie_broken})")
+# The label is the class with the smallest residual (the lowest id on ties).
+# sbomp_labels does this for a whole (pixels, d, w) stack in one pursuit.
+print("predicted class:", min(residuals, key=lambda k: (residuals[k], k)))
+stack = np.stack([S, blocks[0] @ rng.standard_normal((4, 5))])
+print("stacked labels:", sbomp_labels(dictionary, stack, K=2))
 
 # The nearest-neighbor baseline compares spectral angles directly.
 train = SampleSet(

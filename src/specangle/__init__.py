@@ -13,13 +13,11 @@ from .affinity import (
     heat_kernel_affinity,
     median_heuristic_sigma,
 )
-from .classify import Prediction, nn_cosine_classify, sbomp_classify
+from .classify import Prediction, nn_cosine_classify
 from .data import (
     GroundTruth,
     HyperCube,
-    NeighborhoodBlock,
     SampleSet,
-    extract_neighborhood,
     l2_normalize_pixels,
     load_cube,
     load_ground_truth,
@@ -56,7 +54,6 @@ from .pursuit import (
     SparseSolution,
     residual_by_class,
     sbomp,
-    selection_score,
 )
 
 __version__ = "0.1.0"
@@ -67,12 +64,9 @@ __all__ = [
     "median_heuristic_sigma",
     "Prediction",
     "nn_cosine_classify",
-    "sbomp_classify",
     "GroundTruth",
     "HyperCube",
-    "NeighborhoodBlock",
     "SampleSet",
-    "extract_neighborhood",
     "l2_normalize_pixels",
     "load_cube",
     "load_ground_truth",
@@ -105,5 +99,4 @@ __all__ = [
     "SparseSolution",
     "residual_by_class",
     "sbomp",
-    "selection_score",
 ]

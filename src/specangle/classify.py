@@ -1,10 +1,10 @@
 """Label assignment: sparse-representation classification over block pursuits
 and a nearest-neighbor baseline with cosine angle distance.
 
-All tie-breaks pick the lowest id (class id or training index) and the
-returned Prediction flags whether a tie was broken. The ``*_labels`` functions
-label a whole chunk of pixels at once; the ``*_classify`` functions are the
-same rules for one pixel, with the evidence attached.
+All tie-breaks pick the lowest id (class id or training index). The
+``*_labels`` functions label a whole chunk of pixels at once;
+``nn_cosine_classify`` is the cosine rule for one pixel, with its evidence
+and whether a tie was broken in the returned Prediction.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ from .pursuit import class_residuals
 
 __all__ = [
     "Prediction",
-    "sbomp_classify",
     "sbomp_labels",
     "nn_cosine_classify",
     "nn_cosine_labels",
@@ -31,44 +30,19 @@ class Prediction:
     """A class label plus the per-class evidence it was derived from."""
 
     label: int
-    per_class_residuals: Optional[dict] = None
     per_class_scores: Optional[dict] = None
     tie_broken: bool = False
 
 
-def _smallest_residual(residuals, class_ids):
-    """Class id of each row's smallest residual, the lowest id on ties, and
-    whether a tie was broken."""
-    best = np.argmin(residuals, axis=1)
-    low = np.take_along_axis(residuals, best[:, None], axis=1)
-    return class_ids[best], np.count_nonzero(residuals == low, axis=1) > 1
-
-
 def sbomp_labels(dictionary, S, K):
-    """sbomp_classify labels of a (P, d, w) stack of test blocks, as an array.
+    """Labels of a (P, d, w) stack of test blocks, as an array: per pixel the
+    class with the smallest residual of ``pursuit.class_residuals``, the
+    lowest class id on ties.
 
     A failure names its pixel through the error's ``index``; see
     ``pursuit.class_residuals``.
     """
-    return _smallest_residual(class_residuals(dictionary, S, K), dictionary.class_ids)[0]
-
-
-def sbomp_classify(dictionary, S, K):
-    """Classify a test block by smallest per-class reconstruction residual.
-
-    Runs the block pursuit at sparsity K, computes class-restricted residuals,
-    and returns the argmin class.
-    """
-    S = np.asarray(S, dtype=float)
-    residuals = class_residuals(dictionary, S.reshape(1, len(S), -1), K)
-    label, tied = _smallest_residual(residuals, dictionary.class_ids)
-    return Prediction(
-        label=int(label[0]),
-        per_class_residuals={
-            int(c): float(v) for c, v in zip(dictionary.class_ids, residuals[0])
-        },
-        tie_broken=bool(tied[0]),
-    )
+    return dictionary.class_ids[np.argmin(class_residuals(dictionary, S, K), axis=1)]
 
 
 def training_norms(train):

@@ -1,5 +1,5 @@
-"""Hyperspectral cubes, ground truth, sample sets, neighborhoods, splits, and
-synthetic scenes.
+"""Hyperspectral cubes, ground truth, sample sets, window neighborhoods,
+splits, and synthetic scenes.
 
 File formats
 ------------
@@ -20,13 +20,14 @@ single-band 8/16-bit ENVI raster.
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    BadRasterError,
     BadSpecError,
     EvenWindowError,
     InsufficientSamplesError,
@@ -43,12 +44,10 @@ __all__ = [
     "HyperCube",
     "GroundTruth",
     "SampleSet",
-    "NeighborhoodBlock",
     "load_cube",
     "save_cube",
     "load_ground_truth",
     "save_ground_truth",
-    "extract_neighborhood",
     "neighborhood_spectra",
     "pixels_to_sample_set",
     "l2_normalize_pixels",
@@ -76,7 +75,7 @@ class HyperCube:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or min(v.shape) < 1:
-            raise ValueError(f"cube must be (rows, cols, bands), got {v.shape}")
+            raise BadRasterError(f"cube must be (rows, cols, bands), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteError("cube contains NaN or Inf")
         object.__setattr__(self, "values", v)
@@ -103,16 +102,16 @@ class GroundTruth:
     def __post_init__(self):
         lab = np.asarray(self.labels)
         if lab.ndim != 2:
-            raise ValueError(f"labels must be 2-D, got shape {lab.shape}")
+            raise BadRasterError(f"labels must be 2-D, got shape {lab.shape}")
         if not np.issubdtype(lab.dtype, np.integer):
             lab = lab.astype(np.int64)
         if lab.min(initial=0) < 0:
-            raise ValueError("labels must be nonnegative")
+            raise BadRasterError("labels must be nonnegative")
         c = int(lab.max(initial=0))
         present = np.unique(lab[lab > 0])
         if len(present) != c:
             missing = sorted(set(range(1, c + 1)) - set(present.tolist()))
-            raise ValueError(f"class ids must be contiguous 1..{c}; missing {missing}")
+            raise BadRasterError(f"class ids must be contiguous 1..{c}; missing {missing}")
         object.__setattr__(self, "labels", lab)
 
     @property
@@ -156,15 +155,6 @@ class SampleSet:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class NeighborhoodBlock:
-    """Spectra of the in-bounds window around one pixel, center first."""
-
-    center: tuple
-    spectra: np.ndarray
-    member_coords: list = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # ENVI raster reading/writing
 
@@ -194,6 +184,10 @@ def _parse_envi_header(path):
         byte_order = int(fields.get("byte order", "0"))
     except ValueError as exc:
         raise MalformedHeaderError(f"unparsable ENVI header value: {exc}") from exc
+    if min(samples, lines, bands) < 1:
+        raise MalformedHeaderError(
+            f"samples, lines and bands must be positive, got {samples}, {lines}, {bands}"
+        )
     interleave = fields["interleave"].lower()
     if interleave not in ("bsq", "bil", "bip"):
         raise MalformedHeaderError(f"unknown interleave '{interleave}'")
@@ -399,27 +393,15 @@ def _window_members(cube, centers, window):
     return members, inside
 
 
-def extract_neighborhood(cube, center, window):
-    """In-bounds pixels of the window x window box around center.
-
-    The center pixel's spectrum is column 0; the remaining in-bounds pixels
-    follow in row-major order. Windows are truncated at image edges.
-    """
-    members, inside = _window_members(cube, [center], window)
-    idx = members[0, inside[0]]
-    coords = [tuple(rc) for rc in idx.tolist()]
-    spectra = cube.values[idx[:, 0], idx[:, 1]].T
-    return NeighborhoodBlock(center=coords[0], spectra=spectra, member_coords=coords)
-
-
 def neighborhood_spectra(cube, centers, window):
     """Window spectra of many pixels at once, by index arithmetic.
 
     Returns ``spectra`` (P, window**2, bands) and ``counts`` (P,): the first
-    counts[i] rows of spectra[i] are the columns of extract_neighborhood for
-    centers[i]; the rows after them, for a window truncated at an image edge,
-    are zero. An out-of-bounds centre raises OutOfBoundsError with ``index``
-    set to the first such centre.
+    counts[i] rows of spectra[i] are the in-bounds pixels of the window x
+    window box around centers[i], the centre first and then the rest in
+    row-major order; the rows after them, for a window truncated at an image
+    edge, are zero. An out-of-bounds centre raises OutOfBoundsError with
+    ``index`` set to the first such centre.
     """
     members, inside = _window_members(cube, centers, window)
     # In-bounds members first, in their order; the rest read the centre and

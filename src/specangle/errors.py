@@ -92,5 +92,9 @@ class BadSpecError(SpecAngleError):
     """Synthetic scene parameters are inconsistent."""
 
 
+class BadRasterError(SpecAngleError):
+    """A cube or ground-truth raster has an invalid shape or invalid class ids."""
+
+
 class InvalidConfigError(SpecAngleError):
     """An experiment configuration value is unknown or out of range."""

@@ -18,7 +18,6 @@ import numpy as np
 
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
-    SampleSet,
     chunk_pixels,
     l2_normalize_pixels,
     neighborhood_spectra,
@@ -31,7 +30,7 @@ from .errors import (
     SpecAngleError,
     ZeroVectorError,
 )
-from .projections import DEFAULT_RIDGE, METHODS
+from .projections import DEFAULT_RIDGE, METHODS, project
 from .pursuit import BlockDictionary
 
 __all__ = [
@@ -201,9 +200,7 @@ def fit_pipeline(work_cube, train, config):
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
-        train_proj = SampleSet(
-            features=proj.matrix.T @ train.features, labels=train.labels, coords=train.coords
-        )
+        train_proj = project(proj, train)
         norms = training_norms(train_proj)
         chunk = chunk_pixels(max(train.n_samples, work_cube.bands))
 

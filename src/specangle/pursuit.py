@@ -11,16 +11,21 @@ every pixel with one product against the stacked dictionary: the l2,1 norm of
 the block's correlation with that pixel's residual. It masks the blocks a
 pixel has already selected, appends the best block to the pixel's support
 (ties go to the lowest block index), refits the pixel's coefficients by least
-squares over its whole support and updates the residual. The refit of support
-I is X = pinv(A_I) S, and pinv(A_I) depends on the dictionary and the ordered
-support, not on the pixel. Pixels choose few distinct supports, so each one is
-factored once per dictionary and kept in its cache for every later pixel and
+squares over its whole support and updates the residual. Coefficients live in
+a slot layout: support slot k holds as many rows as the widest block, and the
+rows past a narrower block's width belong to a trailing zero atom of the
+stacked dictionary, so every support of L blocks is L slots of the same width.
+The refit of support I is X = pinv(A_I) S, and pinv(A_I) depends on the
+dictionary and the ordered support, not on the pixel. Pixels choose few
+distinct supports, so each one is factored once per dictionary, padded to the
+slot layout with zero rows and kept in its cache for every later pixel and
 chunk that selects it: the supports an iteration misses are factored with one
-stacked QR per support width. The cache is cleared before its pseudo-inverses
-would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
-iterations, or early when its residual is numerically zero or every remaining
-score is zero; continuing past an exact representation would only produce
-rank-deficient solves. A pixel that has stopped keeps its support and
+stacked least-squares solve per support width. Each iteration then refits
+every pixel with one stacked product. The cache is cleared before its
+pseudo-inverses would pass ``data.CHUNK_BYTES``. Each pixel stops on its own:
+after K iterations, or early when its residual is numerically zero or every
+remaining score is zero; continuing past an exact representation would only
+produce rank-deficient solves. A pixel that has stopped keeps its support and
 coefficients. Test blocks of different widths share a stack by zero-padding to
 the widest; zero columns change neither the scores nor the residuals. Class
 residuals then come from one segmented reduction over every pixel's selected
@@ -28,9 +33,8 @@ blocks.
 
 The largest array of one call is the (atoms, P*w) score product, 8*atoms*w
 bytes per pixel, so a caller bounds memory through P; ``predict`` from
-``evaluate.fit_pipeline`` keeps it near ``data.CHUNK_BYTES``. ``sbomp``,
-``residual_by_class`` and ``classify.sbomp_classify`` run the same engine on
-a stack of one.
+``evaluate.fit_pipeline`` keeps it near ``data.CHUNK_BYTES``. ``sbomp`` and
+``residual_by_class`` run the same engine on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -50,7 +54,6 @@ from .linalg import least_squares
 __all__ = [
     "BlockDictionary",
     "SparseSolution",
-    "selection_score",
     "sbomp",
     "residual_by_class",
     "class_residuals",
@@ -90,7 +93,8 @@ class BlockDictionary:
         offsets = np.concatenate([[0], np.cumsum(widths)])
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_stacked", np.hstack(blocks))
+        # One trailing zero atom, read by every -1 of _slots.
+        object.__setattr__(self, "_stacked", np.hstack(blocks + (np.zeros((d, 1)),)))
         # Row j: the atoms (columns of _stacked) of block j, padded with -1
         # to the widest block.
         cols = np.arange(widths.max())
@@ -99,7 +103,8 @@ class BlockDictionary:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_class_ids", class_ids)
         object.__setattr__(self, "_class_pos", class_pos)
-        # Ordered support tuple -> (pos, cols, pinv), filled by _refits.
+        # Ordered support tuple -> its pseudo-inverse in the slot layout,
+        # filled by _refits.
         object.__setattr__(self, "_refits", {})
 
     @property
@@ -141,17 +146,6 @@ class SparseSolution:
     residual_norms: np.ndarray
 
 
-def selection_score(Ai, R):
-    """l2,1 norm of Ai^t R: the sum over rows of the row-wise l2 norms."""
-    Ai = np.asarray(Ai, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if Ai.shape[0] != R.shape[0]:
-        raise DimensionMismatchError(
-            f"row counts differ: block has {Ai.shape[0]}, residual {R.shape[0]}"
-        )
-    return float(np.linalg.norm(Ai.T @ R, axis=1).sum())
-
-
 def _block_scores(dictionary, R):
     """Selection score of every block against every residual: (P, n_blocks)."""
     P, d, w = R.shape
@@ -161,42 +155,44 @@ def _block_scores(dictionary, R):
 
 
 def _refits(dictionary, supports, first):
-    """Least-squares refit of each row of ``supports``: (pos, cols, pinv).
+    """Pseudo-inverse of each row of ``supports`` in the slot layout.
 
-    ``pos`` are the support's rows in the slot layout of ``_pursue``, ``cols``
-    its atoms (columns of ``_stacked``) in support order and ``pinv`` the
-    (len(cols), d) pseudo-inverse of those atoms, so a test block S refits to
-    pinv @ S. The entries depend on the dictionary and the ordered support
-    only, so they are kept in the dictionary's cache; the missing ones are
-    factored with one stacked least-squares solve against the identity per
-    width. The cache is cleared when its pinv bytes would pass
-    ``data.CHUNK_BYTES``. A rank-deficient support is never cached, so it
-    raises the same error whatever the cache holds, with ``index`` set to its
-    row's entry of ``first``.
+    For supports of L blocks the result is (len(supports), L * width, d),
+    width being the widest block: row k * width + j holds the pseudo-inverse
+    row of atom j of the block in support slot k, and the rows past that
+    block's width are zero, so a test block S refits to pinv @ S in the
+    coefficient layout of ``_pursue``. The entries depend on the dictionary
+    and the ordered support only, so they are kept in the dictionary's cache;
+    the missing ones are factored with one stacked least-squares solve
+    against the identity per support width. The cache is cleared when its
+    bytes would pass ``data.CHUNK_BYTES``. A rank-deficient support is never
+    cached, so it raises the same error whatever the cache holds, with
+    ``index`` set to its row's entry of ``first``.
     """
     cache = dictionary._refits
     keys = [tuple(row) for row in supports.tolist()]
     refits = [cache.get(key) for key in keys]
-    miss = np.array([i for i, entry in enumerate(refits) if entry is None], dtype=np.int64)
+    miss = np.array([i for i, pinv in enumerate(refits) if pinv is None], dtype=np.int64)
     if not miss.size:
-        return refits
+        return np.stack(refits)
     atoms = dictionary._slots[supports[miss]].reshape(len(miss), -1)
-    widths = np.count_nonzero(atoms >= 0, axis=1)
-    order = np.argsort(atoms < 0, axis=1, kind="stable")
+    real = atoms >= 0
+    widths = real.sum(axis=1)
     d = dictionary.dim
-    used = sum(pinv.nbytes for _, _, pinv in cache.values())
+    used = sum(pinv.nbytes for pinv in cache.values())
     for m in np.unique(widths):
-        group = widths == m
-        pos = order[group, :m]
-        cols = np.take_along_axis(atoms[group], pos, axis=1)
-        A = dictionary._stacked[:, cols].transpose(1, 0, 2)
+        group = np.flatnonzero(widths == m)
+        pos = np.nonzero(real[group])[1].reshape(-1, m)
+        A = dictionary._stacked[:, atoms[group[:, None], pos]].transpose(1, 0, 2)
         try:
             pinv = least_squares(A, np.broadcast_to(np.eye(d), (len(A), d, d)))
         except RankDeficientError as exc:
-            exc.index = int(first[miss[group][exc.index]])
+            exc.index = int(first[miss[group[exc.index]]])
             raise
-        size = pinv[0].nbytes
-        for i, entry in zip(miss[group], zip(pos, cols, pinv)):
+        padded = np.zeros((len(A), atoms.shape[1], d))
+        padded[np.arange(len(A))[:, None], pos] = pinv
+        size = padded[0].nbytes
+        for i, entry in zip(miss[group], padded):
             refits[i] = entry
             if used + size > data.CHUNK_BYTES:
                 cache.clear()
@@ -204,7 +200,7 @@ def _refits(dictionary, supports, first):
             if size <= data.CHUNK_BYTES:
                 cache[keys[i]] = entry
                 used += size
-    return refits
+    return np.stack(refits)
 
 
 def _pursue(dictionary, S, K):
@@ -215,8 +211,8 @@ def _pursue(dictionary, S, K):
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
     NaN after each pixel's last iteration. Each iteration refits every active
-    pixel with the pseudo-inverse of its support from ``_refits``: one stacked
-    QR per support width for the supports not yet factored. A rank-deficient
+    pixel with one stacked product by the pseudo-inverse of its support from
+    ``_refits``, which factors the supports not seen yet. A rank-deficient
     refit raises with ``index`` set to the first pixel with that support.
     """
     P, d, w = S.shape
@@ -236,20 +232,16 @@ def _pursue(dictionary, S, K):
         best = np.argmax(scores, axis=1)
         go = scores[rows, best] > 0.0
         active = active[go]
+        if not active.size:
+            break
         support[active, t] = best[go]
         distinct, first, inverse = np.unique(
             support[active, : t + 1], axis=0, return_index=True, return_inverse=True
         )
-        refits = _refits(dictionary, distinct, active[first])
-        widths = dictionary.widths[distinct].sum(axis=1)
-        for m in np.unique(widths):
-            same = np.flatnonzero(widths == m)
-            group = np.isin(inverse, same)
-            pix, which = active[group], np.searchsorted(same, inverse[group])
-            pos, cols, pinv = (np.stack([refits[i][f] for i in same])[which] for f in range(3))
-            X = pinv @ S[pix]
-            coefficients[pix[:, None], pos] = X
-            R[pix] = S[pix] - dictionary._stacked[:, cols].transpose(1, 0, 2) @ X
+        X = _refits(dictionary, distinct, active[first])[inverse] @ S[active]
+        coefficients[active, : X.shape[1]] = X
+        atoms = slots[support[active, : t + 1]].reshape(len(active), -1)
+        R[active] = S[active] - dictionary._stacked[:, atoms].transpose(1, 0, 2) @ X
         norms[active, t + 1] = np.linalg.norm(R[active], axis=(1, 2))
         active = active[norms[active, t + 1] > _EXACT_RTOL * norms[active, 0]]
     return support, coefficients, norms
@@ -266,7 +258,6 @@ def _class_residuals(dictionary, S, support, coefficients):
     K = support.shape[1]
     used = support >= 0
     selected = np.where(used, support, 0)
-    # Padding slots point at the last atom but carry zero coefficients.
     slots = dictionary._slots[selected]
     blocks = dictionary._stacked[:, slots].transpose(1, 2, 0, 3)
     parts = blocks @ coefficients.reshape(P, K, slots.shape[2], w)

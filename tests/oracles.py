@@ -61,19 +61,24 @@ def somp_oracle(atoms, S, K):
     return support, coef
 
 
-def bomp_oracle(blocks, s, K):
-    """Block OMP: wide blocks against a single column.
+def bomp_oracle(blocks, S, K):
+    """Block OMP: wide blocks against a (d,) or (d, w) target.
 
-    Selection score is the sum of absolute entries of the block's correlation
-    with the residual (the l2,1 norm of a one-column matrix).
+    Selection score is the sum over the block's atoms of the l2 norms of their
+    correlation rows with the residual (the l2,1 norm of B^t R; for one column,
+    the sum of absolute entries). Returns (support list, coefficients over the
+    support's atoms, shaped like the target: a vector or one column per
+    target column).
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    r = s.copy()
+    S = np.asarray(S, dtype=float)
+    R = S.copy()
     support = []
-    coef = np.zeros(0)
-    s_norm = np.linalg.norm(s)
+    coef = np.zeros((0,) + S.shape[1:])
+    s_norm = np.linalg.norm(S)
     for _ in range(K):
-        scores = np.array([np.abs(B.T @ r).sum() for B in blocks])
+        scores = np.array(
+            [np.linalg.norm((B.T @ R).reshape(B.shape[1], -1), axis=1).sum() for B in blocks]
+        )
         if support:
             scores[support] = -np.inf
         best = int(np.argmax(scores))
@@ -81,11 +86,45 @@ def bomp_oracle(blocks, s, K):
             break
         support.append(best)
         A = np.hstack([blocks[j] for j in support])
-        coef = np.linalg.lstsq(A, s, rcond=None)[0]
-        r = s - A @ coef
-        if np.linalg.norm(r) <= 1e-10 * s_norm:
+        coef = np.linalg.lstsq(A, S, rcond=None)[0]
+        R = S - A @ coef
+        if np.linalg.norm(R) <= 1e-10 * s_norm:
             break
     return support, coef
+
+
+def class_residuals_oracle(blocks, classes, S, support, coef):
+    """Residual norm per class id, ascending, of one pursuit solution: the
+    Frobenius norm of S minus the reconstruction from that class's selected
+    blocks alone (all of S for a class with none)."""
+    S = np.asarray(S, dtype=float)
+    S = S.reshape(len(S), -1)
+    out = {}
+    for k in sorted(set(np.asarray(classes).tolist())):
+        recon = np.zeros_like(S)
+        row = 0
+        for j in support:
+            m = blocks[j].shape[1]
+            if classes[j] == k:
+                recon += blocks[j] @ coef[row:row + m]
+            row += m
+        out[k] = float(np.linalg.norm(S - recon))
+    return out
+
+
+def neighborhood_bruteforce(cube_values, center, window):
+    """(bands, members) spectra of the in-bounds window x window box around
+    center: the center first, then the rest in row-major order."""
+    rows, cols, _ = cube_values.shape
+    r, c = center
+    half = window // 2
+    members = [(r, c)] + [
+        (i, j)
+        for i in range(r - half, r + half + 1)
+        for j in range(c - half, c + half + 1)
+        if (i, j) != (r, c) and 0 <= i < rows and 0 <= j < cols
+    ]
+    return np.stack([cube_values[i, j] for i, j in members], axis=1)
 
 
 def grid_best_direction(A, B, n_points=3600, minimize=False):

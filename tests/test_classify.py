@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import omp_oracle
-from specangle.classify import nn_cosine_classify, sbomp_classify
+from oracles import class_residuals_oracle, omp_oracle
+from specangle.classify import nn_cosine_classify, sbomp_labels
 from specangle.data import SampleSet
 from specangle.errors import ZeroVectorError
-from specangle.pursuit import BlockDictionary, sbomp
+from specangle.pursuit import BlockDictionary, class_residuals, sbomp
 
 
 def width1_dictionary(atoms, classes):
@@ -15,23 +15,37 @@ def width1_dictionary(atoms, classes):
     )
 
 
+def label_and_residuals(d, S, K):
+    """sbomp_labels of one test block, and its class_residuals by class id."""
+    S = np.asarray(S, dtype=float).reshape(1, d.dim, -1)
+    residuals = class_residuals(d, S, K)[0]
+    return int(sbomp_labels(d, S, K)[0]), dict(zip(d.class_ids.tolist(), residuals))
+
+
+def best_class(residuals):
+    """The class with the smallest residual, the lowest id on ties."""
+    return min(residuals, key=lambda k: (residuals[k], k))
+
+
 class TestSbompClassify:
+    """The sbomp classifier: sbomp_labels over class_residuals."""
+
     def test_orthogonal_classes(self):
         atoms = np.eye(4)
         d = width1_dictionary(atoms, classes=np.array([1, 1, 2, 2]))
-        pred = sbomp_classify(d, atoms[:, [2]], K=1)
-        assert pred.label == 2
-        assert pred.per_class_residuals[2] <= 1e-10
-        assert not pred.tie_broken
+        label, residuals = label_and_residuals(d, atoms[:, [2]], K=1)
+        assert label == 2
+        assert residuals[2] <= 1e-10
+        assert residuals[1] > residuals[2]
 
     def test_symmetric_tie_lowest_class(self):
         # S orthogonal to every atom: empty support, equal residuals
         atoms = np.eye(4)[:, :2]
         d = width1_dictionary(atoms, classes=np.array([1, 2]))
         S = np.array([0.0, 0.0, 1.0, 0.0])[:, None]
-        pred = sbomp_classify(d, S, K=1)
-        assert pred.label == 1
-        assert pred.tie_broken
+        label, residuals = label_and_residuals(d, S, K=1)
+        assert label == 1
+        assert residuals[1] == residuals[2]
 
     def test_self_consistency_random_toy(self):
         rng = np.random.default_rng(200)
@@ -40,31 +54,19 @@ class TestSbompClassify:
             classes = np.repeat([1, 2, 3], 5)
             d = BlockDictionary(blocks=tuple(blocks), classes=classes)
             S = rng.standard_normal((8, 4))
-            pred = sbomp_classify(d, S, K=3)
+            label, _ = label_and_residuals(d, S, K=3)
             sol = sbomp(d, S, K=3)
             # independent recompute of the class-restricted reconstructions
-            offsets = np.concatenate(
-                [[0], np.cumsum([blocks[j].shape[1] for j in sol.support])]
-            )
-            best_cls, best_res = None, np.inf
-            for k in (1, 2, 3):
-                recon = np.zeros_like(S)
-                for pos, j in enumerate(sol.support):
-                    if classes[j] == k:
-                        recon += blocks[j] @ sol.coefficients[offsets[pos]:offsets[pos + 1]]
-                res = np.linalg.norm(S - recon)
-                if res < best_res:
-                    best_cls, best_res = k, res
-            assert pred.label == best_cls
+            expected = class_residuals_oracle(blocks, classes, S, sol.support, sol.coefficients)
+            assert label == best_class(expected)
 
     def test_scale_invariance_of_label(self):
         rng = np.random.default_rng(201)
         blocks = [rng.standard_normal((6, 2)) for _ in range(8)]
         d = BlockDictionary(blocks=tuple(blocks), classes=np.arange(8) % 2 + 1)
         S = rng.standard_normal((6, 3))
-        p1 = sbomp_classify(d, S, K=2)
-        p5 = sbomp_classify(d, 5.0 * S, K=2)
-        assert p1.label == p5.label
+        p1, p5 = sbomp_labels(d, np.stack([S, 5.0 * S]), K=2)
+        assert p1 == p5
 
     def test_spanning_class_wins(self):
         rng = np.random.default_rng(202)
@@ -72,13 +74,13 @@ class TestSbompClassify:
         blocks = (basis[:, :2], basis[:, 2:4], basis[:, 4:6])
         d = BlockDictionary(blocks=blocks, classes=np.array([1, 1, 2]))
         S = blocks[0] @ rng.standard_normal((2, 2)) + blocks[1] @ rng.standard_normal((2, 2))
-        pred = sbomp_classify(d, S, K=2)
-        assert pred.label == 1
-        assert pred.per_class_residuals[1] <= 1e-8
+        label, residuals = label_and_residuals(d, S, K=2)
+        assert label == 1
+        assert residuals[1] <= 1e-8
 
 
 class TestSompClassify:
-    """The somp classifier: sbomp_classify over width-1 training blocks."""
+    """The somp classifier: sbomp_labels over width-1 training blocks."""
 
     def test_single_column_matches_src_oracle(self):
         rng = np.random.default_rng(211)
@@ -89,24 +91,17 @@ class TestSompClassify:
                 continue
             s = rng.standard_normal(8)
             d = width1_dictionary(atoms, classes)
-            pred = sbomp_classify(d, s, K=3)
+            label, _ = label_and_residuals(d, s, K=3)
             support, coef = omp_oracle(atoms, s, K=3)
-            best_cls, best_res = None, np.inf
-            for k in np.unique(classes):
-                recon = np.zeros(8)
-                for pos, j in enumerate(support):
-                    if classes[j] == k:
-                        recon += atoms[:, j] * coef[pos]
-                res = np.linalg.norm(s - recon)
-                if res < best_res:
-                    best_cls, best_res = int(k), res
-            assert pred.label == best_cls
+            blocks = [atoms[:, [j]] for j in range(12)]
+            expected = class_residuals_oracle(blocks, classes, s, support, coef[:, None])
+            assert label == best_class(expected)
 
     def test_orthonormal_span(self):
         atoms = np.eye(5)
         d = width1_dictionary(atoms, classes=np.array([1, 1, 2, 2, 3]))
-        pred = sbomp_classify(d, 3.0 * atoms[:, [3]], K=1)
-        assert pred.label == 2
+        label, _ = label_and_residuals(d, 3.0 * atoms[:, [3]], K=1)
+        assert label == 2
 
 
 class TestNnCosine:

@@ -4,11 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from oracles import neighborhood_bruteforce
 from specangle import evaluate
-from specangle.classify import sbomp_classify
 from specangle.cli import main
 from specangle.data import (
-    extract_neighborhood,
     load_cube,
     load_ground_truth,
     pixels_to_sample_set,
@@ -17,7 +16,7 @@ from specangle.data import (
 from specangle.errors import RankDeficientError
 from specangle.evaluate import ExperimentConfig, fit_projection
 from specangle.projections import Projection
-from specangle.pursuit import BlockDictionary
+from specangle.pursuit import BlockDictionary, sbomp
 
 
 @pytest.fixture
@@ -172,7 +171,7 @@ CONFIG_ERRORS = [
 
 def first_failing_pixel(scene, command):
     """The first pixel, in the order the command labels them, for which a
-    per-pixel sbomp_classify call raises, with the settings of
+    per-pixel sbomp call raises, with the settings of
     test_pixel_failure_names_the_pixel."""
     cube = load_cube(scene / "cube.csv", "csv_bands")
     gt = load_ground_truth(scene / "gt.csv", "csv")
@@ -187,12 +186,12 @@ def first_failing_pixel(scene, command):
     P = fit_projection(cube, train, config).matrix
 
     def block(rc):
-        return P.T @ extract_neighborhood(cube, rc, 3).spectra
+        return P.T @ neighborhood_bruteforce(cube.values, rc, 3)
 
     dictionary = BlockDictionary(blocks=tuple(map(block, train_coords)), classes=train.labels)
     for rc in coords:
         try:
-            sbomp_classify(dictionary, block(rc), 2)
+            sbomp(dictionary, block(rc), 2)
         except RankDeficientError:
             return rc
     raise AssertionError("no pixel fails")
@@ -233,6 +232,29 @@ class TestErrors:
         assert re.match(rf"error: RankDeficientError: {prefix}pixel \(\d+, \d+\): ", err)
         r, c = first_failing_pixel(clean, command[0])
         assert err.startswith(f"error: RankDeficientError: {prefix}pixel ({r}, {c}): ")
+
+    @pytest.mark.parametrize("gt,error", [
+        ("1,-1\n2,1\n", "BadRasterError: labels must be nonnegative"),
+        ("1,3\n3,1\n", "BadRasterError: class ids must be contiguous 1..3; missing [2]"),
+        (None, "MalformedHeaderError: samples, lines and bands must be positive"),
+    ], ids=["negative-id", "id-gap", "empty-envi"])
+    def test_malformed_scene_file_is_one_line(self, scene_dir, tmp_path, capsys, gt, error):
+        if gt is None:
+            # An ENVI cube with zero lines and the empty payload that implies.
+            cube = tmp_path / "cube.bsq"
+            cube.write_bytes(b"")
+            cube.with_name("cube.bsq.hdr").write_text(
+                "ENVI\nsamples = 18\nlines = 0\nbands = 12\ndata type = 5\ninterleave = bsq\n"
+            )
+            args = ["--cube", str(cube), "--format", "envi_bsq", "--gt", str(scene_dir / "gt.csv")]
+        else:
+            (tmp_path / "gt.csv").write_text(gt)
+            args = ["--cube", str(scene_dir / "cube.csv"), "--gt", str(tmp_path / "gt.csv")]
+        assert main(["eval", *args, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main([

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import neighborhood_bruteforce
 from specangle.data import (
     GroundTruth,
     HyperCube,
     class_signatures,
-    extract_neighborhood,
     neighborhood_spectra,
     l2_normalize_pixels,
     load_cube,
@@ -178,41 +178,42 @@ class TestGroundTruthIO:
 class TestNeighborhoods:
     @pytest.fixture
     def cube(self):
+        # Every spectrum is distinct, so a gathered row names its pixel.
         vals = np.arange(5 * 4 * 2, dtype=float).reshape(5, 4, 2)
         return HyperCube(values=vals)
 
+    def window(self, cube, center, window):
+        """The in-bounds rows of neighborhood_spectra for one centre."""
+        spectra, counts = neighborhood_spectra(cube, [center], window)
+        return spectra[0, : counts[0]]
+
     def test_window_one(self, cube):
-        block = extract_neighborhood(cube, (2, 2), 1)
-        assert block.spectra.shape == (2, 1)
-        assert block.member_coords == [(2, 2)]
+        np.testing.assert_array_equal(self.window(cube, (2, 2), 1), cube.values[[2], [2]])
 
     def test_interior_full_box(self, cube):
-        block = extract_neighborhood(cube, (2, 2), 3)
-        assert block.spectra.shape[1] == 9
+        assert len(self.window(cube, (2, 2), 3)) == 9
 
     def test_corner_truncated(self, cube):
-        block = extract_neighborhood(cube, (0, 0), 3)
-        assert block.spectra.shape[1] == 4
+        assert len(self.window(cube, (0, 0), 3)) == 4
 
     def test_center_first_then_row_major(self, cube):
-        block = extract_neighborhood(cube, (1, 1), 3)
-        assert block.member_coords[0] == (1, 1)
-        rest = block.member_coords[1:]
-        assert rest == sorted(rest)
-        np.testing.assert_array_equal(block.spectra[:, 0], cube.values[1, 1])
+        members = [(1, 1)] + [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+        np.testing.assert_array_equal(
+            self.window(cube, (1, 1), 3), [cube.values[i, j] for i, j in members]
+        )
 
     def test_member_count_matches_bruteforce(self, cube):
+        centers = [(r, c) for r in range(cube.rows) for c in range(cube.cols)]
         for window in (1, 3, 5):
-            for r in range(cube.rows):
-                for c in range(cube.cols):
-                    count = sum(
-                        1
-                        for dr in range(-(window // 2), window // 2 + 1)
-                        for dc in range(-(window // 2), window // 2 + 1)
-                        if 0 <= r + dr < cube.rows and 0 <= c + dc < cube.cols
-                    )
-                    block = extract_neighborhood(cube, (r, c), window)
-                    assert block.spectra.shape[1] == count
+            _, counts = neighborhood_spectra(cube, centers, window)
+            for (r, c), n in zip(centers, counts):
+                count = sum(
+                    1
+                    for dr in range(-(window // 2), window // 2 + 1)
+                    for dc in range(-(window // 2), window // 2 + 1)
+                    if 0 <= r + dr < cube.rows and 0 <= c + dc < cube.cols
+                )
+                assert n == count
 
     def test_stacked_spectra_pad_each_neighborhood(self, cube):
         centers = [(r, c) for r in range(cube.rows) for c in range(cube.cols)]
@@ -220,9 +221,9 @@ class TestNeighborhoods:
             spectra, counts = neighborhood_spectra(cube, centers, window)
             assert spectra.shape == (len(centers), window**2, cube.bands)
             for rc, rows, n in zip(centers, spectra, counts):
-                block = extract_neighborhood(cube, rc, window)
-                assert n == block.spectra.shape[1]
-                np.testing.assert_array_equal(rows[:n], block.spectra.T)
+                block = neighborhood_bruteforce(cube.values, rc, window)
+                assert n == block.shape[1]
+                np.testing.assert_array_equal(rows[:n], block.T)
                 assert not np.any(rows[n:])
 
     def test_stacked_spectra_name_first_outside_center(self, cube):
@@ -232,9 +233,9 @@ class TestNeighborhoods:
 
     def test_errors(self, cube):
         with pytest.raises(EvenWindowError):
-            extract_neighborhood(cube, (0, 0), 2)
+            neighborhood_spectra(cube, [(0, 0)], 2)
         with pytest.raises(OutOfBoundsError):
-            extract_neighborhood(cube, (9, 0), 3)
+            neighborhood_spectra(cube, [(9, 0)], 3)
 
 
 class TestSplits:

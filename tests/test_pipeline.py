@@ -14,13 +14,13 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import neighborhood_bruteforce
 from specangle import data, evaluate, pursuit
-from specangle.classify import nn_cosine_classify, sbomp_classify
+from specangle.classify import nn_cosine_classify
 from specangle.cli import main
 from specangle.data import (
     HyperCube,
     SampleSet,
-    extract_neighborhood,
     load_cube,
     load_ground_truth,
     pixels_to_sample_set,
@@ -36,7 +36,7 @@ from specangle.evaluate import (
     run_experiment,
 )
 from specangle.projections import METHODS
-from specangle.pursuit import BlockDictionary, class_residuals
+from specangle.pursuit import BlockDictionary, class_residuals, residual_by_class, sbomp
 
 # window 3 blocks have 9 columns, so r >= 9 keeps the K=1 solves full rank
 R, WINDOW, SPARSITY, N_TRAIN, N_TEST, SEED = 10, 3, 1, 5, 20, 4
@@ -44,14 +44,16 @@ PIPELINES = list(itertools.product(METHODS, CLASSIFIERS))
 
 
 def reference_labels(classifier, proj, cube, train, coords, window=WINDOW, sparsity=SPARSITY):
-    """Label each pixel in coords with one direct classifier call."""
+    """Label each pixel in coords on its own: one cosine nearest-neighbour
+    call, or sbomp and residual_by_class with the lowest class id on ties
+    over a window gathered by brute force."""
     P = proj.matrix
     if classifier == "nn-cos":
         train_proj = SampleSet(features=P.T @ train.features, labels=train.labels)
         return [nn_cosine_classify(train_proj, P.T @ cube.values[r, c]).label for r, c in coords]
 
     def block(rc, w):
-        return P.T @ extract_neighborhood(cube, rc, w).spectra
+        return P.T @ neighborhood_bruteforce(cube.values, rc, w)
 
     train_window = {"sbomp": window, "somp": 1}[classifier]
     dictionary = BlockDictionary(
@@ -60,7 +62,9 @@ def reference_labels(classifier, proj, cube, train, coords, window=WINDOW, spars
     labels = []
     for r, c in coords:
         try:
-            labels.append(sbomp_classify(dictionary, block((r, c), window), sparsity).label)
+            S = block((r, c), window)
+            residuals = residual_by_class(dictionary, S, sbomp(dictionary, S, sparsity))
+            labels.append(min(residuals, key=lambda k: (residuals[k], k)))
         except SpecAngleError as exc:
             raise type(exc)(f"pixel ({r}, {c}): {exc}") from exc
     return labels
@@ -256,7 +260,7 @@ def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
 
     def bounded(dictionary, *args):
         out = refits(dictionary, *args)
-        peak.append(sum(pinv.nbytes for _, _, pinv in dictionary._refits.values()))
+        peak.append(sum(pinv.nbytes for pinv in dictionary._refits.values()))
         return out
 
     monkeypatch.setattr(pursuit, "_refits", bounded)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bomp_oracle, omp_oracle, somp_oracle
+from oracles import bomp_oracle, class_residuals_oracle, omp_oracle, somp_oracle
 from specangle.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -14,7 +14,6 @@ from specangle.pursuit import (
     class_residuals,
     residual_by_class,
     sbomp,
-    selection_score,
 )
 
 
@@ -25,30 +24,6 @@ def width1_dictionary(atoms, classes=None):
     return BlockDictionary(
         blocks=tuple(atoms[:, i : i + 1] for i in range(n)), classes=classes
     )
-
-
-class TestSelectionScore:
-    def test_single_column(self):
-        a = np.array([1.0, 2.0, -1.0])
-        r = np.array([0.5, 1.0, 3.0])
-        assert selection_score(a[:, None], r[:, None]) == pytest.approx(
-            abs(a @ r), abs=1e-15
-        )
-
-    def test_row_norms_sum(self):
-        # G = Ai^t R = [[3, 4], [0, 0]], row l2 norms 5 and 0
-        Ai = np.eye(2)
-        R = np.array([[3.0, 4.0], [0.0, 0.0]])
-        assert selection_score(Ai, R) == 5.0
-
-    def test_zero_residual(self):
-        rng = np.random.default_rng(0)
-        Ai = rng.standard_normal((4, 3))
-        assert selection_score(Ai, np.zeros((4, 2))) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            selection_score(np.ones((3, 1)), np.ones((4, 1)))
 
 
 class TestSbomp:
@@ -91,19 +66,35 @@ class TestSbomp:
             np.testing.assert_allclose(sol.coefficients, coef, atol=1e-8)
 
     def test_matches_bomp_oracle(self):
+        """Block OMP on one column, then the block-simultaneous case that
+        predict runs: blocks of mixed widths against matrix targets, several
+        of different widths in one class_residuals stack. d >= 12 keeps every
+        support of up to 3 blocks of width <= 4 full rank."""
         rng = np.random.default_rng(102)
-        for _ in range(50):
-            ddim = int(rng.integers(6, 12))
+        for simultaneous in [False] * 50 + [True] * 50:
+            ddim = int(rng.integers(12, 17) if simultaneous else rng.integers(6, 12))
             n = int(rng.integers(3, 7))
-            widths = rng.integers(1, 4, size=n)
-            K = int(rng.integers(1, 3))
+            widths = rng.integers(1, 5 if simultaneous else 4, size=n)
+            K = int(rng.integers(1, 4 if simultaneous else 3))
             blocks = [rng.standard_normal((ddim, int(m))) for m in widths]
-            s = rng.standard_normal(ddim)
-            d = BlockDictionary(blocks=tuple(blocks), classes=np.ones(n, dtype=int))
-            sol = sbomp(d, s, K)
-            support, coef = bomp_oracle(blocks, s, K)
-            assert list(sol.support) == support
-            np.testing.assert_allclose(sol.coefficients[:, 0], coef, atol=1e-8)
+            if simultaneous:
+                classes = rng.integers(1, 4, size=n)
+                tests = [rng.standard_normal((ddim, int(w))) for w in rng.integers(2, 5, size=3)]
+            else:
+                classes = np.ones(n, dtype=int)
+                tests = [rng.standard_normal((ddim, 1))]
+            d = BlockDictionary(blocks=tuple(blocks), classes=classes)
+            S = np.zeros((len(tests), ddim, max(T.shape[1] for T in tests)))
+            expected = []
+            for i, T in enumerate(tests):
+                S[i, :, : T.shape[1]] = T
+                sol = sbomp(d, T, K)
+                support, coef = bomp_oracle(blocks, T, K)
+                assert list(sol.support) == support
+                np.testing.assert_allclose(sol.coefficients, coef, atol=1e-8)
+                res = class_residuals_oracle(blocks, classes, T, support, coef)
+                expected.append([res[c] for c in d.class_ids])
+            np.testing.assert_allclose(class_residuals(d, S, K), expected, atol=1e-8)
 
     def test_residual_monotone_and_history(self):
         rng = np.random.default_rng(103)
