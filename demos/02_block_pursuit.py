@@ -57,8 +57,7 @@ train = SampleSet(
 )
 x = blocks[4][:, 0] * 3.0  # scaled copy of a class-2 atom
 nn = nn_cosine_classify(train, x)
-print(f"\ncosine NN on a scaled class-2 atom: label {nn.label}, "
-      f"scores {dict((k, round(v, 3)) for k, v in nn.per_class_scores.items())}")
+print(f"\ncosine NN on a scaled class-2 atom: label {nn.label}, tie broken {nn.tie_broken}")
 
 # Width-1 everything reduces the engine to textbook OMP: one atom per block.
 atoms = rng.standard_normal((8, 5))

@@ -8,11 +8,7 @@ pursuit over spatial-neighborhood dictionaries. A repeated random-subsampling
 harness reproduces the standard evaluation protocol at desk scale.
 """
 
-from .affinity import (
-    AffinityMatrix,
-    heat_kernel_affinity,
-    median_heuristic_sigma,
-)
+from .affinity import median_heuristic_sigma
 from .classify import Prediction, nn_cosine_classify
 from .data import (
     GroundTruth,
@@ -46,7 +42,6 @@ from .projections import (
     fit_lpp,
     fit_lspp,
     fit_slspp,
-    lada_weights,
     project,
 )
 from .pursuit import (
@@ -59,8 +54,6 @@ from .pursuit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix",
-    "heat_kernel_affinity",
     "median_heuristic_sigma",
     "Prediction",
     "nn_cosine_classify",
@@ -93,7 +86,6 @@ __all__ = [
     "fit_lpp",
     "fit_lspp",
     "fit_slspp",
-    "lada_weights",
     "project",
     "BlockDictionary",
     "SparseSolution",

@@ -1,27 +1,22 @@
 """Heat-kernel affinity graphs over sample sets.
 
 The affinity between two spectra is exp(-||x_i - x_j||^2 / sigma). The fits
-never store the pairwise distances: ``_distance_blocks`` computes them from
-Gram blocks a block of rows at a time, ``heat_kernel_products`` streams
-X W X^t and the degrees from those blocks, and ``_bandwidth`` resolves
-every default bandwidth, the median of the positive distances, selected
-exactly, usually from one streamed pass bracketed by a sample of pairs.
-Every graph takes this path whatever its size. ``heat_kernel_affinity``
-builds the dense matrix from ``pdist`` with the fits' bandwidth, the
-reference the tests check the streamed products against.
+never store the pairwise distances or the weights: ``_distance_blocks``
+computes the distances from Gram blocks a block of rows at a time,
+``heat_kernel_products`` streams X W X^t and the degrees from those blocks,
+and ``_bandwidth`` resolves every bandwidth, the median of the positive
+distances by default, selected exactly, usually from one streamed pass
+bracketed by a sample of pairs. Every graph takes this path whatever its
+size. The dense weight matrix the tests check the products against lives in
+``tests/oracles.py``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .data import _philox, chunk_pixels
 from .errors import NonFiniteError, NonPositiveSigmaError, TooFewSamplesError
 
 __all__ = [
-    "AffinityMatrix",
-    "heat_kernel_affinity",
     "heat_kernel_products",
     "median_heuristic_sigma",
 ]
@@ -30,29 +25,6 @@ __all__ = [
 _HISTOGRAM_BITS = 19
 # Standard errors of the sample median on either side of the sampled bracket.
 _BRACKET_Z = 4.0
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Dense pairwise heat-kernel weights.
-
-    weights is symmetric with unit diagonal; sigma is the bandwidth used
-    (squared-reflectance units).
-    """
-
-    weights: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        W = self.weights
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"weights must be square, got shape {W.shape}")
-        if not np.array_equal(W, W.T):
-            raise ValueError("weights must be symmetric")
-        if not np.all(np.diag(W) == 1.0):
-            raise ValueError("diagonal entries must be exactly 1")
-        if np.any(W < 0.0) or np.any(W > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
 
 
 def _features_of(X):
@@ -64,43 +36,6 @@ def _features_of(X):
     if not np.all(np.isfinite(F)):
         raise NonFiniteError("samples contain NaN or Inf")
     return F
-
-
-def heat_kernel_affinity(X, sigma=None):
-    """Dense heat-kernel affinity matrix over the samples of X.
-
-    The reference the streamed products are checked against: its weights
-    come from the distances of ``scipy.spatial.distance.pdist``, so they may
-    differ from the fits' Gram-block distances in the last bits. Its
-    bandwidth is the fits' own (see ``_bandwidth``).
-
-    Parameters
-    ----------
-    X : SampleSet or (d, n) array_like
-        Columns are samples.
-    sigma : float, optional
-        Bandwidth, > 0. Distances are taken in raw spectral space. None means
-        the median of the positive pairwise squared distances (1.0 when every
-        pair coincides), exactly as the fits and ``median_heuristic_sigma``
-        select it.
-
-    Returns
-    -------
-    AffinityMatrix
-        Its ``sigma`` is the bandwidth used, the resolved median when sigma
-        was None.
-    """
-    F = _features_of(X)
-    if F.shape[1] < 1:
-        raise TooFewSamplesError("need at least one sample")
-    sigma = _bandwidth(F, sigma)
-    # pdist computes each unordered pair once, so the squareform is exactly
-    # symmetric; the kernel is applied in place on the condensed vector.
-    d2 = pdist(F.T, metric="sqeuclidean")
-    d2 /= -sigma
-    W = squareform(np.exp(d2, out=d2))
-    np.fill_diagonal(W, 1.0)
-    return AffinityMatrix(weights=W, sigma=sigma)
 
 
 def _distance_blocks(X):
@@ -298,7 +233,17 @@ def _streamed_median(X):
 def _bandwidth(X, sigma):
     """The heat-kernel bandwidth over the columns of X: sigma itself,
     checked, or the median of the positive squared distances when it is
-    None (see ``_streamed_median``)."""
+    None (see ``_streamed_median``).
+
+    Every graph resolves its bandwidth here before its first distance pass,
+    so the distances are checked here too: no squared distance exceeds
+    4 max |x|^2, and a column for which that bound is not finite raises
+    NonFiniteError.
+    """
+    with np.errstate(over="ignore"):
+        bound = 4.0 * np.einsum("ij,ij->j", X, X)
+    if not np.all(np.isfinite(bound)):
+        raise NonFiniteError("squared distances between samples overflow")
     if sigma is None:
         return _streamed_median(X)
     # Written so that NaN fails too.
@@ -312,8 +257,9 @@ def heat_kernel_products(X, sigma):
     X, without forming W.
 
     W = exp(-D / sigma) with a unit diagonal, D the squared distances of one
-    ``_distance_blocks`` pass over X. Returns ``(X W X^t, degrees)``, the
-    degrees being the row sums of W.
+    ``_distance_blocks`` pass over X, and sigma a bandwidth that
+    ``_bandwidth`` has resolved over X, so every weight lies in [0, 1].
+    Returns ``(X W X^t, degrees)``, the degrees being the row sums of W.
 
     Each block U of strict upper-triangle weights adds
     C += X[:, rows] (U X[:, first row:]^t); then X W X^t = C + C^t + X X^t.
@@ -323,10 +269,6 @@ def heat_kernel_products(X, sigma):
     for lo, U in _distance_blocks(X):
         rows = U.shape[0]
         U /= -sigma
-        # Weights lie in [0, 1] exactly when their exponents are <= 0 (NaN
-        # fails too).
-        if not U.max() <= 0.0:
-            raise ValueError("weights must lie in [0, 1]")
         np.exp(U, out=U)
         U[:, :rows][np.tri(rows, dtype=bool)] = 0.0
         degrees[lo : lo + rows] += U.sum(axis=1)

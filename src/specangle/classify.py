@@ -3,12 +3,12 @@ and a nearest-neighbor baseline with cosine angle distance.
 
 All tie-breaks pick the lowest id (class id or training index). The
 ``*_labels`` functions label a whole chunk of pixels at once;
-``nn_cosine_classify`` is the cosine rule for one pixel, with its evidence
-and whether a tie was broken in the returned Prediction.
+``nn_cosine_classify`` is the cosine rule for one pixel, through the same
+``_nearest`` as ``nn_cosine_labels``, and returns its label and whether a
+tie was broken.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,10 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Prediction:
-    """A class label plus the per-class evidence it was derived from."""
+    """A class label, and whether a tie for it was broken to the lowest id."""
 
     label: int
-    per_class_scores: Optional[dict] = None
     tie_broken: bool = False
 
 
@@ -106,10 +105,4 @@ def nn_cosine_classify(train, x):
     cosines, best = _nearest(train, training_norms(train), x[:, None])
     cosines, best = cosines[0], int(best[0])
     tied = int(np.count_nonzero(cosines == cosines[best])) > 1
-    scores = {
-        int(cls): float(cosines[train.labels == cls].max())
-        for cls in np.unique(train.labels)
-    }
-    return Prediction(
-        label=int(train.labels[best]), per_class_scores=scores, tie_broken=tied
-    )
+    return Prediction(label=int(train.labels[best]), tie_broken=tied)

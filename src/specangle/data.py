@@ -369,6 +369,24 @@ def _window_offsets(window):
     return offsets
 
 
+def _pixels_inside(cube, coords, what):
+    """coords as a (P, 2) int64 array, each pixel checked to lie in the image.
+
+    The first pixel outside raises OutOfBoundsError, which names it as
+    ``what`` and sets ``index`` to its position.
+    """
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    outside = ((coords < 0) | (coords >= (cube.rows, cube.cols))).any(axis=1)
+    if outside.any():
+        i = int(outside.argmax())
+        exc = OutOfBoundsError(
+            f"{what} ({coords[i, 0]}, {coords[i, 1]}) outside {cube.rows}x{cube.cols} image"
+        )
+        exc.index = i
+        raise exc
+    return coords
+
+
 def _window_members(cube, centers, window):
     """Member coordinates of the window x window box around each centre.
 
@@ -378,18 +396,9 @@ def _window_members(cube, centers, window):
     """
     if window < 1 or window % 2 == 0:
         raise EvenWindowError(f"window must be odd and >= 1, got {window}")
-    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
-    shape = np.array([cube.rows, cube.cols])
-    outside = ((centers < 0) | (centers >= shape)).any(axis=1)
-    if outside.any():
-        i = int(outside.argmax())
-        exc = OutOfBoundsError(
-            f"center ({centers[i, 0]}, {centers[i, 1]}) outside {cube.rows}x{cube.cols} image"
-        )
-        exc.index = i
-        raise exc
+    centers = _pixels_inside(cube, centers, "center")
     members = centers[:, None, :] + _window_offsets(window)
-    inside = ((members >= 0) & (members < shape)).all(axis=2)
+    inside = ((members >= 0) & (members < (cube.rows, cube.cols))).all(axis=2)
     return members, inside
 
 
@@ -416,8 +425,12 @@ def neighborhood_spectra(cube, centers, window):
 
 
 def pixels_to_sample_set(cube, coords, gt=None):
-    """Gather the spectra at coords into a SampleSet, with labels if gt given."""
-    idx = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    """Gather the spectra at coords into a SampleSet, with labels if gt given.
+
+    A pixel outside the image raises OutOfBoundsError with ``index`` set to
+    the first such pixel.
+    """
+    idx = _pixels_inside(cube, coords, "pixel")
     feats = cube.values[idx[:, 0], idx[:, 1]].T
     labels = gt.labels[idx[:, 0], idx[:, 1]] if gt is not None else None
     return SampleSet(features=feats, labels=labels, coords=idx)

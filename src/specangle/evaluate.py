@@ -10,7 +10,6 @@ splits paired across sweep points.
 
 import itertools
 import json
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -99,15 +98,14 @@ class ExperimentConfig:
 class AccuracyReport:
     """Aggregated outcome of one experiment.
 
+    ``params`` is the config as ``ExperimentConfig.params`` gives it;
     ``confusions`` stacks one (c, c) matrix per trial, rows true class,
-    columns predicted; every row sums to that class's test count. Wall-clock
-    runtimes are kept for inspection but excluded from the canonical JSON so
-    identical runs serialize byte-identically.
+    columns predicted, and every row sums to that class's test count. The
+    report holds nothing else, so identical runs serialize byte-identically.
     """
 
     params: dict
     confusions: np.ndarray
-    runtimes: tuple = ()
 
     @property
     def n_classes(self):
@@ -176,11 +174,16 @@ def projected_block(proj, cube, coord, window):
 
 
 def _label_chunk(label, coords):
-    """label(coords), or the error of the first failing pixel in coords."""
+    """label(coords), or the error of the first failing pixel in coords.
+
+    An error that names no pixel (its ``index`` is None) is raised as it is.
+    """
     try:
         return label(coords)
     except SpecAngleError as exc:
-        i = exc.index or 0
+        i = exc.index
+        if i is None:
+            raise
         if i:
             # A pixel before the one that failed may still fail later on.
             _label_chunk(label, coords[:i])
@@ -249,9 +252,7 @@ def run_experiment(cube, gt, config):
     c = gt.n_classes
     work_cube = l2_normalize_pixels(cube) if config.normalize else cube
     confusions = np.zeros((config.trials, c, c), dtype=np.int64)
-    runtimes = []
     for trial in range(config.trials):
-        t0 = time.perf_counter()
         try:
             train_coords, test_coords = split_train_test(
                 gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
@@ -263,10 +264,7 @@ def run_experiment(cube, gt, config):
         except SpecAngleError as exc:
             exc.args = (f"trial {trial}: {exc}",)
             raise
-        runtimes.append(time.perf_counter() - t0)
-    return AccuracyReport(
-        params=config.params(), confusions=confusions, runtimes=tuple(runtimes)
-    )
+    return AccuracyReport(params=config.params(), confusions=confusions)
 
 
 def sweep(cube, gt, config, axes):

@@ -41,8 +41,6 @@ from .linalg import gen_eig_desc, sym_eig_desc
 
 __all__ = [
     "Projection",
-    "ClassStats",
-    "ScatterMatrices",
     "DEFAULT_RIDGE",
     "METHODS",
     "fit_lspp",
@@ -53,7 +51,6 @@ __all__ = [
     "project",
     "class_stats",
     "ada_scatter",
-    "lada_weights",
     "slspp_context_matrix",
 ]
 
@@ -133,6 +130,8 @@ class Projection:
             }
         except ValueError as exc:
             raise MalformedHeaderError(f"unparsable projection header: {exc}") from exc
+        if min(d, r) < 1:
+            raise MalformedHeaderError(f"projection dimensions must be positive, got {d}x{r}")
         try:
             values = [float(tok) for ln in lines[1:] for tok in ln.split()]
         except ValueError as exc:
@@ -253,23 +252,6 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
 # Supervised fits
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Per-class means and counts plus the global mean."""
-
-    class_means: np.ndarray  # (c, d)
-    global_mean: np.ndarray  # (d,)
-    class_counts: np.ndarray  # (c,)
-
-
-@dataclass(frozen=True)
-class ScatterMatrices:
-    """Raw within/between outer-product matrices, before symmetrization."""
-
-    within: np.ndarray
-    between: np.ndarray
-
-
 def _labeled_features(X):
     if not isinstance(X, SampleSet) or X.labels is None:
         raise ValueError("supervised fits need a labeled SampleSet")
@@ -277,7 +259,8 @@ def _labeled_features(X):
 
 
 def class_stats(features, labels):
-    """Class means, counts and the global mean for contiguous labels 1..c."""
+    """Class means (c, d), the global mean (d,) and the class counts (c,)
+    for contiguous labels 1..c."""
     labels = np.asarray(labels)
     if labels.size and labels.min() < 1:
         raise ValueError("training labels must be >= 1")
@@ -294,49 +277,25 @@ def class_stats(features, labels):
             raise EmptyClassError(f"class {l} has no samples")
         means[l - 1] = features[:, mask].mean(axis=1)
     global_mean = (counts[:, None] * means).sum(axis=0) / n
-    return ClassStats(class_means=means, global_mean=global_mean, class_counts=counts)
+    return means, global_mean, counts
 
 
 def ada_scatter(features, labels):
-    """Raw angular within/between matrices.
+    """Raw angular within and between matrices, before symmetrization.
 
     within  = sum over classes l, samples i in l of mu_l x_i^t
     between = sum over classes l of n_l * mu mu_l^t
     """
-    stats = class_stats(features, labels)
+    means, global_mean, counts = class_stats(features, labels)
     labels = np.asarray(labels)
     d = features.shape[0]
     within = np.zeros((d, d))
     between = np.zeros((d, d))
-    for l in range(1, len(stats.class_counts) + 1):
-        mu_l = stats.class_means[l - 1]
+    for l in range(1, len(counts) + 1):
         class_sum = features[:, labels == l].sum(axis=1)
-        within += np.outer(mu_l, class_sum)
-        between += stats.class_counts[l - 1] * np.outer(stats.global_mean, mu_l)
-    return ScatterMatrices(within=within, between=between)
-
-
-def lada_weights(labels, affinity):
-    """Locality-weighted within/between pair weights.
-
-    For a same-class pair of class l: within = A_ij / n_l and
-    between = A_ij * (1/n - 1/n_l); for a different-class pair the within
-    weight is 0 and the between weight is 1/n regardless of A_ij. affinity
-    is the (n, n) weight array A, such as ``AffinityMatrix.weights``.
-    """
-    labels = np.asarray(labels)
-    A = np.asarray(affinity, dtype=float)
-    n = labels.size
-    if A.shape != (n, n):
-        raise DimensionMismatchError(
-            f"affinity shape {A.shape} does not match {n} labels"
-        )
-    counts = np.bincount(labels, minlength=int(labels.max(initial=0)) + 1)
-    inv_nl = 1.0 / counts[labels]  # per sample, 1/n_l of its own class
-    same = labels[:, None] == labels[None, :]
-    w_within = np.where(same, A * inv_nl[None, :], 0.0)
-    w_between = np.where(same, A * (1.0 / n - inv_nl[None, :]), 1.0 / n)
-    return w_within, w_between
+        within += np.outer(means[l - 1], class_sum)
+        between += counts[l - 1] * np.outer(global_mean, means[l - 1])
+    return within, between
 
 
 def _discriminant_fit(between, within, r, d, c, ridge, method, fit_params):
@@ -359,21 +318,25 @@ def fit_ada(X, r=None, ridge=DEFAULT_RIDGE):
     min(d, c - 1).
     """
     features, labels = _labeled_features(X)
-    sc = ada_scatter(features, labels)
+    within, between = ada_scatter(features, labels)
     c = int(labels.max())
     return _discriminant_fit(
-        sc.between, sc.within, r, features.shape[0], c, ridge,
+        between, within, r, features.shape[0], c, ridge,
         "ada", {"ridge": float(ridge)},
     )
 
 
 def _lada_scatter(features, labels, sigma):
-    """Raw LADA within/between matrices, X W X^t with the ``lada_weights``
-    weights, and the resolved sigma.
+    """Raw LADA within and between matrices, before symmetrization, and the
+    resolved sigma.
 
-    Off-class pairs weigh 1/n whatever their affinity, so only the
-    same-class graphs are formed: with A_l = X_l W_l X_l^t, s = X 1 and
-    s_l = X_l 1, within = sum_l A_l / n_l and
+    Both are X W X^t over pair weights. A same-class pair (i, j) of class l
+    with heat-kernel affinity A_ij weighs A_ij / n_l within and
+    A_ij (1/n - 1/n_l) between; a pair of two classes weighs 0 within and
+    1/n between, whatever its affinity. ``tests/oracles.lada_weights``
+    builds these dense (n, n) weights. Only the same-class graphs are
+    formed: with A_l = X_l W_l X_l^t, s = X 1 and s_l = X_l 1,
+    within = sum_l A_l / n_l and
     between = sum_l (1/n - 1/n_l) A_l + (s s^t - sum_l s_l s_l^t) / n.
     """
     d, n = features.shape
@@ -390,22 +353,24 @@ def _lada_scatter(features, labels, sigma):
         same_class_sums += np.outer(s_l, s_l)
     s = features.sum(axis=1)
     between += (np.outer(s, s) - same_class_sums) / n
-    return ScatterMatrices(within=within, between=between), sigma
+    return within, between, sigma
 
 
 def fit_lada(X, r=None, sigma=None, ridge=DEFAULT_RIDGE):
     """Locality-aware angular discriminant projection.
 
-    Pairwise heat-kernel affinities modulate the class structure: the scatter
-    matrices become X W X^t with the weights of ``lada_weights``, formed from
-    the same-class graphs only.
+    Pairwise heat-kernel affinities modulate the class structure: a
+    same-class pair of class l weighs its affinity over n_l within and its
+    affinity times (1/n - 1/n_l) between, a pair of two classes 0 within and
+    1/n between (see ``_lada_scatter``; the dense weights are
+    ``tests/oracles.lada_weights``). Only the same-class graphs are formed.
     """
     features, labels = _labeled_features(X)
     class_stats(features, labels)  # validates class structure
-    sc, sigma = _lada_scatter(features, labels, sigma)
+    within, between, sigma = _lada_scatter(features, labels, sigma)
     c = int(labels.max())
     return _discriminant_fit(
-        sc.between, sc.within, r, features.shape[0], c, ridge,
+        between, within, r, features.shape[0], c, ridge,
         "lada", {"sigma": sigma, "ridge": float(ridge)},
     )
 

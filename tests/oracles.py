@@ -3,10 +3,46 @@
 Everything here is written from scratch against the algorithm definitions,
 using numpy's SVD-based lstsq rather than the package's QR path, so support
 sets, coefficients and objectives can be cross-checked between two unrelated
-code paths.
+code paths. The dense graph references (``heat_kernel_affinity``,
+``lada_weights``) hold the n x n weights that the package streams and never
+forms, with distances from scipy's ``pdist`` rather than the package's Gram
+blocks.
 """
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
+
+
+def heat_kernel_affinity(X, sigma):
+    """Dense heat-kernel weights exp(-||x_i - x_j||^2 / sigma) between the
+    columns of X, (n, n) with a unit diagonal.
+
+    pdist computes each unordered pair once, so the matrix is exactly
+    symmetric. Its distances may differ from the package's Gram-block
+    distances in the last bits.
+    """
+    W = squareform(np.exp(-pdist(np.asarray(X, dtype=float).T, "sqeuclidean") / sigma))
+    np.fill_diagonal(W, 1.0)
+    return W
+
+
+def lada_weights(labels, affinity):
+    """Locality-weighted within/between pair weights, each (n, n).
+
+    For a same-class pair of class l: within = A_ij / n_l and
+    between = A_ij * (1/n - 1/n_l); for a different-class pair the within
+    weight is 0 and the between weight is 1/n regardless of A_ij. affinity
+    is the (n, n) weight array A.
+    """
+    labels = np.asarray(labels)
+    A = np.asarray(affinity, dtype=float)
+    n = labels.size
+    counts = np.bincount(labels)
+    inv_nl = 1.0 / counts[labels]  # per sample, 1/n_l of its own class
+    same = labels[:, None] == labels[None, :]
+    w_within = np.where(same, A * inv_nl[None, :], 0.0)
+    w_between = np.where(same, A * (1.0 / n - inv_nl[None, :]), 1.0 / n)
+    return w_within, w_between
 
 
 def omp_oracle(atoms, s, K):

@@ -19,6 +19,7 @@ from oracles import (
     bomp_oracle,
     grid_best_direction,
     graph_pencil_bruteforce,
+    lada_weights,
     omp_oracle,
     slspp_matrix_bruteforce,
     somp_oracle,
@@ -27,7 +28,7 @@ import specangle
 from specangle.data import HyperCube, load_cube, load_ground_truth, synth_scene
 from specangle.evaluate import ExperimentConfig, run_experiment, sweep
 from specangle.linalg import gen_eig_desc, least_squares, regularized, sym_eig_desc
-from specangle.projections import fit_lpp, fit_lspp, fit_slspp, lada_weights
+from specangle.projections import fit_lpp, fit_lspp, fit_slspp
 from specangle.pursuit import BlockDictionary, sbomp
 
 

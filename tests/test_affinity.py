@@ -2,33 +2,39 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from oracles import heat_kernel_affinity
 from specangle import affinity, data
-from specangle.affinity import heat_kernel_affinity, heat_kernel_products, median_heuristic_sigma
+from specangle.affinity import heat_kernel_products, median_heuristic_sigma
+from specangle.data import HyperCube, pixels_to_sample_set, split_train_test, synth_scene
 from specangle.errors import NonFiniteError, NonPositiveSigmaError, TooFewSamplesError
+from specangle.evaluate import ExperimentConfig
+from specangle.projections import METHODS, fit_lspp
 
 
 class TestHeatKernel:
+    """The dense reference the streamed products are checked against, and
+    the package's checks of a kernel's inputs."""
+
     def test_identical_samples(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0]])
         for sigma in (0.1, 1.0, 50.0):
-            W = heat_kernel_affinity(X, sigma).weights
+            W = heat_kernel_affinity(X, sigma)
             assert W[0, 1] == 1.0
 
     def test_unit_distance(self):
         X = np.array([[0.0, 1.0], [0.0, 0.0]])
-        W = heat_kernel_affinity(X, 1.0).weights
+        W = heat_kernel_affinity(X, 1.0)
         assert W[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_distance_two_sigma_two(self):
         X = np.array([[0.0, 1.0], [0.0, 1.0]])
-        W = heat_kernel_affinity(X, 2.0).weights
+        W = heat_kernel_affinity(X, 2.0)
         assert W[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_invariants(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((4, 9))
-        am = heat_kernel_affinity(X, 1.7)
-        W = am.weights
+        W = heat_kernel_affinity(X, 1.7)
         np.testing.assert_array_equal(W, W.T)
         assert np.all(np.diag(W) == 1.0)
         assert np.all(W > 0.0) and np.all(W <= 1.0)
@@ -37,49 +43,63 @@ class TestHeatKernel:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((3, 6))
         shift = rng.standard_normal((3, 1))
-        W0 = heat_kernel_affinity(X, 0.8).weights
-        W1 = heat_kernel_affinity(X + shift, 0.8).weights
+        W0 = heat_kernel_affinity(X, 0.8)
+        W1 = heat_kernel_affinity(X + shift, 0.8)
         np.testing.assert_allclose(W0, W1, atol=1e-12)
 
     def test_permutation_conjugation(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((3, 6))
         perm = rng.permutation(6)
-        W0 = heat_kernel_affinity(X, 1.3).weights
-        W1 = heat_kernel_affinity(X[:, perm], 1.3).weights
+        W0 = heat_kernel_affinity(X, 1.3)
+        W1 = heat_kernel_affinity(X[:, perm], 1.3)
         np.testing.assert_allclose(W1, W0[np.ix_(perm, perm)], atol=1e-15)
 
     def test_sigma_monotonicity(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((4, 7))
-        W_small = heat_kernel_affinity(X, 0.5).weights
-        W_big = heat_kernel_affinity(X, 2.0).weights
+        W_small = heat_kernel_affinity(X, 0.5)
+        W_big = heat_kernel_affinity(X, 2.0)
         off = ~np.eye(7, dtype=bool)
         assert np.all(W_big[off] >= W_small[off])
 
-    def test_default_sigma_is_the_fits_median(self):
-        # pdist's distances round differently from the fits' Gram-block
-        # distances; the reference still takes the fits' bandwidth, bit for
-        # bit, so that it checks the fits at the sigma they resolve.
-        rng = np.random.default_rng(0)
-        F = rng.standard_normal((5, 40)) * rng.uniform(0.5, 2.0, 40)
-        assert heat_kernel_affinity(F).sigma == median_heuristic_sigma(F)
-
     def test_one_sample(self):
-        am = heat_kernel_affinity(np.array([[2.0], [3.0]]))
-        np.testing.assert_array_equal(am.weights, [[1.0]])
-        assert am.sigma == 1.0
+        W = heat_kernel_affinity(np.array([[2.0], [3.0]]), 1.0)
+        np.testing.assert_array_equal(W, [[1.0]])
 
     def test_errors(self):
+        # Checked by the package, before any graph is built.
         X = np.zeros((2, 3))
-        with pytest.raises(NonPositiveSigmaError):
-            heat_kernel_affinity(X, 0.0)
-        with pytest.raises(NonPositiveSigmaError):
-            heat_kernel_affinity(X, -1.0)
-        with pytest.raises(NonPositiveSigmaError):
-            heat_kernel_affinity(X, float("nan"))
+        for sigma in (0.0, -1.0, float("nan")):
+            with pytest.raises(NonPositiveSigmaError):
+                fit_lspp(X, 1, sigma=sigma)
         with pytest.raises(NonFiniteError):
-            heat_kernel_affinity(np.array([[np.inf, 0.0]]), 1.0)
+            median_heuristic_sigma(np.array([[np.inf, 0.0]]))
+
+
+class TestOverflowingDistances:
+    """Finite spectra scaled by 1e160 have squared distances beyond the
+    largest double. Every graph fit resolves its bandwidth first, and that
+    raises NonFiniteError whether sigma is given or the median."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self):
+        cube, gt = synth_scene(12, 12, 10, 3, noise_sd=0.05, patch_size=4, seed=21)
+        cube = HyperCube(values=cube.values * 1e160)
+        train_coords, _ = split_train_test(gt, 6, 0, seed=21)
+        return cube, pixels_to_sample_set(cube, train_coords, gt)
+
+    @pytest.mark.parametrize("sigma", [None, 1.0], ids=["median", "explicit"])
+    @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
+    def test_fit_raises(self, scaled, method, sigma):
+        cube, train = scaled
+        cfg = ExperimentConfig(method=method, r=3, sigma=sigma, window=3)
+        with pytest.raises(NonFiniteError, match="overflow"):
+            METHODS[method](cube, train, cfg)
+
+    def test_median_raises(self, scaled):
+        with pytest.raises(NonFiniteError, match="overflow"):
+            median_heuristic_sigma(scaled[1])
 
 
 class TestMedianHeuristic:

@@ -8,9 +8,11 @@ from oracles import neighborhood_bruteforce
 from specangle import evaluate
 from specangle.cli import main
 from specangle.data import (
+    HyperCube,
     load_cube,
     load_ground_truth,
     pixels_to_sample_set,
+    save_cube,
     split_train_test,
 )
 from specangle.errors import RankDeficientError
@@ -253,6 +255,20 @@ class TestErrors:
         assert main(["eval", *args, "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+    def test_overflowing_distances_are_one_line(self, scene_dir, tmp_path, capsys):
+        cube = load_cube(scene_dir / "cube.csv", "csv_bands")
+        scaled = tmp_path / "scaled.csv"
+        save_cube(scaled, HyperCube(values=cube.values * 1e160), "csv_bands")
+        rc = main([
+            "fit", "--cube", str(scaled), "--gt", str(scene_dir / "gt.csv"),
+            "--method", "lspp", "--out", str(tmp_path / "proj.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteError: squared distances between samples overflow")
         assert err.count("error:") == 1
         assert "Traceback" not in err
 

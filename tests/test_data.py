@@ -335,6 +335,14 @@ class TestSampleSets:
         )
         np.testing.assert_array_equal(ss.features[:, 1], cube.values[4, 4])
 
+    @pytest.mark.parametrize("outside", [(-1, 0), (8, 0), (0, -1), (0, 8)])
+    def test_pixels_outside_the_image_raise(self, outside):
+        cube, gt = synth_scene(8, 8, 6, 2, noise_sd=0.0, patch_size=4, seed=1)
+        message = rf"pixel \({outside[0]}, {outside[1]}\) outside 8x8 image"
+        with pytest.raises(OutOfBoundsError, match=message) as info:
+            pixels_to_sample_set(cube, [(0, 0), outside, (9, 9)], gt)
+        assert info.value.index == 1
+
     def test_l2_normalize(self):
         cube, _ = synth_scene(6, 6, 5, 2, noise_sd=0.1, patch_size=3, seed=2)
         unit = l2_normalize_pixels(cube)

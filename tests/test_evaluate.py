@@ -9,6 +9,7 @@ from specangle.errors import (
     InsufficientSamplesError,
     RankDeficientError,
     ReducedDimTooSmallError,
+    SpecAngleError,
 )
 from specangle.evaluate import (
     AccuracyReport,
@@ -74,7 +75,6 @@ class TestRunExperiment:
         rep = run_experiment(cube, gt, cfg)
         assert rep.confusions.shape == (10, 3, 3)
         np.testing.assert_array_equal(rep.confusions.sum(axis=2), 15)
-        assert len(rep.runtimes) == 10
 
     def test_accuracy_recomputable_from_confusions(self, scene):
         cube, gt = scene
@@ -134,6 +134,17 @@ class TestFirstFailure:
         np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:3]), [0, 1, 2])
         with pytest.raises(RankDeficientError, match=r"^pixel \(3, 4\): collinear$"):
             evaluate._label_chunk(label, coords)
+
+    def test_error_of_no_pixel_names_none(self, scene):
+        # K is checked for the whole chunk, so the error has no index.
+        cube, gt = scene
+        cfg = ExperimentConfig(
+            method="slspp", classifier="sbomp", r=10, window=3, sparsity=100,
+            n_train=5, n_test=10, trials=1,
+        )
+        with pytest.raises(SpecAngleError) as info:
+            run_experiment(cube, gt, cfg)
+        assert str(info.value) == "trial 0: K must be in [1, 15], got 100"
 
 
 class TestSweep:

@@ -4,9 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import grid_best_direction, graph_pencil_bruteforce, slspp_matrix_bruteforce
+from oracles import (
+    graph_pencil_bruteforce,
+    grid_best_direction,
+    heat_kernel_affinity,
+    lada_weights,
+    slspp_matrix_bruteforce,
+)
 from specangle import affinity, data
-from specangle.affinity import heat_kernel_affinity, median_heuristic_sigma
+from specangle.affinity import median_heuristic_sigma
 from specangle.data import HyperCube, SampleSet, pixels_to_sample_set, split_train_test, synth_scene
 from specangle.errors import (
     DimensionMismatchError,
@@ -33,7 +39,6 @@ from specangle.projections import (
     fit_lpp,
     fit_lspp,
     fit_slspp,
-    lada_weights,
     project,
     slspp_context_matrix,
 )
@@ -120,7 +125,7 @@ class TestLpp:
     def test_two_sample_laplacian_elementwise(self):
         X = np.array([[0.0, 1.0], [0.0, 0.0]])
         sigma = 2.0
-        W = heat_kernel_affinity(X, sigma).weights
+        W = heat_kernel_affinity(X, sigma)
         D = np.diag(W.sum(axis=1))
         w12 = np.exp(-1.0 / sigma)
         np.testing.assert_allclose(D - W, [[w12, -w12], [-w12, w12]], atol=1e-15)
@@ -261,24 +266,22 @@ class TestAda:
     def test_one_sample_per_class_within(self):
         x1 = np.array([1.0, 0.0])
         x2 = np.array([0.0, 1.0])
-        sc = ada_scatter(np.stack([x1, x2], axis=1), np.array([1, 2]))
-        np.testing.assert_allclose(sc.within, np.outer(x1, x1) + np.outer(x2, x2))
+        within, _ = ada_scatter(np.stack([x1, x2], axis=1), np.array([1, 2]))
+        np.testing.assert_allclose(within, np.outer(x1, x1) + np.outer(x2, x2))
 
     def test_between_rank_one_identity(self):
         # the between matrix always collapses to n * mu mu^t
         rng = np.random.default_rng(60)
         X = rng.standard_normal((3, 12))
         labels = np.array([1, 2, 3] * 4)
-        sc = ada_scatter(X, labels)
+        _, between = ada_scatter(X, labels)
         mu = X.mean(axis=1)
-        np.testing.assert_allclose(sc.between, 12 * np.outer(mu, mu), atol=1e-12)
+        np.testing.assert_allclose(between, 12 * np.outer(mu, mu), atol=1e-12)
 
     def test_between_example_pre_symmetrization(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        sc = ada_scatter(X, np.array([1, 2]))
-        np.testing.assert_allclose(
-            sc.between, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
-        )
+        _, between = ada_scatter(X, np.array([1, 2]))
+        np.testing.assert_allclose(between, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_single_class_raises(self):
         X = np.ones((2, 3))
@@ -309,10 +312,8 @@ class TestAda:
         F = rng.standard_normal((4, 16))
         labels = np.array([1, 2] * 8)
         perm = rng.permutation(16)
-        sc1 = ada_scatter(F, labels)
-        sc2 = ada_scatter(F[:, perm], labels[perm])
-        np.testing.assert_allclose(sc1.within, sc2.within, atol=1e-12)
-        np.testing.assert_allclose(sc1.between, sc2.between, atol=1e-12)
+        for m1, m2 in zip(ada_scatter(F, labels), ada_scatter(F[:, perm], labels[perm])):
+            np.testing.assert_allclose(m1, m2, atol=1e-12)
         p1 = fit_ada(SampleSet(features=F, labels=labels), r=2)
         p2 = fit_ada(SampleSet(features=F[:, perm], labels=labels[perm]), r=2)
         np.testing.assert_allclose(p1.eigenvalues, p2.eigenvalues, atol=1e-8)
@@ -346,7 +347,7 @@ class TestLada:
         rng = np.random.default_rng(63)
         F = rng.standard_normal((3, 8))
         labels = np.array([1, 1, 1, 1, 2, 2, 2, 2])
-        A = heat_kernel_affinity(F, 1.0).weights
+        A = heat_kernel_affinity(F, 1.0)
         w_within, w_between = lada_weights(labels, A)
         O_lw = F @ w_within @ F.T
         O_lb = F @ w_between @ F.T
@@ -467,6 +468,10 @@ class TestPersistence:
         path.write_text("nope 2 1 - - -\n1\n2\n3\n")
         with pytest.raises(MalformedHeaderError):
             Projection.load(path)
+        for header in ("lspp 0 2 - - -", "lspp -1 -1 - - -"):
+            path.write_text(header + "\n1 2\n")
+            with pytest.raises(MalformedHeaderError, match="dimensions must be positive"):
+                Projection.load(path)
 
 
 class TestDefaultSigma:
@@ -482,7 +487,8 @@ class TestDefaultSigma:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Spy on the distance passes: the column count of each, and no pdist."""
+        """Spy on the distance passes: the column count of each, and no pdist
+        (the package never imports it, but a call would look it up here)."""
         calls = []
         distance_blocks = affinity._distance_blocks
 
@@ -494,7 +500,7 @@ class TestDefaultSigma:
             raise AssertionError("fits must not call pdist")
 
         monkeypatch.setattr(affinity, "_distance_blocks", spy)
-        monkeypatch.setattr(affinity, "pdist", no_pdist)
+        monkeypatch.setattr("scipy.spatial.distance.pdist", no_pdist)
         return calls
 
     @pytest.mark.parametrize("method", METHODS)
@@ -565,8 +571,8 @@ def assert_close(actual, expected, rtol=1e-12):
 
 class TestStreamedGraph:
     """The fits stream X W X^t from the condensed distances a block of rows at
-    a time; they must agree with the dense heat_kernel_affinity and
-    lada_weights reference, whatever the chunking and sample order."""
+    a time; they must agree with the dense references of oracles.py,
+    whatever the chunking and sample order."""
 
     @pytest.fixture
     def chunks(self, monkeypatch):
@@ -598,7 +604,7 @@ class TestStreamedGraph:
 
     @staticmethod
     def dense_pencil(F, sigma):
-        W = heat_kernel_affinity(F, sigma).weights
+        W = heat_kernel_affinity(F, sigma)
         A = F @ W @ F.T
         B = (F * W.sum(axis=1)) @ F.T
         return 0.5 * (A + A.T), 0.5 * (B + B.T)
@@ -638,7 +644,7 @@ class TestStreamedGraph:
 
     @staticmethod
     def dense_scatter(F, labels, sigma):
-        W = heat_kernel_affinity(F, sigma).weights
+        W = heat_kernel_affinity(F, sigma)
         w_within, w_between = lada_weights(labels, W)
         return F @ w_within @ F.T, F @ w_between @ F.T
 
@@ -654,26 +660,26 @@ class TestStreamedGraph:
     )
     def test_lada_scatter_matches_dense(self, chunks, labels, duplicates, sigma):
         F = self.samples(labels.size, 94 + labels.size, duplicates)
-        sc, resolved = _lada_scatter(F, labels, sigma)
+        *scatter, resolved = _lada_scatter(F, labels, sigma)
         if sigma is None:
             assert resolved == median_heuristic_sigma(F)
-        within, between = self.dense_scatter(F, labels, resolved)
-        assert_close(sc.within, within)
-        assert_close(sc.between, between)
+        dense = self.dense_scatter(F, labels, resolved)
+        for actual, expected in zip(scatter, dense):
+            assert_close(actual, expected)
 
     def test_lada_permutation(self, chunks):
         F = self.samples(50, 95, duplicates=5)
         labels = np.arange(50) % 4 + 1
         perm = np.random.default_rng(96).permutation(50)
-        sc, sigma = _lada_scatter(F[:, perm], labels[perm], None)
+        *scatter, _ = _lada_scatter(F[:, perm], labels[perm], None)
         # One pass over the whole graph selects the median, its sampled
         # bracket holding the middle ranks; then each class graph is
         # streamed on its own, in at least 3 blocks.
         assert [m for m, _ in chunks] == [50, 13, 13, 12, 12]
         assert min(len(rows) for _, rows in chunks) >= 3
-        within, between = self.dense_scatter(F, labels, median_heuristic_sigma(F))
-        assert_close(sc.within, within)
-        assert_close(sc.between, between)
+        dense = self.dense_scatter(F, labels, median_heuristic_sigma(F))
+        for actual, expected in zip(scatter, dense):
+            assert_close(actual, expected)
 
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada"])
     def test_peak_memory_linear_in_samples(self, method):

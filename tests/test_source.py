@@ -1,4 +1,5 @@
-"""Static checks over the package source, with the standard library's ast.
+"""Static checks over the package source, with the standard library's ast,
+and over what importing the package loads.
 
 Every import in src/specangle must be referenced in its module or listed in
 its __all__, and every name in an __all__ must be bound at the top level of
@@ -7,11 +8,14 @@ with it, and the public lists cannot name what is gone.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "specangle").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "specangle").glob("*.py"))
 
 
 def imported_names(tree):
@@ -69,3 +73,13 @@ def test_every_export_resolves(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = set(exported_names(tree)) - top_level_names(tree)
     assert not missing, f"{path.name}: __all__ lists unbound names {sorted(missing)}"
+
+
+def test_import_leaves_out_scipy_spatial():
+    # The dense pdist references live in the tests, which import scipy.spatial
+    # themselves; a fresh interpreter shows what the package alone loads.
+    code = "import sys, specangle; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
