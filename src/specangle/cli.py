@@ -229,7 +229,9 @@ def _cmd_classify(args):
     pred = predict(held_out)
 
     lines = ["row,col,true,predicted"]
-    lines.extend(f"{r},{c},{t},{p}" for (r, c), t, p in zip(held_out, true, pred))
+    # Python ints format several times faster than numpy scalars.
+    rows = np.column_stack([held_out, true, pred]).tolist()
+    lines.extend(f"{r},{c},{t},{p}" for r, c, t, p in rows)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     acc = 100.0 * np.count_nonzero(pred == true) / max(len(held_out), 1)
     print(f"wrote {args.out}; held-out accuracy {acc:.1f}% over {len(held_out)} pixels")

@@ -16,6 +16,15 @@ without it the file is read as a single-column image. Floats are written with
 
 Ground truth: a CSV grid of integer class ids (0 = unlabeled) or a
 single-band 8/16-bit ENVI raster.
+
+Memory
+------
+``synth_scene`` and the ENVI paths of ``load_cube`` and ``save_cube`` hold
+one cube plus at most about one ``CHUNK_BYTES`` block: noise is drawn a block
+of rows at a time, a payload is read straight into the cube (converted a
+block of values at a time unless it is native float64), and one is written a
+block at a time in file order. ``HyperCube`` checks finiteness a block of
+rows at a time. The csv formats hold the whole text of the file.
 """
 
 import functools
@@ -76,7 +85,7 @@ class HyperCube:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3 or min(v.shape) < 1:
             raise BadRasterError(f"cube must be (rows, cols, bands), got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not all(np.isfinite(v[block]).all() for block in _row_blocks(v.shape)):
             raise NonFiniteError("cube contains NaN or Inf")
         object.__setattr__(self, "values", v)
 
@@ -212,20 +221,27 @@ def _load_envi(path):
         _find_header(path)
     )
     dtype = np.dtype(("<" if byte_order == 0 else ">") + _ENVI_DTYPES[code])
-    payload = path.read_bytes()
+    size = path.stat().st_size
     expected = rows * cols * bands * dtype.itemsize
-    if len(payload) != expected:
-        raise SizeMismatchError(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
-    flat = np.frombuffer(payload, dtype=dtype)
+    if size != expected:
+        raise SizeMismatchError(f"payload is {size} bytes, header implies {expected}")
+    # Filled in file order, so the cube keeps the file's memory layout:
+    # native float64 directly, any other type converted a block at a time.
+    flat = np.empty(rows * cols * bands)
+    with path.open("rb") as f:
+        if dtype == flat.dtype:
+            f.readinto(flat)
+        else:
+            step = CHUNK_BYTES // flat.itemsize
+            for lo in range(0, flat.size, step):
+                flat[lo : lo + step] = np.fromfile(f, dtype=dtype, count=min(step, flat.size - lo))
     if interleave == "bsq":
         arr = flat.reshape(bands, rows, cols).transpose(1, 2, 0)
     elif interleave == "bil":
         arr = flat.reshape(rows, bands, cols).transpose(0, 2, 1)
     else:  # bip
         arr = flat.reshape(rows, cols, bands)
-    return HyperCube(values=arr.astype(float))
+    return HyperCube(values=arr)
 
 
 def _save_envi(path, values, interleave, dtype, byte_order):
@@ -238,11 +254,17 @@ def _save_envi(path, values, interleave, dtype, byte_order):
     code = _ENVI_CODES[key]
     np_dtype = np.dtype(("<" if byte_order == 0 else ">") + _ENVI_DTYPES[code])
     rows, cols, bands = values.shape
-    if interleave == "bsq":
-        arr = values.transpose(2, 0, 1)
-    else:  # bil
-        arr = values.transpose(0, 2, 1)
-    path.write_bytes(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
+    # The payload in file order, (bands, rows, cols) or (rows, bands, cols),
+    # written in blocks of whole slabs of its first axis when a slab fits the
+    # budget, else of lines of one slab: each block is the next run of bytes.
+    payload = values.transpose((2, 0, 1) if interleave == "bsq" else (0, 2, 1))
+    slabs, lines = payload.shape[:2]
+    per_slab, per_line = chunk_pixels(lines * cols), chunk_pixels(cols)
+    with path.open("wb") as f:
+        for i in range(0, slabs, per_slab):
+            for j in range(0, lines, per_line):
+                block = payload[i : i + per_slab, j : j + per_line]
+                f.write(np.ascontiguousarray(block, dtype=np_dtype))
     header = (
         "ENVI\n"
         f"samples = {cols}\n"
@@ -359,6 +381,13 @@ def chunk_pixels(values_per_pixel):
     return max(1, CHUNK_BYTES // (8 * values_per_pixel))
 
 
+def _row_blocks(shape):
+    """Slices of consecutive rows of a (rows, cols, bands) array, each about
+    CHUNK_BYTES of float64 (one row at least)."""
+    step = chunk_pixels(shape[1] * shape[2])
+    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+
+
 @functools.lru_cache(maxsize=8)
 def _window_offsets(window):
     """Read-only (window**2, 2) member offsets: the centre, then the rest of
@@ -463,17 +492,22 @@ def split_train_test(gt, n_train, n_test, seed):
     """
     rng = _philox(seed)
     train, test = [], []
+    # One stable sort groups the pixels by class, row-major within each.
+    flat = gt.labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(np.bincount(flat, minlength=gt.n_classes + 1))
     for cls in range(1, gt.n_classes + 1):
-        coords = np.argwhere(gt.labels == cls)
-        if len(coords) < n_train + n_test:
+        pixels = order[ends[cls - 1] : ends[cls]]
+        if len(pixels) < n_train + n_test:
             raise InsufficientSamplesError(
-                f"class {cls} has {len(coords)} labeled pixels, "
+                f"class {cls} has {len(pixels)} labeled pixels, "
                 f"needs {n_train + n_test}"
             )
-        perm = rng.permutation(len(coords))
-        train.append(coords[perm[:n_train]])
-        test.append(coords[perm[n_train:n_train + n_test]])
-    return np.concatenate(train), np.concatenate(test)
+        perm = rng.permutation(len(pixels))
+        train.append(pixels[perm[:n_train]])
+        test.append(pixels[perm[n_train:n_train + n_test]])
+    cols = gt.labels.shape[1]
+    return tuple(np.stack(np.divmod(np.concatenate(part), cols), axis=1) for part in (train, test))
 
 
 def class_signatures(bands, classes):
@@ -521,7 +555,12 @@ def synth_scene(rows, cols, bands, classes, noise_sd=0.05, patch_size=6, seed=0)
     sigs = class_signatures(bands, classes)
     rng = _philox(seed)
     jitter = rng.uniform(-0.25, 0.25, size=(rows, cols))
-    values = sigs[labels - 1] * (1.0 + jitter)[:, :, None]
+    values = sigs[labels - 1]
+    values *= (1.0 + jitter)[:, :, None]
     if noise_sd > 0:
-        values = values + rng.normal(0.0, noise_sd, size=(rows, cols, bands))
+        # Consecutive draws continue one stream, so row blocks of noise equal
+        # one draw of the whole cube.
+        for block in _row_blocks(values.shape):
+            rows_of_values = values[block]
+            rows_of_values += rng.normal(0.0, noise_sd, size=rows_of_values.shape)
     return HyperCube(values=values), GroundTruth(labels=labels)

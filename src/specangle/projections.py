@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyClassError,
     MalformedHeaderError,
+    NonFiniteError,
     ReducedDimTooLargeError,
     SingleClassError,
     TooFewSamplesError,
@@ -205,19 +206,40 @@ def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     )
 
 
+def _check_members_bounded(cube, centers, window, Z):
+    """``_bandwidth``'s overflow rule for window spectra Z, as returned by
+    ``neighborhood_spectra``: a member z for which 4 |z|^2 is not finite
+    raises NonFiniteError naming its pixel."""
+    with np.errstate(over="ignore"):
+        bound = 4.0 * np.einsum("pkd,pkd->pk", Z, Z)
+    bad = ~np.isfinite(bound)
+    if bad.any():
+        p, k = np.argwhere(bad)[0]
+        members, inside = _window_members(cube, centers[p : p + 1], window)
+        row, col = members[0][inside[0]][k]
+        raise NonFiniteError(
+            f"pixel ({row}, {col}) in the window of center ({centers[p, 0]}, {centers[p, 1]}): "
+            "squared distances overflow"
+        )
+
+
 def slspp_context_matrix(cube, coords, window, sigma):
     """Sum over pixels i and window neighbors k of W_ik * z_k x_i^t.
 
     W_ik is the heat kernel between the center spectrum x_i and the neighbor
     spectrum z_k; the center belongs to its own neighborhood (W_ii = 1), and
-    windows are truncated at image edges.
+    windows are truncated at image edges. A member for which 4 |z_k|^2 is not
+    finite raises NonFiniteError naming its pixel, as ``_bandwidth`` does for
+    the centers.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     M = np.zeros((cube.bands, cube.bands))
     step = chunk_pixels(window**2 * cube.bands)
     for lo in range(0, len(coords), step):
         # Zero rows past a truncated window add nothing, since their z is 0.
-        Z, _ = neighborhood_spectra(cube, coords[lo : lo + step], window)
+        centers = coords[lo : lo + step]
+        Z, _ = neighborhood_spectra(cube, centers, window)
+        _check_members_bounded(cube, centers, window, Z)
         x = Z[:, 0]
         w = np.exp(-np.sum((Z - x[:, None]) ** 2, axis=2) / sigma)
         M += np.einsum("pk,pkd->dp", w, Z) @ x

@@ -6,7 +6,9 @@ sets, coefficients and objectives can be cross-checked between two unrelated
 code paths. The dense graph references (``heat_kernel_affinity``,
 ``lada_weights``) hold the n x n weights that the package streams and never
 forms, with distances from scipy's ``pdist`` rather than the package's Gram
-blocks.
+blocks. The one-shot data references (``split_train_test_reference``,
+``envi_payload_reference``, ``envi_load_reference``) hold whole arrays where
+the package works a class or a block of rows at a time.
 """
 
 import numpy as np
@@ -214,3 +216,42 @@ def slspp_matrix_bruteforce(cube_values, coords, window, sigma):
                     w = np.exp(-np.sum((x - z) ** 2) / sigma)
                     M += w * np.outer(z, x)
     return M
+
+
+def split_train_test_reference(labels, n_train, n_test, seed):
+    """Per-class splits, one ``argwhere`` scan of the label map per class:
+    row-major coordinates of class 1, 2, ... each permuted by one Philox
+    stream keyed by seed, first n_train to train and next n_test to test.
+    Returns (train, test) as (k, 2) arrays, or raises ValueError naming the
+    class that is too small."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    train, test = [], []
+    for cls in range(1, int(labels.max()) + 1):
+        coords = np.argwhere(labels == cls)
+        if len(coords) < n_train + n_test:
+            raise ValueError(f"class {cls}")
+        perm = rng.permutation(len(coords))
+        train.append(coords[perm[:n_train]])
+        test.append(coords[perm[n_train:n_train + n_test]])
+    return np.concatenate(train), np.concatenate(test)
+
+
+def envi_payload_reference(values, interleave, dtype):
+    """ENVI payload bytes of a (rows, cols, bands) array from one whole-cube
+    conversion; dtype carries the byte order (e.g. '>u2')."""
+    axes = (2, 0, 1) if interleave == "bsq" else (0, 2, 1)
+    return np.ascontiguousarray(values.transpose(axes), dtype=dtype).tobytes()
+
+
+def envi_load_reference(payload, shape, interleave, dtype):
+    """The (row, col, band) float64 cube of an ENVI payload, converted in one
+    ``astype`` of the whole interleaved view (which keeps its memory order)."""
+    rows, cols, bands = shape
+    flat = np.frombuffer(payload, dtype=dtype)
+    if interleave == "bsq":
+        arr = flat.reshape(bands, rows, cols).transpose(1, 2, 0)
+    elif interleave == "bil":
+        arr = flat.reshape(rows, bands, cols).transpose(0, 2, 1)
+    else:
+        arr = flat.reshape(rows, cols, bands)
+    return arr.astype(float)

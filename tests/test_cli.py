@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from specangle.data import (
     load_ground_truth,
     pixels_to_sample_set,
     save_cube,
+    save_ground_truth,
     split_train_test,
+    synth_scene,
 )
 from specangle.errors import RankDeficientError
 from specangle.evaluate import ExperimentConfig, fit_projection
@@ -271,6 +274,34 @@ class TestErrors:
         assert err.startswith("error: NonFiniteError: squared distances between samples overflow")
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+    def test_overflowing_window_member_is_one_line(self, tmp_path, capsys):
+        # A neighbour of a centre that is not a centre itself, so the
+        # bandwidth's check over the centres never sees it.
+        cube, gt = synth_scene(12, 12, 10, 3, seed=0)
+        centers, _ = split_train_test(gt, 3, 0, seed=0)
+        taken = set(map(tuple, centers.tolist()))
+        r, c = centers[0]
+        nb = next((r + i, c + j) for i in (-1, 0, 1) for j in (-1, 0, 1)
+                  if 0 <= r + i < 12 and 0 <= c + j < 12 and (r + i, c + j) not in taken)
+        values = cube.values.copy()
+        values[nb] *= 1e160
+        save_cube(tmp_path / "cube.csv", HyperCube(values=values), "csv_bands")
+        save_ground_truth(tmp_path / "gt.csv", gt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "fit", "--cube", str(tmp_path / "cube.csv"), "--gt", str(tmp_path / "gt.csv"),
+                "--method", "slspp", "--r", "2", "--window", "3", "--n-train", "3",
+                "--seed", "0", "--out", str(tmp_path / "proj.txt"),
+            ])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: NonFiniteError: pixel ({nb[0]}, {nb[1]}) in the window of center "
+            f"({r}, {c}): squared distances overflow\n"
+        )
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main([

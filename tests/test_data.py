@@ -1,8 +1,18 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import neighborhood_bruteforce
+from oracles import (
+    envi_load_reference,
+    envi_payload_reference,
+    neighborhood_bruteforce,
+    split_train_test_reference,
+)
+from specangle import data
 from specangle.data import (
+    CHUNK_BYTES,
     GroundTruth,
     HyperCube,
     class_signatures,
@@ -21,6 +31,7 @@ from specangle.errors import (
     EvenWindowError,
     InsufficientSamplesError,
     MalformedHeaderError,
+    NonFiniteError,
     OutOfBoundsError,
     SizeMismatchError,
     UnsupportedDataTypeError,
@@ -32,6 +43,22 @@ def write_envi(tmp_path, name, payload, header_lines):
     path.write_bytes(payload)
     (tmp_path / (name + ".hdr")).write_text("\n".join(header_lines) + "\n")
     return path
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scene_digest(cube, gt):
+    h = hashlib.sha256(cube.values.tobytes())
+    h.update(gt.labels.tobytes())
+    return h.hexdigest()
 
 
 class TestCsvCube:
@@ -151,6 +178,97 @@ class TestEnviCube:
         with pytest.warns(UserWarning, match="sensor type"):
             cube = load_cube(path, "envi_bsq")
         assert cube.values[0, 0, 0] == 7.0
+
+
+class TestChunkedEnvi:
+    """Reads and writes go a block at a time; bytes, values and memory layout
+    equal the one-shot references in the oracles."""
+
+    SHAPE = (23, 17, 6)
+
+    @pytest.fixture(params=[1000, 8000, CHUNK_BYTES], ids=["lines", "slabs", "one-chunk"])
+    def chunk_bytes(self, request, monkeypatch):
+        # 1000 bytes split each bsq band plane into writes of 7 lines, 8000
+        # write 2 bsq planes or 9 bil rows at a time; reads of any type but
+        # native float64 take 125 or 1000 values, ending inside rows and bands.
+        monkeypatch.setattr(data, "CHUNK_BYTES", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    @pytest.mark.parametrize("dtype", ["u1", "u2", "f4", "f8"])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    def test_bytes_and_values_match_references(self, tmp_path, chunk_bytes, interleave, dtype,
+                                               byte_order):
+        vals = np.random.default_rng(4).uniform(0.0, 250.0, size=self.SHAPE)
+        path = tmp_path / f"c.{interleave}"
+        save_cube(path, HyperCube(values=vals), f"envi_{interleave}", dtype=dtype,
+                  byte_order=byte_order)
+        np_dtype = ("<" if byte_order == 0 else ">") + dtype
+        payload = path.read_bytes()
+        assert payload == envi_payload_reference(vals, interleave, np_dtype)
+        loaded = load_cube(path, f"envi_{interleave}").values
+        expected = envi_load_reference(payload, self.SHAPE, interleave, np_dtype)
+        np.testing.assert_array_equal(loaded, expected)
+        assert loaded.strides == expected.strides
+
+    def test_bip_matches_reference(self, tmp_path, chunk_bytes):
+        rows, cols, bands = self.SHAPE
+        payload = np.random.default_rng(5).standard_normal(self.SHAPE).astype(">f4").tobytes()
+        path = write_envi(
+            tmp_path, "t.bip", payload,
+            ["ENVI", f"samples = {cols}", f"lines = {rows}", f"bands = {bands}",
+             "data type = 4", "interleave = bip", "byte order = 1"],
+        )
+        loaded = load_cube(path, "envi_bsq").values
+        expected = envi_load_reference(payload, self.SHAPE, "bip", ">f4")
+        np.testing.assert_array_equal(loaded, expected)
+        assert loaded.strides == expected.strides
+
+    def test_oversized_payload(self, tmp_path):
+        path = write_envi(
+            tmp_path, "t.bsq", bytes([1, 2, 3, 4, 5]),
+            ["ENVI", "samples = 2", "lines = 2", "bands = 1",
+             "data type = 1", "interleave = bsq"],
+        )
+        with pytest.raises(SizeMismatchError, match="5 bytes, header implies 4"):
+            load_cube(path, "envi_bsq")
+
+    @pytest.mark.parametrize("row", [0, 22])
+    def test_non_finite_in_any_block(self, chunk_bytes, row):
+        vals = np.ones(self.SHAPE)
+        vals[row, 16, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            HyperCube(values=vals)
+
+
+class TestCubeMemory:
+    """One cube plus about one CHUNK_BYTES block, on a 214x200x103 cube
+    (33.6 MB, 9 blocks of rows)."""
+
+    SHAPE = (214, 200, 103)
+    BOUND = 2 * CHUNK_BYTES
+
+    def test_synth(self):
+        (cube, _), peak = traced_peak(synth_scene, *self.SHAPE, 9, seed=3)
+        assert peak <= cube.values.nbytes + self.BOUND
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cube, _ = synth_scene(*self.SHAPE, 9, seed=3)
+        # Nonnegative and in range for every writable dtype.
+        return HyperCube(values=np.abs(cube.values) * 100.0)
+
+    @pytest.mark.parametrize("fmt", ["envi_bsq", "envi_bil"])
+    def test_save(self, tmp_path, scene, fmt):
+        _, peak = traced_peak(save_cube, tmp_path / "c", scene, fmt)
+        assert peak <= self.BOUND
+
+    @pytest.mark.parametrize("dtype", ["f8", "u2"])
+    def test_load(self, tmp_path, scene, dtype):
+        path = tmp_path / "c.bsq"
+        save_cube(path, scene, "envi_bsq", dtype=dtype)
+        cube, peak = traced_peak(load_cube, path, "envi_bsq")
+        assert peak <= cube.values.nbytes + self.BOUND
 
 
 class TestGroundTruthIO:
@@ -275,6 +393,17 @@ class TestSplits:
         with pytest.raises(InsufficientSamplesError, match="class 2"):
             split_train_test(gt, 2, 2, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_matches_per_class_scan(self, seed):
+        # Unlabelled pixels, uneven classes and a non-square map.
+        labels = np.random.default_rng(seed).integers(0, 5, size=(13, 29))
+        gt = GroundTruth(labels=labels)
+        got = split_train_test(gt, 3, 9, seed)
+        want = split_train_test_reference(labels, 3, 9, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
 
 class TestSynthScene:
     def test_noiseless_cosine_one(self):
@@ -291,6 +420,18 @@ class TestSynthScene:
         sigs = class_signatures(20, 2)
         cos = abs(sigs[0] @ sigs[1])
         assert cos <= 0.1
+
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        # Nine blocks of noise rows.
+        ((214, 200, 103, 9), {"seed": 3},
+         "63c728c0db61b0ca4564ce3d21fe0fb48d3e2fed7e12aa043bb978e602a208b0"),
+        ((30, 20, 10, 3), {"noise_sd": 0.0, "patch_size": 6, "seed": 1},
+         "54d2253c2465aef9be8701e2a0a3b142165189a025dda54b0583de6fc3d04ff3"),
+        ((7, 5, 4, 2), {"noise_sd": 0.05, "patch_size": 2, "seed": 9},
+         "bfe478394dd47cc43e1b3d20634d07f3b55d355440cfff7bae425e22d49df24f"),
+    ], ids=["multi-block", "noiseless", "tiny"])
+    def test_pinned_digests(self, args, kwargs, digest):
+        assert scene_digest(*synth_scene(*args, **kwargs)) == digest
 
     def test_deterministic(self):
         a, _ = synth_scene(10, 10, 8, 2, noise_sd=0.1, patch_size=5, seed=9)
