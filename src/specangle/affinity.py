@@ -9,6 +9,12 @@ distances by default, selected exactly, usually from one streamed pass
 bracketed by a sample of pairs. Every graph takes this path whatever its
 size. The dense weight matrix the tests check the products against lives in
 ``tests/oracles.py``.
+
+A pass writes all its blocks into one buffer of at most about
+``CHUNK_BYTES`` and builds the left Gram factor for one block's rows at a
+time, so it holds the right factor [X; 1; |x|^2], one block and one block's
+left factor. A yielded block is valid only until the next one is requested:
+every consumer copies or consumes it first.
 """
 
 import numpy as np
@@ -38,6 +44,26 @@ def _features_of(X):
     return F
 
 
+def _column_groups(X, sq):
+    """One id per column of X, shared only by identical columns.
+
+    The columns are sorted by their squared norms sq, and each one opens a
+    new group unless it equals the column before it, compared a chunk of
+    columns at a time. Identical columns parted by another of the same norm
+    get two ids, which costs their pairs a recomputation, never a wrong 0.
+    """
+    d, m = X.shape
+    order = np.argsort(sq, kind="stable")
+    opens = np.ones(m, dtype=bool)
+    step = chunk_pixels(d)
+    for s in range(0, m - 1, step):
+        cols = X[:, order[s : s + step + 1]]
+        opens[s + 1 : s + cols.shape[1]] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    group = np.empty(m, dtype=np.int64)
+    group[order] = np.cumsum(opens)
+    return group
+
+
 def _distance_blocks(X):
     """Yield the squared distances between the columns of X, a block of rows
     at a time.
@@ -45,37 +71,62 @@ def _distance_blocks(X):
     Yields ``(lo, D)``: D[k, c] is ||x_(lo+k) - x_(lo+c)||^2 for c > k and 0
     on and left of the diagonal, so each unordered pair appears once. A block
     holds ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
-    ``chunk_pixels(m) >= m`` is one m x m block.
+    ``chunk_pixels(m) >= m`` is one m x m block. Every block of a pass is
+    written into one buffer, sized for the pass's largest block, so a yielded
+    block is valid only until the next one is requested: a caller copies or
+    consumes it first, and may overwrite it.
 
-    Each block is one GEMM of the augmented matrices [-2X; |x|^2; 1]^t and
-    [X; 1; |x|^2]. That expansion cancels for near-coincident columns, so an
-    entry at or below its rounding level, 8 (d + 2) eps (|x_i|^2 + |x_j|^2),
-    is recomputed from the difference of the columns: coincident columns are
-    exactly 0 apart and no distance is negative.
+    Each block is one GEMM of the augmented matrices [-2X; |x|^2; 1]^t, built
+    for the block's rows only, and [X; 1; |x|^2]. That expansion cancels for
+    near-coincident columns, so an entry at or below its rounding level,
+    8 (d + 2) eps (|x_i|^2 + |x_j|^2), is recomputed: to 0 for identical
+    columns, else from the difference of the columns. Coincident columns are
+    exactly 0 apart and no distance is negative. The first block with such
+    entries groups the identical columns for the rest of the pass
+    (``_column_groups``).
     """
     d, m = X.shape
     sq = np.einsum("ij,ij->j", X, X)
-    # Both augmented factors share one buffer: one allocation per pass.
-    left, right = np.empty((2, d + 2, m))
-    np.multiply(X, -2.0, out=left[:d])
-    left[d], left[d + 1] = sq, 1.0
+    right = np.empty((d + 2, m))
     right[:d], right[d], right[d + 1] = X, 1.0, sq
     level = 8 * (d + 2) * np.finfo(float).eps
     # Largest squared norm from each column on, for one bound per block
     # that most blocks clear without a search for candidates.
     tail_max = np.maximum.accumulate(sq[::-1])[::-1]
     step = chunk_pixels(d)
+    # Room for any block: rows x width is at most chunk_pixels(1), or one
+    # row of width at most m, and no block is larger than m x m.
+    buffer = np.empty(min(m * m, max(chunk_pixels(1), m)))
+    group = None
     lo = 0
     while lo < m - 1:
         hi = min(m, lo + chunk_pixels(m - lo))
-        D = left[:, lo:hi].T @ right[:, lo:]
+        # Two columns at least: a one-row block then passes BLAS a strided
+        # vector, as a slice of a whole-graph factor would, which rounds
+        # differently from a unit-stride one for some d.
+        left = np.empty((d + 2, max(2, hi - lo)))[:, : hi - lo]
+        np.multiply(X[:, lo:hi], -2.0, out=left[:d])
+        left[d], left[d + 1] = sq[lo:hi], 1.0
+        D = buffer[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+        np.matmul(left.T, right[:, lo:], out=D)
         # The diagonal and the lower triangle are set aside, so that they
         # are never candidates, and zeroed after.
         square, lower = D[:, : hi - lo], np.tri(hi - lo, dtype=bool)
         square[lower] = np.inf
         bound = level * (sq[lo:hi].max() + tail_max[lo])
         if D.min() <= bound:
-            k, c = np.nonzero(D <= bound)
+            if group is None:
+                group = _column_groups(X, sq)
+            # The Gram distance of identical columns is within the rounding
+            # level, so all their pairs are candidates; they are 0 as is.
+            candidates = D <= bound
+            same = group[lo:hi, None] == group[None, lo:]
+            same &= candidates
+            D[same] = 0.0
+            candidates ^= same
+            k, c = np.nonzero(candidates)
+            # The masks are a block's size: free them before the yield.
+            del candidates, same
             near = D[k, c] <= level * (sq[lo + k] + sq[lo + c])
             k, c = k[near], c[near]
             for s in range(0, k.size, step):
@@ -143,10 +194,13 @@ def _bracket_pass(X, lo, hi, budget):
     for _, D in _distance_blocks(X):
         D = D.ravel()
         # No distance is negative, so the zeros are below lo too.
-        zeros = np.count_nonzero(D == 0.0)
-        total += D.size - zeros
-        below += np.count_nonzero(D < lo) - zeros
-        middle = (D >= lo) & (D <= hi)
+        positive = np.count_nonzero(D)
+        total += positive
+        under = D < lo
+        below += np.count_nonzero(under) - (D.size - positive)
+        # lo <= hi, so every distance under lo is in D <= hi too.
+        middle = D <= hi
+        middle ^= under
         inside += np.count_nonzero(middle)
         if inside <= budget:
             kept.append(D[middle])

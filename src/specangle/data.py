@@ -23,8 +23,10 @@ Memory
 one cube plus at most about one ``CHUNK_BYTES`` block: noise is drawn a block
 of rows at a time, a payload is read straight into the cube (converted a
 block of values at a time unless it is native float64), and one is written a
-block at a time in file order. ``HyperCube`` checks finiteness a block of
-rows at a time. The csv formats hold the whole text of the file.
+block at a time: whole band planes or image rows in file order, or, for a bsq
+plane over the budget, a block of rows across every plane, each plane's part
+at its offset. ``HyperCube`` checks finiteness a block of rows at a time. The
+csv formats hold the whole text of the file.
 """
 
 import functools
@@ -256,15 +258,28 @@ def _save_envi(path, values, interleave, dtype, byte_order):
     rows, cols, bands = values.shape
     # The payload in file order, (bands, rows, cols) or (rows, bands, cols),
     # written in blocks of whole slabs of its first axis when a slab fits the
-    # budget, else of lines of one slab: each block is the next run of bytes.
+    # budget. A larger bsq band plane is written a block of rows across every
+    # plane at a time, so the cube is read once; a larger bil row, in lines.
     payload = values.transpose((2, 0, 1) if interleave == "bsq" else (0, 2, 1))
     slabs, lines = payload.shape[:2]
-    per_slab, per_line = chunk_pixels(lines * cols), chunk_pixels(cols)
+    per_slab, per_line = chunk_pixels(lines * cols), lines
+    if lines * cols > chunk_pixels(1):
+        if interleave == "bsq":
+            per_slab, per_line = slabs, chunk_pixels(slabs * cols)
+        else:
+            per_slab, per_line = 1, chunk_pixels(cols)
     with path.open("wb") as f:
         for i in range(0, slabs, per_slab):
             for j in range(0, lines, per_line):
                 block = payload[i : i + per_slab, j : j + per_line]
-                f.write(np.ascontiguousarray(block, dtype=np_dtype))
+                block = np.ascontiguousarray(block, dtype=np_dtype)
+                if per_slab == 1 or per_line == lines:
+                    f.write(block)  # the next run of bytes
+                    continue
+                # Rows of every band plane: each plane's run at its offset.
+                for slab, run in enumerate(block, i):
+                    f.seek((slab * lines + j) * cols * np_dtype.itemsize)
+                    f.write(run)
     header = (
         "ENVI\n"
         f"samples = {cols}\n"

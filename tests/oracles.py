@@ -8,8 +8,11 @@ code paths. The dense graph references (``heat_kernel_affinity``,
 forms, with distances from scipy's ``pdist`` rather than the package's Gram
 blocks. The one-shot data references (``split_train_test_reference``,
 ``envi_payload_reference``, ``envi_load_reference``) hold whole arrays where
-the package works a class or a block of rows at a time.
+the package works a class or a block of rows at a time. ``traced_peak``
+measures the memory bounds those block-at-a-time paths are held to.
 """
+
+import tracemalloc
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -255,3 +258,13 @@ def envi_load_reference(payload, shape, interleave, dtype):
     else:
         arr = flat.reshape(rows, cols, bands)
     return arr.astype(float)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

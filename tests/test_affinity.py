@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from oracles import heat_kernel_affinity
+from oracles import heat_kernel_affinity, traced_peak
 from specangle import affinity, data
 from specangle.affinity import heat_kernel_products, median_heuristic_sigma
 from specangle.data import HyperCube, pixels_to_sample_set, split_train_test, synth_scene
@@ -124,6 +124,14 @@ def numpy_median(d2):
     return np.median(positive) if positive.size else 1.0
 
 
+@pytest.fixture(params=["one-block", "many-blocks"])
+def blocks(request, monkeypatch):
+    if request.param == "many-blocks":
+        # 24 // width rows per block: every graph it is used on spans several.
+        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 8 * 3)
+    return request.param
+
+
 def streamed_upper(F):
     """The (n, n) strict upper triangle of the streamed distances, 0 elsewhere."""
     n = F.shape[1]
@@ -138,13 +146,6 @@ class TestStreamedMedian:
     distances without storing them. On integer features the Gram form is
     exact, so it must equal np.median of pdist's positive distances bit for
     bit, from one block or from many."""
-
-    @pytest.fixture(params=["one-block", "many-blocks"])
-    def blocks(self, request, monkeypatch):
-        if request.param == "many-blocks":
-            # 24 // width rows per block: every graph below spans several.
-            monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 8 * 3)
-        return request.param
 
     @staticmethod
     def integers(d, n, seed):
@@ -225,6 +226,78 @@ class TestStreamedMedian:
         for k in range(10):
             _, degrees = heat_kernel_products(F[:, [k, k + 20]], sigma)
             np.testing.assert_array_equal(degrees, [2.0, 2.0])
+
+
+class TestCoincidentColumns:
+    """Identical columns are grouped once per pass and set 0 apart without a
+    recomputation; every other pair keeps the Gram distance, or the one
+    recomputed from the column difference. All of them agree with the dense
+    pdist reference: exactly 0 for identical columns, within rounding else,
+    whether the graph is one block or many."""
+
+    @staticmethod
+    def features(case):
+        rng = np.random.default_rng(13)
+        if case == "identical":
+            return np.full((10, 60), 0.7)
+        if case == "half-uniform":
+            F = rng.standard_normal((10, 60))
+            F[:, ::2] = 0.5
+            return F
+        if case == "equal-norms":
+            # Copies of one spectrum parted by its permutations, all of the
+            # same norm: the copies are grouped apart, and recomputed to 0.
+            v = np.arange(10.0)
+            return np.stack([v if k % 2 else rng.permutation(v) for k in range(60)], axis=1)
+        # Reflectance ~1e4, where the Gram form of a repeated spectrum
+        # cancels to a few ulps of 1e10 rather than to 0.
+        F = rng.uniform(5000.0, 15000.0, (103, 60))
+        F[:, 40:] = F[:, :20]
+        return F
+
+    @pytest.mark.parametrize(
+        "case", ["identical", "half-uniform", "equal-norms", "uint16-repeated"]
+    )
+    def test_matches_dense_reference(self, blocks, case):
+        F = self.features(case)
+        n = F.shape[1]
+        expected = pdist(F.T, "sqeuclidean")
+        D = streamed_upper(F)
+        streamed = D[np.triu_indices(n, 1)]
+        coincident = expected == 0.0
+        assert np.any(coincident)
+        assert np.all(streamed[coincident] == 0.0)
+        np.testing.assert_allclose(streamed[~coincident], expected[~coincident], rtol=1e-12)
+        assert np.all(D[np.tril_indices(n)] == 0.0)
+        assert median_heuristic_sigma(F) == pytest.approx(numpy_median(expected), rel=1e-12)
+
+
+class TestGraphMemory:
+    """A distance pass holds the right factor [X; 1; |x|^2] and one reused
+    CHUNK_BYTES block, plus the left factor and masks of one block's rows,
+    on a graph of every pixel of a 60x60x103 scene: 3,600 columns in 14
+    blocks. The median keeps at most its budget of distances on top."""
+
+    SLACK = 2 << 20
+
+    @pytest.fixture(scope="class")
+    def features(self):
+        cube, _ = synth_scene(60, 60, 103, 9, seed=3)
+        return np.ascontiguousarray(cube.values.reshape(-1, 103).T)
+
+    def bound(self, F):
+        d, m = F.shape
+        return (d + 2) * m * 8 + data.CHUNK_BYTES + self.SLACK
+
+    def test_products(self, features):
+        sigma = median_heuristic_sigma(features)
+        _, peak = traced_peak(heat_kernel_products, features, sigma)
+        assert peak <= self.bound(features)
+
+    def test_median(self, features):
+        budget = max(features.size, data.chunk_pixels(1))
+        _, peak = traced_peak(median_heuristic_sigma, features)
+        assert peak <= self.bound(features) + 8 * budget
 
 
 class TestSampledBracket:

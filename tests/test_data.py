@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from oracles import (
     envi_payload_reference,
     neighborhood_bruteforce,
     split_train_test_reference,
+    traced_peak,
 )
 from specangle import data
 from specangle.data import (
@@ -43,16 +43,6 @@ def write_envi(tmp_path, name, payload, header_lines):
     path.write_bytes(payload)
     (tmp_path / (name + ".hdr")).write_text("\n".join(header_lines) + "\n")
     return path
-
-
-def traced_peak(fn, *args, **kwargs):
-    """fn's result and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = fn(*args, **kwargs)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def scene_digest(cube, gt):
@@ -188,8 +178,9 @@ class TestChunkedEnvi:
 
     @pytest.fixture(params=[1000, 8000, CHUNK_BYTES], ids=["lines", "slabs", "one-chunk"])
     def chunk_bytes(self, request, monkeypatch):
-        # 1000 bytes split each bsq band plane into writes of 7 lines, 8000
-        # write 2 bsq planes or 9 bil rows at a time; reads of any type but
+        # 1000 bytes write bsq a row at a time across all 6 band planes, each
+        # plane's part at its offset, and bil a row at a time; 8000 write 2
+        # bsq planes or 9 bil rows at a time; reads of any type but
         # native float64 take 125 or 1000 values, ending inside rows and bands.
         monkeypatch.setattr(data, "CHUNK_BYTES", request.param)
         return request.param

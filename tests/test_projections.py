@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +9,7 @@ from oracles import (
     heat_kernel_affinity,
     lada_weights,
     slspp_matrix_bruteforce,
+    traced_peak,
 )
 from specangle import affinity, data
 from specangle.affinity import median_heuristic_sigma
@@ -691,10 +691,5 @@ class TestStreamedGraph:
         rng = np.random.default_rng(97)
         for n in (2000, 4000):
             X = SampleSet(features=rng.standard_normal((d, n)), labels=np.arange(n) % 4 + 1)
-            tracemalloc.start()
-            try:
-                METHODS[method](None, X, ExperimentConfig(method=method, r=3))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(METHODS[method], None, X, ExperimentConfig(method=method, r=3))
             assert peak < 8 * n * d * 8 + 6 * data.CHUNK_BYTES
