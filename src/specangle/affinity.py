@@ -44,26 +44,6 @@ def _features_of(X):
     return F
 
 
-def _column_groups(X, sq):
-    """One id per column of X, shared only by identical columns.
-
-    The columns are sorted by their squared norms sq, and each one opens a
-    new group unless it equals the column before it, compared a chunk of
-    columns at a time. Identical columns parted by another of the same norm
-    get two ids, which costs their pairs a recomputation, never a wrong 0.
-    """
-    d, m = X.shape
-    order = np.argsort(sq, kind="stable")
-    opens = np.ones(m, dtype=bool)
-    step = chunk_pixels(d)
-    for s in range(0, m - 1, step):
-        cols = X[:, order[s : s + step + 1]]
-        opens[s + 1 : s + cols.shape[1]] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
-    group = np.empty(m, dtype=np.int64)
-    group[order] = np.cumsum(opens)
-    return group
-
-
 def _distance_blocks(X):
     """Yield the squared distances between the columns of X, a block of rows
     at a time.
@@ -72,18 +52,17 @@ def _distance_blocks(X):
     on and left of the diagonal, so each unordered pair appears once. A block
     holds ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
     ``chunk_pixels(m) >= m`` is one m x m block. Every block of a pass is
-    written into one buffer, sized for the pass's largest block, so a yielded
-    block is valid only until the next one is requested: a caller copies or
-    consumes it first, and may overwrite it.
+    written into one buffer with room for any block: at most
+    ``chunk_pixels(1)`` values, or one row of width m. So a yielded block is
+    valid only until the next one is requested: a caller copies or consumes
+    it first, and may overwrite it.
 
     Each block is one GEMM of the augmented matrices [-2X; |x|^2; 1]^t, built
     for the block's rows only, and [X; 1; |x|^2]. That expansion cancels for
     near-coincident columns, so an entry at or below its rounding level,
-    8 (d + 2) eps (|x_i|^2 + |x_j|^2), is recomputed: to 0 for identical
-    columns, else from the difference of the columns. Coincident columns are
-    exactly 0 apart and no distance is negative. The first block with such
-    entries groups the identical columns for the rest of the pass
-    (``_column_groups``).
+    8 (d + 2) eps (|x_i|^2 + |x_j|^2), is recomputed from the difference of
+    the columns: coincident columns are exactly 0 apart and no distance is
+    negative.
     """
     d, m = X.shape
     sq = np.einsum("ij,ij->j", X, X)
@@ -97,7 +76,6 @@ def _distance_blocks(X):
     # Room for any block: rows x width is at most chunk_pixels(1), or one
     # row of width at most m, and no block is larger than m x m.
     buffer = np.empty(min(m * m, max(chunk_pixels(1), m)))
-    group = None
     lo = 0
     while lo < m - 1:
         hi = min(m, lo + chunk_pixels(m - lo))
@@ -115,18 +93,7 @@ def _distance_blocks(X):
         square[lower] = np.inf
         bound = level * (sq[lo:hi].max() + tail_max[lo])
         if D.min() <= bound:
-            if group is None:
-                group = _column_groups(X, sq)
-            # The Gram distance of identical columns is within the rounding
-            # level, so all their pairs are candidates; they are 0 as is.
-            candidates = D <= bound
-            same = group[lo:hi, None] == group[None, lo:]
-            same &= candidates
-            D[same] = 0.0
-            candidates ^= same
-            k, c = np.nonzero(candidates)
-            # The masks are a block's size: free them before the yield.
-            del candidates, same
+            k, c = np.nonzero(D <= bound)
             near = D[k, c] <= level * (sq[lo + k] + sq[lo + c])
             k, c = k[near], c[near]
             for s in range(0, k.size, step):
