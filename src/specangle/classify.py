@@ -33,15 +33,16 @@ class Prediction:
     tie_broken: bool = False
 
 
-def sbomp_labels(dictionary, S, K):
+def sbomp_labels(dictionary, S, K, members=None):
     """Labels of a (P, d, w) stack of test blocks, as an array: per pixel the
     class with the smallest residual of ``pursuit.class_residuals``, the
-    lowest class id on ties.
+    lowest class id on ties. With ``members``, S holds the blocks' distinct
+    columns as rows, as ``class_residuals`` takes them.
 
     A failure names its pixel through the error's ``index``; see
     ``pursuit.class_residuals``.
     """
-    return dictionary.class_ids[np.argmin(class_residuals(dictionary, S, K), axis=1)]
+    return dictionary.class_ids[np.argmin(class_residuals(dictionary, S, K, members), axis=1)]
 
 
 def training_norms(train):

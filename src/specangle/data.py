@@ -431,19 +431,23 @@ def _pixels_inside(cube, coords, what):
     return coords
 
 
-def _window_members(cube, centers, window):
-    """Member coordinates of the window x window box around each centre.
+def _window_pixels(cube, centers, window):
+    """Flat indices (row * cols + col) of the members of each window, (P, window**2).
 
-    Returns ``members`` (P, window**2, 2), each row the centre and then the
-    rest of its box in row-major order, and ``inside`` (P, window**2), which
-    marks the members within the image.
+    Row i lists the in-bounds pixels of the window x window box around
+    centers[i], the centre first and then the rest in row-major order, then
+    -1 once per member outside the image (a window truncated at an edge). An
+    out-of-bounds centre raises OutOfBoundsError with ``index`` set to the
+    first such centre.
     """
     if window < 1 or window % 2 == 0:
         raise EvenWindowError(f"window must be odd and >= 1, got {window}")
     centers = _pixels_inside(cube, centers, "center")
     members = centers[:, None, :] + _window_offsets(window)
     inside = ((members >= 0) & (members < (cube.rows, cube.cols))).all(axis=2)
-    return members, inside
+    pixels = np.where(inside, members[:, :, 0] * cube.cols + members[:, :, 1], -1)
+    # Stable, so the in-bounds members keep their order.
+    return np.take_along_axis(pixels, np.argsort(~inside, axis=1, kind="stable"), axis=1)
 
 
 def neighborhood_spectra(cube, centers, window):
@@ -456,14 +460,11 @@ def neighborhood_spectra(cube, centers, window):
     edge, are zero. An out-of-bounds centre raises OutOfBoundsError with
     ``index`` set to the first such centre.
     """
-    members, inside = _window_members(cube, centers, window)
-    # In-bounds members first, in their order; the rest read the centre and
-    # are zeroed below.
-    order = np.argsort(~inside, axis=1, kind="stable")
-    inside = np.take_along_axis(inside, order, axis=1)
-    members = np.take_along_axis(members, order[:, :, None], axis=1)
-    members = np.where(inside[:, :, None], members, members[:, :1])
-    spectra = cube.values[members[:, :, 0], members[:, :, 1]]
+    pixels = _window_pixels(cube, centers, window)
+    inside = pixels >= 0
+    # Members outside the image read pixel 0 and are zeroed below.
+    rows, cols = np.divmod(np.maximum(pixels, 0), cube.cols)
+    spectra = cube.values[rows, cols]
     spectra[~inside] = 0.0
     return spectra, inside.sum(axis=1)
 
@@ -507,12 +508,9 @@ def split_train_test(gt, n_train, n_test, seed):
     """
     rng = _philox(seed)
     train, test = [], []
-    # One stable sort groups the pixels by class, row-major within each.
     flat = gt.labels.ravel()
-    order = np.argsort(flat, kind="stable")
-    ends = np.cumsum(np.bincount(flat, minlength=gt.n_classes + 1))
     for cls in range(1, gt.n_classes + 1):
-        pixels = order[ends[cls - 1] : ends[cls]]
+        pixels = np.flatnonzero(flat == cls)
         if len(pixels) < n_train + n_test:
             raise InsufficientSamplesError(
                 f"class {cls} has {len(pixels)} labeled pixels, "

@@ -17,6 +17,7 @@ import numpy as np
 
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
+    _window_pixels,
     chunk_pixels,
     l2_normalize_pixels,
     neighborhood_spectra,
@@ -224,8 +225,15 @@ def fit_pipeline(work_cube, train, config):
         chunk = chunk_pixels(cls_window**2 * max(dictionary.n_atoms, work_cube.bands))
 
         def label(coords):
-            S, _ = projected_windows(proj, work_cube, coords, cls_window)
-            return sbomp_labels(dictionary, S, config.sparsity)
+            # Each distinct window member is gathered and projected once.
+            pixels = _window_pixels(work_cube, coords, cls_window)
+            inside = pixels >= 0
+            distinct, inverse = np.unique(pixels[inside], return_inverse=True)
+            members = np.full(pixels.shape, -1)
+            members[inside] = inverse
+            rows, cols = np.divmod(distinct, work_cube.cols)
+            Z = work_cube.values[rows, cols] @ proj.matrix
+            return sbomp_labels(dictionary, Z, config.sparsity, members)
 
     def predict(coords):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)

@@ -24,7 +24,7 @@ import numpy as np
 from .affinity import _bandwidth, _features_of, heat_kernel_products
 from .data import (
     SampleSet,
-    _window_members,
+    _window_pixels,
     chunk_pixels,
     neighborhood_spectra,
     pixels_to_sample_set,
@@ -215,8 +215,7 @@ def _check_members_bounded(cube, centers, window, Z):
     bad = ~np.isfinite(bound)
     if bad.any():
         p, k = np.argwhere(bad)[0]
-        members, inside = _window_members(cube, centers[p : p + 1], window)
-        row, col = members[0][inside[0]][k]
+        row, col = divmod(int(_window_pixels(cube, centers[p : p + 1], window)[0, k]), cube.cols)
         raise NonFiniteError(
             f"pixel ({row}, {col}) in the window of center ({centers[p, 0]}, {centers[p, 1]}): "
             "squared distances overflow"
@@ -258,7 +257,7 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
     if len(coords) < 1:
         raise TooFewSamplesError("need at least one center pixel")
     # Window and centres are checked before the bandwidth's distance pass.
-    _window_members(cube, coords, window)
+    _window_pixels(cube, coords, window)
     sigma = _bandwidth(pixels_to_sample_set(cube, coords).features, sigma)
     M = slspp_context_matrix(cube, coords, window, sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))

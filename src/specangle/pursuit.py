@@ -8,7 +8,14 @@ single column to the block variant.
 The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
 slice, against the fixed dictionary. Each iteration scores every block for
 every pixel with one product against the stacked dictionary: the l2,1 norm of
-the block's correlation with that pixel's residual. It masks the blocks a
+the block's correlation with that pixel's residual, in one summation order
+for every caller (each atom's correlations with the pixel's columns squared
+and summed in column order, then the square roots summed over the block's
+atoms). A stack can also be given as its distinct columns and each pixel's
+members among them, as overlapping windows share most of their members: the
+first iteration then correlates each distinct column once and sums each
+pixel's score from its members' squared correlations, so a pixel's scores do
+not depend on whether its members were shared. The engine masks the blocks a
 pixel has already selected, appends the best block to the pixel's support
 (ties go to the lowest block index), refits the pixel's coefficients by least
 squares over its whole support and updates the residual. Coefficients live in
@@ -31,10 +38,12 @@ the widest; zero columns change neither the scores nor the residuals. Class
 residuals then come from one segmented reduction over every pixel's selected
 blocks.
 
-The largest array of one call is the (atoms, P*w) score product, 8*atoms*w
-bytes per pixel, so a caller bounds memory through P; ``predict`` from
-``evaluate.fit_pipeline`` keeps it near ``data.CHUNK_BYTES``. ``sbomp`` and
-``residual_by_class`` run the same engine on a stack of one.
+The largest array of one call is the (P*w, atoms) score product of a later
+iteration, 8*atoms*w bytes per pixel; the first iteration's product over the
+U distinct columns is (U, atoms) with U <= P*w. A caller bounds memory
+through P; ``predict`` from ``evaluate.fit_pipeline`` keeps it near
+``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class`` run the same engine
+on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -146,12 +155,29 @@ class SparseSolution:
     residual_norms: np.ndarray
 
 
-def _block_scores(dictionary, R):
-    """Selection score of every block against every residual: (P, n_blocks)."""
-    P, d, w = R.shape
-    G = (dictionary._stacked.T @ R.transpose(1, 0, 2).reshape(d, P * w)).reshape(-1, P, w)
-    row_norms = np.sqrt(np.einsum("apw,apw->ap", G, G))
-    return np.add.reduceat(row_norms, dictionary._offsets[:-1], axis=0).T
+def _block_scores(dictionary, Z, members=None):
+    """Selection score of every block for every window, (P, n_blocks).
+
+    The columns of the windows are rows of Z. Without ``members``, Z is
+    (P, w, d) and window i is Z[i]; with ``members`` (P, w), Z is (n, d) and
+    window i is the rows Z[members[i]], so a row shared by several windows is
+    correlated once (a -1 reads the last row, which the caller keeps zero).
+    A block's score is the sum over its atoms of the l2 norm
+    of the atom's correlations with the window's columns, squared and summed
+    in column order, so the two forms differ only where the product rounds
+    a row differently for a different row count.
+    """
+    squares = Z.reshape(-1, Z.shape[-1]) @ dictionary._stacked
+    squares *= squares
+    if members is None:
+        columns = squares.reshape(Z.shape[0], Z.shape[1], -1).swapaxes(0, 1)
+    else:
+        columns = (squares[m] for m in members.T)
+    P = len(Z) if members is None else len(members)
+    total = np.zeros((P, squares.shape[1]))
+    for column in columns:
+        total += column
+    return np.add.reduceat(np.sqrt(total), dictionary._offsets[:-1], axis=1)
 
 
 def _refits(dictionary, supports, first):
@@ -203,21 +229,26 @@ def _refits(dictionary, supports, first):
     return np.stack(refits)
 
 
-def _pursue(dictionary, S, K):
+def _pursue(dictionary, S, K, shared=None):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
     Returns ``support`` (P, K), block indices in selection order padded with
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. Each iteration refits every active
-    pixel with one stacked product by the pseudo-inverse of its support from
-    ``_refits``, which factors the supports not seen yet. A rank-deficient
-    refit raises with ``index`` set to the first pixel with that support.
+    NaN after each pixel's last iteration. ``shared``, if given, is the
+    ``(Z, members)`` of ``_block_scores`` with Z[members[i]] the columns of
+    S[i]: the first iteration then scores each row of Z once. Each iteration
+    refits every active pixel with one stacked product by the pseudo-inverse
+    of its support from ``_refits``, which factors the supports not seen
+    yet. A rank-deficient refit raises with ``index`` set to the first pixel
+    with that support.
     """
     P, d, w = S.shape
     slots = dictionary._slots
     support = np.full((P, K), -1, dtype=np.int64)
+    # Per pixel, the rank of its support among the iteration's distinct ones.
+    ranks = np.zeros(P, dtype=np.int64)
     coefficients = np.zeros((P, K * slots.shape[1], w))
     norms = np.full((P, K + 1), np.nan)
     norms[:, 0] = np.linalg.norm(S, axis=(1, 2))
@@ -226,7 +257,10 @@ def _pursue(dictionary, S, K):
     for t in range(K):
         if not active.size:
             break
-        scores = _block_scores(dictionary, R[active])
+        if t == 0 and shared is not None:
+            scores = _block_scores(dictionary, *shared)
+        else:
+            scores = _block_scores(dictionary, R[active].transpose(0, 2, 1))
         rows = np.arange(len(active))
         scores[rows[:, None], support[active, :t]] = -np.inf
         best = np.argmax(scores, axis=1)
@@ -235,9 +269,11 @@ def _pursue(dictionary, S, K):
         if not active.size:
             break
         support[active, t] = best[go]
-        distinct, first, inverse = np.unique(
-            support[active, : t + 1], axis=0, return_index=True, return_inverse=True
-        )
+        # The codes sort as the supports do, and stay below P * n_blocks.
+        codes = ranks[active] * dictionary.n_blocks + best[go]
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        ranks[active] = inverse
+        distinct = support[active[first], : t + 1]
         X = _refits(dictionary, distinct, active[first])[inverse] @ S[active]
         coefficients[active, : X.shape[1]] = X
         atoms = slots[support[active, : t + 1]].reshape(len(active), -1)
@@ -345,17 +381,23 @@ def residual_by_class(dictionary, S, sol):
     return {int(c): float(v) for c, v in zip(dictionary.class_ids, res)}
 
 
-def class_residuals(dictionary, S, K):
+def class_residuals(dictionary, S, K, members=None):
     """Pursue every test block of a stack at sparsity K; residuals per class.
 
     Parameters
     ----------
     dictionary : BlockDictionary
-    S : (P, d, w) array_like
+    S : (P, d, w) array_like, or (n, d) with ``members``
         One test block per pixel. A narrower block is zero-padded on the
         right; zero columns change neither its pursuit nor its residuals.
     K : int
         Maximum number of blocks to select, 1 <= K <= number of blocks.
+    members : (P, w) int array_like, optional
+        Test blocks given by their distinct columns: S holds one column per
+        row, and pixel i's block is the columns S[members[i]], a -1 giving a
+        zero column. The first iteration then correlates each row of S once,
+        however many blocks share it; the results are those of the gathered
+        (P, d, w) stack up to how the products round a different row count.
 
     Returns
     -------
@@ -369,6 +411,14 @@ def class_residuals(dictionary, S, K):
         A NonFiniteError or RankDeficientError for one pixel has ``index``
         set to that pixel. It is a failing pixel, not necessarily the first.
     """
+    shared = None
+    if members is not None:
+        Z = np.asarray(S, dtype=float)
+        # A trailing zero row, read by every -1 of members.
+        Z = np.vstack([Z, np.zeros((1, Z.shape[-1]))])
+        members = np.asarray(members, dtype=np.int64)
+        S = np.ascontiguousarray(Z[members].transpose(0, 2, 1))
+        shared = (Z, members)
     S = _checked_stack(dictionary, S, K)
-    support, coefficients, _ = _pursue(dictionary, S, K)
+    support, coefficients, _ = _pursue(dictionary, S, K, shared)
     return _class_residuals(dictionary, S, support, coefficients)

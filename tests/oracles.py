@@ -134,6 +134,16 @@ def bomp_oracle(blocks, S, K):
     return support, coef
 
 
+def block_scores_reference(blocks, windows):
+    """Selection score of every block for every window, (P, n_blocks), one
+    atom at a time: the sum over the block's atoms of the l2 norm of the
+    atom's correlations with the window's columns. ``windows`` is (P, d, w).
+    """
+    return np.array(
+        [[sum(np.linalg.norm(atom @ W) for atom in B.T) for B in blocks] for W in windows]
+    )
+
+
 def class_residuals_oracle(blocks, classes, S, support, coef):
     """Residual norm per class id, ascending, of one pursuit solution: the
     Frobenius norm of S minus the reconstruction from that class's selected

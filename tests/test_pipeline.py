@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import neighborhood_bruteforce
-from specangle import data, evaluate, pursuit
+from specangle import classify, data, evaluate, pursuit
 from specangle.classify import nn_cosine_classify
 from specangle.cli import main
 from specangle.data import (
@@ -168,8 +168,13 @@ def test_block_pursuit_k2_matches_reference_on_every_pixel(wide_scene, method):
     assert outcome(predict, coords) == expected
 
 
-@pytest.mark.parametrize("classifier", CLASSIFIERS)
-def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier):
+@pytest.mark.parametrize("classifier,window", [
+    *(pytest.param(c, WINDOW, id=c) for c in CLASSIFIERS),
+    *(pytest.param(c, 5, id=f"{c}-window5") for c in CLASSIFIERS),
+])
+def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier, window):
+    """A test window of 5 shares each member among up to 25 windows; the
+    dictionary's blocks stay at window 3, so K=2 refits stay full rank."""
     cube, train = wide_scene
     chunks, chunk_pixels = [], evaluate.chunk_pixels
 
@@ -178,7 +183,7 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier):
         return chunks[-1]
 
     monkeypatch.setattr(evaluate, "chunk_pixels", spy)
-    cfg = config("slspp", classifier, r=WIDE_R, sparsity=WIDE_K)
+    cfg = config("slspp", classifier, r=WIDE_R, sparsity=WIDE_K, window=window, dict_window=WINDOW)
     _, predict = fit_pipeline(cube, train, cfg)
     [chunk] = chunks
 
@@ -195,6 +200,71 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier):
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
+def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monkeypatch):
+    """predict gathers, projects and first correlates each distinct window
+    member once. On integer uint16-scale spectra with a patch of repeated
+    ones, truncated edge windows and chunks that end inside an image row, its
+    supports and labels equal those of the gathered stack and of one-pixel
+    sbomp, and its residuals agree with theirs to rounding."""
+    cube, train = wide_scene
+    values = np.round(cube.values * 20000.0)
+    assert values.max() < 2**16
+    # The repeated spectra lie outside every training window, so the
+    # dictionary holds no duplicate atoms.
+    repeated = np.zeros((cube.rows, cube.cols), dtype=bool)
+    repeated[6:12] = True
+    for r, c in train.coords:
+        repeated[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] = False
+    assert np.count_nonzero(repeated) >= 20
+    values[repeated] = values[tuple(np.argwhere(repeated)[0])]
+    cube = HyperCube(values=values)
+    train = SampleSet(
+        features=values[train.coords[:, 0], train.coords[:, 1]].T,
+        labels=train.labels, coords=train.coords,
+    )
+
+    chunk = 25
+    assert chunk % cube.cols  # so chunks end inside image rows
+    monkeypatch.setattr(evaluate, "chunk_pixels", lambda values_per_pixel: chunk)
+    recorded, class_residuals_of = [], classify.class_residuals
+
+    def record(dictionary, S, K, members=None):
+        assert members is not None
+        recorded.append(class_residuals_of(dictionary, S, K, members))
+        return recorded[-1]
+
+    monkeypatch.setattr(classify, "class_residuals", record)
+    _, supports = spy_refits(monkeypatch)
+    proj, predict = fit_pipeline(cube, train, config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K))
+    coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    labels = predict(coords)
+    assert len(recorded) == -(-len(coords) // chunk)
+    support, residuals = np.concatenate(supports), np.concatenate(recorded)
+    supports.clear()
+
+    S, _ = evaluate.projected_windows(proj, cube, coords, WINDOW)
+    blocks, counts = evaluate.projected_windows(proj, cube, train.coords, WINDOW)
+    dictionary = BlockDictionary(
+        blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
+    )
+    # Residuals are compared relative to the pixel's norm as well, since a
+    # window its own class represents exactly leaves only rounding noise.
+    scale = np.linalg.norm(S, axis=(1, 2))[:, None]
+    gathered = class_residuals(dictionary, S, WIDE_K)
+    [gathered_support] = supports
+    np.testing.assert_array_equal(support, gathered_support)
+    np.testing.assert_allclose(residuals / scale, gathered / scale, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(labels, dictionary.class_ids[np.argmin(gathered, axis=1)])
+    for i, rc in enumerate(coords):
+        block = evaluate.projected_block(proj, cube, rc, WINDOW)
+        sol = sbomp(dictionary, block, WIDE_K)
+        assert sol.support == tuple(int(j) for j in support[i] if j >= 0)
+        by_class = residual_by_class(dictionary, block, sol)
+        one = np.array([by_class[c] for c in dictionary.class_ids])
+        np.testing.assert_allclose(residuals[i] / scale[i], one / scale[i], rtol=1e-12, atol=1e-12)
+        assert labels[i] == min(by_class, key=lambda k: (by_class[k], k))
+
+
 def spy_refits(monkeypatch):
     """Record every stacked factorization (matrix count) and pursuit support."""
     factored, supports = [], []
@@ -204,8 +274,8 @@ def spy_refits(monkeypatch):
         factored.append(len(A))
         return least_squares(A, B)
 
-    def record(dictionary, S, K):
-        out = pursue(dictionary, S, K)
+    def record(dictionary, S, K, shared=None):
+        out = pursue(dictionary, S, K, shared)
         supports.append(out[0])
         return out
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import bomp_oracle, class_residuals_oracle, omp_oracle, somp_oracle
+from oracles import (
+    block_scores_reference,
+    bomp_oracle,
+    class_residuals_oracle,
+    omp_oracle,
+    somp_oracle,
+)
 from specangle.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -304,3 +310,51 @@ class TestBatch:
         with pytest.raises(NonFiniteError) as info:
             class_residuals(d, S, 1)
         assert info.value.index == 1
+
+
+class TestSharedColumns:
+    """Test blocks given as distinct columns and the members of each block."""
+
+    @staticmethod
+    def case(rng, ddim=12):
+        """A dictionary of mixed block widths, n distinct columns plus the
+        trailing zero row, and members (P, w) that repeat columns across
+        blocks and read the zero row through -1."""
+        n_blocks = int(rng.integers(3, 8))
+        blocks = [rng.standard_normal((ddim, int(m))) for m in rng.integers(1, 5, size=n_blocks)]
+        d = BlockDictionary(blocks=tuple(blocks), classes=rng.integers(1, 4, size=n_blocks))
+        n, P, w = int(rng.integers(2, 12)), int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        Z = np.vstack([rng.standard_normal((n, ddim)), np.zeros((1, ddim))])
+        members = rng.integers(-1, n, size=(P, w))
+        return blocks, d, Z, members
+
+    def test_block_scores_match_the_loop_reference(self):
+        rng = np.random.default_rng(108)
+        for _ in range(50):
+            blocks, d, Z, members = self.case(rng)
+            windows = Z[members]
+            expected = block_scores_reference(blocks, windows.transpose(0, 2, 1))
+            np.testing.assert_allclose(pursuit._block_scores(d, Z, members), expected, rtol=1e-12)
+            np.testing.assert_allclose(pursuit._block_scores(d, windows), expected, rtol=1e-12)
+
+    def test_class_residuals_match_the_gathered_stack(self):
+        rng = np.random.default_rng(109)
+        for _ in range(50):
+            _, d, Z, members = self.case(rng, ddim=16)
+            K = int(rng.integers(1, min(3, d.n_blocks) + 1))
+            S = Z[members].transpose(0, 2, 1)
+            support = pursuit._pursue(d, S, K)[0]
+            shared = pursuit._pursue(d, S, K, (Z, members))[0]
+            np.testing.assert_array_equal(shared, support)
+            np.testing.assert_allclose(
+                class_residuals(d, Z[:-1], K, members), class_residuals(d, S, K), rtol=1e-12
+            )
+
+    def test_a_non_finite_column_names_the_first_block_holding_it(self):
+        rng = np.random.default_rng(110)
+        _, d, _, _ = self.case(rng)
+        Z = rng.standard_normal((4, 12))
+        Z[2, 5] = np.inf
+        with pytest.raises(NonFiniteError) as info:
+            class_residuals(d, Z, 1, [[0, 1, -1], [3, 0, 1], [1, 2, 0], [2, -1, -1]])
+        assert info.value.index == 2
