@@ -28,10 +28,6 @@ class SingularBError(SpecAngleError):
     """The (regularized) right-hand matrix of a pencil failed factorization."""
 
 
-class RankDeficientError(SpecAngleError):
-    """A least-squares design matrix has linearly dependent columns."""
-
-
 class DimensionMismatchError(SpecAngleError):
     """Operand shapes are incompatible."""
 

@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotSquareError,
-    RankDeficientError,
     SingularBError,
     SpecAngleError,
 )
@@ -146,27 +145,24 @@ def gen_eig_desc(A, B, ridge=0.0):
 
 
 def least_squares(A, B):
-    """Minimize ||B - A C||_F for C via Householder QR, for one system or a stack.
+    """Minimum-norm minimizer of ||B - A C||_F, for one system or a stack.
+
+    C = pinv(A) B, with singular values of A at most max(m, k) * eps times
+    its largest one treated as zero. Every design matrix has a solution:
+    where several C fit equally well, as with collinear columns or k > m,
+    the one of least norm is returned, e.g. equal halves for a duplicated
+    column.
 
     Parameters
     ----------
     A : (..., m, k) array_like
-        Design matrices, each required to have full column rank.
+        Design matrices.
     B : (..., m, p) array_like
         Right-hand sides, one per column, with the leading dimensions of A.
 
     Returns
     -------
     C : (..., k, p) ndarray
-
-    Raises
-    ------
-    RankDeficientError
-        If a design matrix has more columns than rows, or if some |R_jj| of
-        its QR factor is at most max(m, k) * eps * (its largest column norm),
-        e.g. duplicate atoms selected by a pursuit. For stacked input the
-        error's ``index`` is the position of the first such matrix in the
-        flattened stack.
     """
     A = _as_matrix(A, "A", stacked=True)
     B = _as_matrix(B, "B", stacked=True)
@@ -177,17 +173,4 @@ def least_squares(A, B):
     m, k = A.shape[-2:]
     if k == 0:
         return np.zeros(A.shape[:-2] + (0, B.shape[-1]))
-    # The triangular factor of [A B] holds R of A and, beside it, Q^t B.
-    R = np.linalg.qr(np.concatenate([A, B], axis=-1), mode="r")
-    diag = np.abs(np.diagonal(R[..., :k, :k], axis1=-2, axis2=-1))
-    largest = np.linalg.norm(A, axis=-2).max(axis=-1)
-    tol = max(m, k) * np.finfo(float).eps * largest
-    deficient = (k > m) | (largest == 0.0) | np.any(diag <= tol[..., None], axis=-1)
-    if np.any(deficient):
-        exc = RankDeficientError("design matrix has linearly dependent columns")
-        if A.ndim > 2:
-            exc.index = int(np.argmax(deficient.ravel()))
-        raise exc
-    # R is exactly upper triangular, so this LU solve pivots nothing and is
-    # back substitution.
-    return np.linalg.solve(R[..., :k, :k], R[..., :k, k:])
+    return np.linalg.pinv(A, rcond=max(m, k) * np.finfo(float).eps) @ B

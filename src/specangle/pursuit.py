@@ -22,8 +22,9 @@ squares over its whole support and updates the residual. Coefficients live in
 a slot layout: support slot k holds as many rows as the widest block, and the
 rows past a narrower block's width belong to a trailing zero atom of the
 stacked dictionary, so every support of L blocks is L slots of the same width.
-The refit of support I is X = pinv(A_I) S, and pinv(A_I) depends on the
-dictionary and the ordered support, not on the pixel. Pixels choose few
+The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
+every support, however many of its atoms are collinear. pinv(A_I) depends on
+the dictionary and the ordered support, not on the pixel. Pixels choose few
 distinct supports, so each one is factored once per dictionary, padded to the
 slot layout with zero rows and kept in its cache for every later pixel and
 chunk that selects it: the supports an iteration misses are factored with one
@@ -31,8 +32,7 @@ stacked least-squares solve per support width. Each iteration then refits
 every pixel with one stacked product. The cache is cleared before its
 pseudo-inverses would pass ``data.CHUNK_BYTES``. Each pixel stops on its own:
 after K iterations, or early when its residual is numerically zero or every
-remaining score is zero; continuing past an exact representation would only
-produce rank-deficient solves. A pixel that has stopped keeps its support and
+remaining score is zero. A pixel that has stopped keeps its support and
 coefficients. Test blocks of different widths share a stack by zero-padding to
 the widest; zero columns change neither the scores nor the residuals. Class
 residuals then come from one segmented reduction over every pixel's selected
@@ -55,7 +55,6 @@ from . import data
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
-    RankDeficientError,
     SpecAngleError,
 )
 from .linalg import least_squares
@@ -180,7 +179,7 @@ def _block_scores(dictionary, Z, members=None):
     return np.add.reduceat(np.sqrt(total), dictionary._offsets[:-1], axis=1)
 
 
-def _refits(dictionary, supports, first):
+def _refits(dictionary, supports):
     """Pseudo-inverse of each row of ``supports`` in the slot layout.
 
     For supports of L blocks the result is (len(supports), L * width, d),
@@ -191,9 +190,7 @@ def _refits(dictionary, supports, first):
     and the ordered support only, so they are kept in the dictionary's cache;
     the missing ones are factored with one stacked least-squares solve
     against the identity per support width. The cache is cleared when its
-    bytes would pass ``data.CHUNK_BYTES``. A rank-deficient support is never
-    cached, so it raises the same error whatever the cache holds, with
-    ``index`` set to its row's entry of ``first``.
+    bytes would pass ``data.CHUNK_BYTES``.
     """
     cache = dictionary._refits
     keys = [tuple(row) for row in supports.tolist()]
@@ -210,11 +207,7 @@ def _refits(dictionary, supports, first):
         group = np.flatnonzero(widths == m)
         pos = np.nonzero(real[group])[1].reshape(-1, m)
         A = dictionary._stacked[:, atoms[group[:, None], pos]].transpose(1, 0, 2)
-        try:
-            pinv = least_squares(A, np.broadcast_to(np.eye(d), (len(A), d, d)))
-        except RankDeficientError as exc:
-            exc.index = int(first[miss[group[exc.index]]])
-            raise
+        pinv = least_squares(A, np.broadcast_to(np.eye(d), (len(A), d, d)))
         padded = np.zeros((len(A), atoms.shape[1], d))
         padded[np.arange(len(A))[:, None], pos] = pinv
         size = padded[0].nbytes
@@ -241,8 +234,7 @@ def _pursue(dictionary, S, K, shared=None):
     S[i]: the first iteration then scores each row of Z once. Each iteration
     refits every active pixel with one stacked product by the pseudo-inverse
     of its support from ``_refits``, which factors the supports not seen
-    yet. A rank-deficient refit raises with ``index`` set to the first pixel
-    with that support.
+    yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -274,7 +266,7 @@ def _pursue(dictionary, S, K, shared=None):
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         ranks[active] = inverse
         distinct = support[active[first], : t + 1]
-        X = _refits(dictionary, distinct, active[first])[inverse] @ S[active]
+        X = _refits(dictionary, distinct)[inverse] @ S[active]
         coefficients[active, : X.shape[1]] = X
         atoms = slots[support[active, : t + 1]].reshape(len(active), -1)
         R[active] = S[active] - dictionary._stacked[:, atoms].transpose(1, 0, 2) @ X
@@ -349,12 +341,6 @@ def sbomp(dictionary, S, K):
     Returns
     -------
     SparseSolution
-
-    Raises
-    ------
-    RankDeficientError
-        Propagated from the least-squares refit when the selected blocks are
-        collinear (duplicate atoms).
     """
     S = _one_block(S)
     support, coefficients, norms = _pursue(dictionary, _checked_stack(dictionary, S[None], K), K)
@@ -408,8 +394,8 @@ def class_residuals(dictionary, S, K, members=None):
     Raises
     ------
     SpecAngleError
-        A NonFiniteError or RankDeficientError for one pixel has ``index``
-        set to that pixel. It is a failing pixel, not necessarily the first.
+        A NonFiniteError has ``index`` set to the first pixel whose block
+        holds NaN or Inf.
     """
     shared = None
     if members is not None:

@@ -1,27 +1,21 @@
 import json
-import re
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import neighborhood_bruteforce
 from specangle import evaluate
 from specangle.cli import main
 from specangle.data import (
     HyperCube,
     load_cube,
     load_ground_truth,
-    pixels_to_sample_set,
     save_cube,
     save_ground_truth,
     split_train_test,
     synth_scene,
 )
-from specangle.errors import RankDeficientError
-from specangle.evaluate import ExperimentConfig, fit_projection
 from specangle.projections import Projection
-from specangle.pursuit import BlockDictionary, sbomp
 
 
 @pytest.fixture
@@ -126,6 +120,14 @@ class TestEval:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sbomp_at_the_defaults(self, tmp_path):
+        # r = 3 against 25 atoms per window-5 block.
+        scene = tmp_path / "scene"
+        assert main(["synth", "--out", str(scene)]) == 0
+        out = tmp_path / "report.json"
+        assert main(["eval", *base_args(scene), "--classifier", "sbomp", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["confusion_matrices"]) == 10
+
 
 class TestSweep:
     def test_axis_products_and_curve(self, scene_dir, tmp_path):
@@ -174,32 +176,16 @@ CONFIG_ERRORS = [
 ]
 
 
-def first_failing_pixel(scene, command):
-    """The first pixel, in the order the command labels them, for which a
-    per-pixel sbomp call raises, with the settings of
-    test_pixel_failure_names_the_pixel."""
-    cube = load_cube(scene / "cube.csv", "csv_bands")
+def labeled_in_order(scene, command):
+    """The pixels the command labels, in the order it labels them, with the
+    settings of test_pixel_failure_names_the_pixel."""
     gt = load_ground_truth(scene / "gt.csv", "csv")
     if command == "classify":
         train_coords, _ = split_train_test(gt, 5, 0, 0)
         taken = {tuple(rc) for rc in train_coords}
-        coords = [rc for rc in map(tuple, np.argwhere(gt.labels > 0)) if rc not in taken]
-    else:
-        train_coords, coords = split_train_test(gt, 5, 10, evaluate._split_seed(0, 0))
-    train = pixels_to_sample_set(cube, train_coords, gt)
-    config = ExperimentConfig(method="slspp", classifier="sbomp", window=3, sparsity=2, n_train=5)
-    P = fit_projection(cube, train, config).matrix
-
-    def block(rc):
-        return P.T @ neighborhood_bruteforce(cube.values, rc, 3)
-
-    dictionary = BlockDictionary(blocks=tuple(map(block, train_coords)), classes=train.labels)
-    for rc in coords:
-        try:
-            sbomp(dictionary, block(rc), 2)
-        except RankDeficientError:
-            return rc
-    raise AssertionError("no pixel fails")
+        return [rc for rc in map(tuple, np.argwhere(gt.labels > 0)) if rc not in taken]
+    _, coords = split_train_test(gt, 5, 10, evaluate._split_seed(0, 0))
+    return [tuple(rc) for rc in coords]
 
 
 class TestErrors:
@@ -218,25 +204,23 @@ class TestErrors:
         (["classify"], ""),
         (["eval", "--n-test", "10", "--trials", "2"], "trial 0: "),
     ])
-    def test_pixel_failure_names_the_pixel(self, tmp_path, capsys, command, prefix):
-        # noiseless patches make every window-3 neighborhood collinear
-        clean = tmp_path / "clean"
-        assert main([
-            "synth", "--rows", "18", "--cols", "18", "--bands", "12",
-            "--classes", "3", "--noise-sd", "0", "--patch-size", "6",
-            "--seed", "11", "--out", str(clean),
-        ]) == 0
-        capsys.readouterr()
+    def test_pixel_failure_names_the_pixel(self, scene_dir, tmp_path, capsys, command, prefix):
+        # Zero spectra at two held-out pixels, whose cosines are undefined;
+        # the error names the one labeled first.
+        coords = labeled_in_order(scene_dir, command[0])
+        values = load_cube(scene_dir / "cube.csv", "csv_bands").values.copy()
+        for r, c in (coords[9], coords[4]):
+            values[r, c] = 0.0
+        save_cube(tmp_path / "cube.csv", HyperCube(values=values), "csv_bands")
         rc = main([
-            *command, *base_args(clean), "--method", "slspp", "--classifier", "sbomp",
-            "--window", "3", "--sparsity", "2", "--n-train", "5",
+            *command, "--cube", str(tmp_path / "cube.csv"), "--gt", str(scene_dir / "gt.csv"),
+            "--method", "lspp", "--classifier", "nn-cos", "--n-train", "5",
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert re.match(rf"error: RankDeficientError: {prefix}pixel \(\d+, \d+\): ", err)
-        r, c = first_failing_pixel(clean, command[0])
-        assert err.startswith(f"error: RankDeficientError: {prefix}pixel ({r}, {c}): ")
+        r, c = coords[4]
+        assert err.startswith(f"error: ZeroVectorError: {prefix}pixel ({r}, {c}): ")
 
     @pytest.mark.parametrize("gt,error", [
         ("1,-1\n2,1\n", "BadRasterError: labels must be nonnegative"),

@@ -7,9 +7,9 @@ import specangle.evaluate as evaluate
 from specangle.data import SampleSet, synth_scene
 from specangle.errors import (
     InsufficientSamplesError,
-    RankDeficientError,
     ReducedDimTooSmallError,
     SpecAngleError,
+    ZeroVectorError,
 )
 from specangle.evaluate import (
     AccuracyReport,
@@ -116,6 +116,32 @@ class TestRunExperiment:
         np.testing.assert_array_equal(raw.confusions, unit.confusions)
 
 
+class TestWideBlocks:
+    """sbomp where a support's atoms outnumber r or repeat one direction:
+    the minimum-norm refit labels every pixel."""
+
+    def test_noiseless_window_blocks(self):
+        # Criterion 5(a)'s noiseless scene with window-3 dictionary blocks,
+        # most of them nine scaled copies of one signature. Windows on a
+        # patch boundary mix two classes, so a few pixels are mislabeled:
+        # 98.7% measured.
+        cube, gt = synth_scene(24, 24, 20, 4, noise_sd=0.0, patch_size=6, seed=7)
+        rep = run_experiment(cube, gt, ExperimentConfig(
+            method="slspp", classifier="sbomp", r=20, window=3, sparsity=1,
+            n_train=10, n_test=50, trials=10, seed=0,
+        ))
+        assert rep.overall_accuracy >= 0.95
+
+    def test_ada_at_its_default_r(self, scene):
+        # r = c - 1 = 2 against nine atoms per window-3 block.
+        cube, gt = scene
+        rep = run_experiment(cube, gt, ExperimentConfig(
+            method="ada", classifier="sbomp", r=2, window=3, sparsity=2,
+            n_train=5, n_test=20, trials=2,
+        ))
+        np.testing.assert_array_equal(rep.confusions.sum(axis=2), 20)
+
+
 class TestFirstFailure:
     def test_names_first_failing_pixel_in_input_order(self):
         # A batch reports the failure it meets first, here the last bad pixel
@@ -125,14 +151,14 @@ class TestFirstFailure:
         def label(coords):
             hits = [i for i, row in enumerate(coords[:, 0]) if row in bad]
             if hits:
-                exc = RankDeficientError("collinear")
+                exc = ZeroVectorError("zero spectrum")
                 exc.index = hits[-1]
                 raise exc
             return coords[:, 0]
 
         coords = np.stack([np.arange(10), np.full(10, 4)], axis=1)
         np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:3]), [0, 1, 2])
-        with pytest.raises(RankDeficientError, match=r"^pixel \(3, 4\): collinear$"):
+        with pytest.raises(ZeroVectorError, match=r"^pixel \(3, 4\): zero spectrum$"):
             evaluate._label_chunk(label, coords)
 
     def test_error_of_no_pixel_names_none(self, scene):

@@ -11,7 +11,6 @@ from oracles import (
 from specangle.errors import (
     DimensionMismatchError,
     NonFiniteError,
-    RankDeficientError,
     SpecAngleError,
 )
 from specangle import pursuit
@@ -163,12 +162,15 @@ class TestSbomp:
         sol = sbomp(d, s, K=3)
         assert sol.support == (0,)
 
-    def test_rank_deficient_block_surfaces(self):
+    def test_duplicate_atoms_share_the_coefficient(self):
         a = np.array([[1.0], [2.0], [0.0]])
         block = np.hstack([a, a])  # duplicate atoms inside one block
         d = BlockDictionary(blocks=(block,), classes=np.array([1]))
-        with pytest.raises(RankDeficientError):
-            sbomp(d, a, K=1)
+        sol = sbomp(d, 3.0 * a, K=1)
+        assert sol.support == (0,)
+        # The minimum-norm refit splits the coefficient into equal halves.
+        np.testing.assert_allclose(sol.coefficients, [[1.5], [1.5]], rtol=1e-12)
+        assert sol.residual_norms[-1] <= 1e-12 * sol.residual_norms[0]
 
     def test_k_validation(self):
         d = width1_dictionary(np.eye(2))
@@ -295,17 +297,17 @@ class TestBatch:
         d = BlockDictionary(blocks=(np.hstack([a, a]), np.eye(3)[:, [2]]), classes=np.array([1, 2]))
         S = np.zeros((4, 3, 1))
         S[:, 2, 0] = 1.0  # block 1 represents these exactly
-        S[[2, 3], :, 0] = a[:, 0]  # selects the rank-deficient block 0
-        errors = []
-        for _ in range(2):  # the second run finds block 1 factored already
-            with pytest.raises(RankDeficientError) as info:
-                class_residuals(d, S, 1)
-            errors.append((info.value.index, str(info.value)))
-        assert errors[0] == errors[1] == (2, "design matrix has linearly dependent columns")
+        S[[2, 3], :, 0] = a[:, 0]  # selects block 0, whose two atoms are equal
+        first = class_residuals(d, S, 1)
+        assert (0,) in d._refits  # the duplicate-atom support is cached too
+        np.testing.assert_allclose(first[[2, 3], 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(first[[0, 1], 1], 0.0, atol=1e-12)
+        # A second run and a reordered part of the stack read both supports
+        # from the cache; a fresh dictionary factors them again.
         fresh = BlockDictionary(blocks=d.blocks, classes=d.classes)
-        np.testing.assert_array_equal(
-            class_residuals(d, S[:2], 1), class_residuals(fresh, S[:2], 1)
-        )
+        np.testing.assert_array_equal(class_residuals(d, S, 1), first)
+        np.testing.assert_array_equal(class_residuals(fresh, S, 1), first)
+        np.testing.assert_array_equal(class_residuals(d, S[[3, 1]], 1), first[[3, 1]])
         S[1, 0, 0] = np.nan
         with pytest.raises(NonFiniteError) as info:
             class_residuals(d, S, 1)

@@ -2,9 +2,11 @@
 and over what importing the package loads.
 
 Every import in src/specangle must be referenced in its module or listed in
-its __all__, and every name in an __all__ must be bound at the top level of
-its module. A helper whose last caller is removed then takes its import
-with it, and the public lists cannot name what is gone.
+its __all__; every name in an __all__ must be bound at the top level of its
+module; every exception class of errors.py must be named by another module.
+A helper whose last caller is removed then takes its import with it,
+an error that nothing raises any more takes its class with it, and the public
+lists cannot name what is gone.
 """
 
 import ast
@@ -73,6 +75,24 @@ def test_every_export_resolves(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     missing = set(exported_names(tree)) - top_level_names(tree)
     assert not missing, f"{path.name}: __all__ lists unbound names {sorted(missing)}"
+
+
+def test_every_error_is_used():
+    errors = SRC / "specangle" / "errors.py"
+    classes = {
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    named = set()
+    for path in SOURCES:
+        if path != errors:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    assert classes <= named, f"errors.py: classes no module names {sorted(classes - named)}"
 
 
 def test_import_leaves_out_scipy_spatial():
