@@ -157,14 +157,33 @@ def fit_projection(work_cube, train, config):
 
 
 def projected_windows(proj, cube, coords, window):
-    """Projected neighborhoods of many pixels, with one product.
+    """Projected neighborhoods of many pixels.
 
     Returns ``S`` (P, r, window**2) and ``counts`` (P,): S[i, :, :counts[i]]
-    is projected_block of coords[i]; the columns after it are zero.
+    is projected_block of coords[i]; the columns after it are zero. The
+    window spectra are gathered and projected a chunk_pixels(window**2 *
+    bands) chunk of pixels at a time, so beside S they take about
+    ``data.CHUNK_BYTES``. An out-of-bounds centre raises OutOfBoundsError
+    with ``index`` set to the first such centre.
     """
-    spectra, counts = neighborhood_spectra(cube, coords, window)
-    P, w, bands = spectra.shape
-    S = (spectra.reshape(P * w, bands) @ proj.matrix).reshape(P, w, proj.r)
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    w = window**2
+    S = np.empty((len(coords), w, proj.r))
+    counts = np.empty(len(coords), dtype=np.int64)
+    step = chunk_pixels(w * cube.bands)
+    # Once for no pixels too, so the window is still checked.
+    for lo in range(0, max(len(coords), 1), step):
+        try:
+            spectra, counts[lo : lo + step] = neighborhood_spectra(
+                cube, coords[lo : lo + step], window
+            )
+        except SpecAngleError as exc:
+            if exc.index is not None:
+                exc.index += lo
+            raise
+        out = S[lo : lo + step].reshape(-1, proj.r)
+        np.matmul(spectra.reshape(-1, cube.bands), proj.matrix, out=out)
+        del spectra  # before the next chunk is gathered
     return S.transpose(0, 2, 1), counts
 
 
@@ -177,7 +196,10 @@ def projected_block(proj, cube, coord, window):
 def _label_chunk(label, coords):
     """label(coords), or the error of the first failing pixel in coords.
 
-    An error that names no pixel (its ``index`` is None) is raised as it is.
+    ``label`` returns the labels of a prefix of coords, one pixel at least.
+    An error that names a pixel through its ``index`` is raised once every
+    pixel before it is labelled; one that names no pixel (its ``index`` is
+    None) is raised as it is.
     """
     try:
         return label(coords)
@@ -185,9 +207,10 @@ def _label_chunk(label, coords):
         i = exc.index
         if i is None:
             raise
-        if i:
-            # A pixel before the one that failed may still fail later on.
-            _label_chunk(label, coords[:i])
+        # A pixel before the one that failed may still fail later on.
+        done = 0
+        while done < i:
+            done += len(_label_chunk(label, coords[done:i]))
         exc.args = (f"pixel ({coords[i, 0]}, {coords[i, 1]}): {exc}",)
         raise
 
@@ -198,9 +221,12 @@ def fit_pipeline(work_cube, train, config):
     ``train`` is a SampleSet with labels and coords in ``work_cube``. Returns
     ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
     coordinates to an (m,) int64 array of labels. It labels the pixels in
-    chunks sized by ``data.CHUNK_BYTES``, and the labels do not depend on the
-    chunking. A SpecAngleError raised for a pixel names the first failing
-    pixel in input order.
+    chunks sized by ``data.CHUNK_BYTES``: for nn-cos a fixed number of
+    pixels; for sbomp and somp the longest run of pixels whose distinct
+    window members and pixels, a row of max(atoms, bands) values each, fit in
+    it together, counted from the members the chunk gathers anyway. The
+    labels do not depend on the chunking. A SpecAngleError raised for a pixel
+    names the first failing pixel in input order.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
@@ -222,24 +248,40 @@ def fit_pipeline(work_cube, train, config):
         dictionary = BlockDictionary(
             blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
         )
-        chunk = chunk_pixels(cls_window**2 * max(dictionary.n_atoms, work_cube.bands))
+        # Rows of max(atoms, bands) values that a chunk's distinct members
+        # (gathered spectra, then their score product) and its pixels (score
+        # sums) share; each pixel brings its centre at least.
+        budget = chunk_pixels(max(dictionary.n_atoms, work_cube.bands))
+        chunk = max(1, budget // 2)
 
         def label(coords):
-            # Each distinct window member is gathered and projected once.
+            # The longest prefix of coords that fits the budget, at least one
+            # pixel; each distinct window member of it is gathered and
+            # projected once.
             pixels = _window_pixels(work_cube, coords, cls_window)
             inside = pixels >= 0
-            distinct, inverse = np.unique(pixels[inside], return_inverse=True)
-            members = np.full(pixels.shape, -1)
-            members[inside] = inverse
-            rows, cols = np.divmod(distinct, work_cube.cols)
-            Z = work_cube.values[rows, cols] @ proj.matrix
+            distinct, first, inverse = np.unique(
+                pixels[inside], return_index=True, return_inverse=True
+            )
+            # The pixel that brings each distinct member first.
+            owner = np.flatnonzero(inside)[first] // pixels.shape[1]
+            rows = np.cumsum(np.bincount(owner, minlength=len(coords)) + 1)
+            n = max(1, int(np.searchsorted(rows, budget, side="right")))
+            kept = owner < n
+            members = np.full((n, pixels.shape[1]), -1)
+            members[inside[:n]] = (np.cumsum(kept) - 1)[inverse[: np.count_nonzero(inside[:n])]]
+            r, c = np.divmod(distinct[kept], work_cube.cols)
+            Z = work_cube.values[r, c] @ proj.matrix
             return sbomp_labels(dictionary, Z, config.sparsity, members)
 
     def predict(coords):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         labels = np.empty(len(coords), dtype=np.int64)
-        for start in range(0, len(coords), chunk):
-            labels[start:start + chunk] = _label_chunk(label, coords[start:start + chunk])
+        done = 0
+        while done < len(coords):
+            prefix = _label_chunk(label, coords[done : done + chunk])
+            labels[done : done + len(prefix)] = prefix
+            done += len(prefix)
         return labels
 
     return proj, predict

@@ -6,16 +6,20 @@ matrix right-hand side to the simultaneous variant, and wide blocks with a
 single column to the block variant.
 
 The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
-slice, against the fixed dictionary. Each iteration scores every block for
-every pixel with one product against the stacked dictionary: the l2,1 norm of
-the block's correlation with that pixel's residual, in one summation order
-for every caller (each atom's correlations with the pixel's columns squared
-and summed in column order, then the square roots summed over the block's
-atoms). A stack can also be given as its distinct columns and each pixel's
-members among them, as overlapping windows share most of their members: the
-first iteration then correlates each distinct column once and sums each
-pixel's score from its members' squared correlations, so a pixel's scores do
-not depend on whether its members were shared. The engine masks the blocks a
+slice, against the fixed dictionary, given also as its columns: distinct
+columns and each pixel's members among them, as overlapping windows share
+most of their members (a gathered stack is its own columns, each member in
+one slice). Each iteration scores every block for every pixel: the l2,1 norm
+of the block's correlation with that pixel's residual, in one summation
+order for every caller (each atom's correlations with the pixel's columns
+squared and summed in column order, then the square roots summed over the
+block's atoms). The first iteration correlates each distinct column once
+with the stacked dictionary. Later ones correlate each distinct residual
+column once: pixels with the same support share the residual of every
+member they share, so each (support, member) residual is read from one of
+its pixels and scored once, and whole support groups go into products of at
+most as many rows as the first iteration's. A pixel's scores therefore do
+not depend on which pixels share its members. The engine masks the blocks a
 pixel has already selected, appends the best block to the pixel's support
 (ties go to the lowest block index), refits the pixel's coefficients by least
 squares over its whole support and updates the residual. Coefficients live in
@@ -38,12 +42,12 @@ the widest; zero columns change neither the scores nor the residuals. Class
 residuals then come from one segmented reduction over every pixel's selected
 blocks.
 
-The largest array of one call is the (P*w, atoms) score product of a later
-iteration, 8*atoms*w bytes per pixel; the first iteration's product over the
-U distinct columns is (U, atoms) with U <= P*w. A caller bounds memory
-through P; ``predict`` from ``evaluate.fit_pipeline`` keeps it near
-``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class`` run the same engine
-on a stack of one.
+The largest arrays of one call are the (U, atoms) score products, U being
+the number of distinct columns, and the (P, atoms) score sums. A caller
+bounds memory through U and P; ``predict`` from
+``evaluate.fit_pipeline`` keeps (U + P) rows of max(atoms, bands) values
+within ``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class`` run the same
+engine on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -154,29 +158,63 @@ class SparseSolution:
     residual_norms: np.ndarray
 
 
-def _block_scores(dictionary, Z, members=None):
+def _block_scores(dictionary, Z, members):
     """Selection score of every block for every window, (P, n_blocks).
 
-    The columns of the windows are rows of Z. Without ``members``, Z is
-    (P, w, d) and window i is Z[i]; with ``members`` (P, w), Z is (n, d) and
-    window i is the rows Z[members[i]], so a row shared by several windows is
-    correlated once (a -1 reads the last row, which the caller keeps zero).
-    A block's score is the sum over its atoms of the l2 norm
-    of the atom's correlations with the window's columns, squared and summed
-    in column order, so the two forms differ only where the product rounds
-    a row differently for a different row count.
+    Window i holds the columns Z[members[i]] of the (n, d) array Z, in that
+    order; a -1 reads the last row, which the caller keeps zero. Each row of Z
+    is correlated once, however many windows share it. A block's score is the
+    sum over its atoms of the l2 norm of the atom's correlations with the
+    window's columns, squared and summed in column order, so a window's score
+    does not depend on which other windows share its rows, up to how the
+    product rounds a row for a different row count. The sums are taken a
+    block of windows at a time, the block's sums and one gathered column of
+    it together an eighth of ``data.CHUNK_BYTES``, so that they stay in cache.
     """
-    squares = Z.reshape(-1, Z.shape[-1]) @ dictionary._stacked
+    squares = Z @ dictionary._stacked
     squares *= squares
-    if members is None:
-        columns = squares.reshape(Z.shape[0], Z.shape[1], -1).swapaxes(0, 1)
-    else:
-        columns = (squares[m] for m in members.T)
-    P = len(Z) if members is None else len(members)
-    total = np.zeros((P, squares.shape[1]))
-    for column in columns:
-        total += column
-    return np.add.reduceat(np.sqrt(total), dictionary._offsets[:-1], axis=1)
+    total = np.zeros((len(members), squares.shape[1]))
+    step = data.chunk_pixels(16 * squares.shape[1])
+    column = np.empty((min(step, len(members)), squares.shape[1]))
+    for lo in range(0, len(members), step):
+        sums, block = total[lo : lo + step], members[lo : lo + step]
+        for m in block.T:
+            sums += np.take(squares, m, axis=0, out=column[: len(block)], mode="wrap")
+    return np.add.reduceat(np.sqrt(total, out=total), dictionary._offsets[:-1], axis=1)
+
+
+def _residual_scores(dictionary, R, members, groups, rows):
+    """``_block_scores`` of the residual windows R (P, d, w), (P, n_blocks).
+
+    Column j of R[i] is the residual of member members[i, j] (-1 a zero
+    column) under the support numbered groups[i]. Two windows with
+    the same support share the residual of every member they share, so each
+    distinct (support, member) column is correlated once. Each product takes
+    whole support groups and no more than ``rows`` rows: a group holds no
+    more distinct members than that.
+    """
+    inside = members >= 0
+    base = members.max() + 1
+    pairs, first, inverse = np.unique(
+        (groups[:, None] * base + members)[inside], return_index=True, return_inverse=True
+    )
+    local = np.full(members.shape, -1)
+    local[inside] = inverse
+    pixel, column = np.nonzero(inside)
+    columns = R[pixel[first], :, column[first]]
+    # Pairs sort by support; the pairs of group g end at ends[g].
+    ends = np.searchsorted(pairs // base, np.arange(groups.max() + 1), side="right")
+    scores = np.empty((len(members), dictionary.n_blocks))
+    g = lo = 0
+    while g < len(ends):
+        stop = int(np.searchsorted(ends, lo + rows, side="right"))
+        hi = ends[stop - 1]
+        batch = np.flatnonzero((groups >= g) & (groups < stop))
+        Z = np.vstack([columns[lo:hi], np.zeros((1, columns.shape[1]))])
+        batch_members = np.where(inside[batch], local[batch] - lo, -1)
+        scores[batch] = _block_scores(dictionary, Z, batch_members)
+        g, lo = stop, hi
+    return scores
 
 
 def _refits(dictionary, supports):
@@ -222,19 +260,20 @@ def _refits(dictionary, supports):
     return np.stack(refits)
 
 
-def _pursue(dictionary, S, K, shared=None):
+def _pursue(dictionary, S, K, Z, members):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
     Returns ``support`` (P, K), block indices in selection order padded with
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. ``shared``, if given, is the
-    ``(Z, members)`` of ``_block_scores`` with Z[members[i]] the columns of
-    S[i]: the first iteration then scores each row of Z once. Each iteration
-    refits every active pixel with one stacked product by the pseudo-inverse
-    of its support from ``_refits``, which factors the supports not seen
-    yet.
+    NaN after each pixel's last iteration. ``Z`` and ``members`` are the
+    columns of S as ``_block_scores`` takes them, Z[members[i]] being the
+    columns of S[i]: the first iteration scores each row of Z once, and each
+    later one each distinct (support, member) residual once, in products of
+    at most len(Z) rows. Each iteration refits every active pixel with one
+    stacked product by the pseudo-inverse of its support from ``_refits``,
+    which factors the supports not seen yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -249,10 +288,12 @@ def _pursue(dictionary, S, K, shared=None):
     for t in range(K):
         if not active.size:
             break
-        if t == 0 and shared is not None:
-            scores = _block_scores(dictionary, *shared)
+        if t == 0:
+            scores = _block_scores(dictionary, Z, members)
         else:
-            scores = _block_scores(dictionary, R[active].transpose(0, 2, 1))
+            scores = _residual_scores(
+                dictionary, R[active], members[active], ranks[active], len(Z)
+            )
         rows = np.arange(len(active))
         scores[rows[:, None], support[active, :t]] = -np.inf
         best = np.argmax(scores, axis=1)
@@ -322,6 +363,13 @@ def _one_block(S):
     return S.reshape(S.shape[0], -1)
 
 
+def _own_columns(S):
+    """A (P, d, w) stack as ``_pursue`` takes its columns: the P * w columns
+    as rows, and each slice's own rows as its members."""
+    P, d, w = S.shape
+    return S.transpose(0, 2, 1).reshape(P * w, d), np.arange(P * w).reshape(P, w)
+
+
 def _slot_rows(dictionary, support):
     """Rows of the slot layout that hold the coefficients of ``support``."""
     return np.flatnonzero(dictionary._slots[support].ravel() >= 0)
@@ -342,8 +390,8 @@ def sbomp(dictionary, S, K):
     -------
     SparseSolution
     """
-    S = _one_block(S)
-    support, coefficients, norms = _pursue(dictionary, _checked_stack(dictionary, S[None], K), K)
+    S = _checked_stack(dictionary, _one_block(S)[None], K)
+    support, coefficients, norms = _pursue(dictionary, S, K, *_own_columns(S))
     chosen = support[0][support[0] >= 0]
     return SparseSolution(
         support=tuple(int(j) for j in chosen),
@@ -382,8 +430,10 @@ def class_residuals(dictionary, S, K, members=None):
         Test blocks given by their distinct columns: S holds one column per
         row, and pixel i's block is the columns S[members[i]], a -1 giving a
         zero column. The first iteration then correlates each row of S once,
-        however many blocks share it; the results are those of the gathered
+        however many blocks share it, and each later one each residual of a
+        row under one support once; the results are those of the gathered
         (P, d, w) stack up to how the products round a different row count.
+        Without ``members``, S is a gathered stack, its own distinct columns.
 
     Returns
     -------
@@ -397,14 +447,14 @@ def class_residuals(dictionary, S, K, members=None):
         A NonFiniteError has ``index`` set to the first pixel whose block
         holds NaN or Inf.
     """
-    shared = None
-    if members is not None:
+    if members is None:
+        S = _checked_stack(dictionary, S, K)
+        Z, members = _own_columns(S)
+    else:
         Z = np.asarray(S, dtype=float)
         # A trailing zero row, read by every -1 of members.
         Z = np.vstack([Z, np.zeros((1, Z.shape[-1]))])
         members = np.asarray(members, dtype=np.int64)
-        S = np.ascontiguousarray(Z[members].transpose(0, 2, 1))
-        shared = (Z, members)
-    S = _checked_stack(dictionary, S, K)
-    support, coefficients, _ = _pursue(dictionary, S, K, shared)
+        S = _checked_stack(dictionary, np.ascontiguousarray(Z[members].transpose(0, 2, 1)), K)
+    support, coefficients, _ = _pursue(dictionary, S, K, Z, members)
     return _class_residuals(dictionary, S, support, coefficients)

@@ -161,6 +161,26 @@ class TestFirstFailure:
         with pytest.raises(ZeroVectorError, match=r"^pixel \(3, 4\): zero spectrum$"):
             evaluate._label_chunk(label, coords)
 
+    def test_prefix_labels_still_name_the_first_failing_pixel(self):
+        # label takes all but the last 3 pixels it is given (1 at least), as
+        # predict's sbomp label takes the prefix that fits its budget: the
+        # pixels before a failure are then labelled over several calls.
+        bad = {2, 5}
+
+        def label(coords):
+            part = coords[: max(len(coords) - 3, 1)]
+            hits = [i for i, row in enumerate(part[:, 0]) if row in bad]
+            if hits:
+                exc = ZeroVectorError("zero spectrum")
+                exc.index = hits[-1]
+                raise exc
+            return part[:, 0]
+
+        coords = np.stack([np.arange(10), np.full(10, 4)], axis=1)
+        np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:2]), [0])
+        with pytest.raises(ZeroVectorError, match=r"^pixel \(2, 4\): zero spectrum$"):
+            evaluate._label_chunk(label, coords)
+
     def test_error_of_no_pixel_names_none(self, scene):
         # K is checked for the whole chunk, so the error has no index.
         cube, gt = scene

@@ -6,7 +6,9 @@ primitives, one pixel at a time. A name added to either registry is covered
 automatically, and a classifier name without a reference below fails the
 test. ``predict`` labels pixels in chunks; further tests pin that its labels
 do not depend on the chunking or on the pursuit's refit cache, that each
-distinct support is factored once, and that its errors name the right pixel.
+distinct support is factored once, that its errors name the right pixel, and
+that a warm predict and the projected windows stay within their memory
+bounds.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import neighborhood_bruteforce
+from oracles import neighborhood_bruteforce, traced_peak
 from specangle import classify, data, evaluate, pursuit
 from specangle.classify import nn_cosine_classify
 from specangle.cli import main
@@ -27,7 +29,7 @@ from specangle.data import (
     split_train_test,
     synth_scene,
 )
-from specangle.errors import SpecAngleError, ZeroVectorError
+from specangle.errors import OutOfBoundsError, SpecAngleError, ZeroVectorError
 from specangle.evaluate import (
     CLASSIFIERS,
     ExperimentConfig,
@@ -35,7 +37,7 @@ from specangle.evaluate import (
     fit_projection,
     run_experiment,
 )
-from specangle.projections import METHODS
+from specangle.projections import METHODS, Projection
 from specangle.pursuit import BlockDictionary, class_residuals, residual_by_class, sbomp
 
 # window 3 blocks have 9 columns, so r >= 9 keeps the K=1 solves full rank
@@ -168,30 +170,43 @@ def test_block_pursuit_k2_matches_reference_on_every_pixel(wide_scene, method):
     assert outcome(predict, coords) == expected
 
 
+def spy_chunks(monkeypatch):
+    """Record how many pixels each chunk of predict labels."""
+    chunks, label_chunk = [], evaluate._label_chunk
+
+    def record(label, coords):
+        labels = label_chunk(label, coords)
+        chunks.append(len(labels))
+        return labels
+
+    monkeypatch.setattr(evaluate, "_label_chunk", record)
+    return chunks
+
+
 @pytest.mark.parametrize("classifier,window", [
     *(pytest.param(c, WINDOW, id=c) for c in CLASSIFIERS),
     *(pytest.param(c, 5, id=f"{c}-window5") for c in CLASSIFIERS),
 ])
 def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier, window):
     """A test window of 5 shares each member among up to 25 windows; the
-    dictionary's blocks stay at window 3, so K=2 refits stay full rank."""
+    dictionary's blocks stay at window 3, so K=2 refits stay full rank. A
+    128 KiB budget cuts the pixels, repeats included, into chunks of a few
+    to a few hundred."""
     cube, train = wide_scene
-    chunks, chunk_pixels = [], evaluate.chunk_pixels
-
-    def spy(values_per_pixel):
-        chunks.append(chunk_pixels(values_per_pixel))
-        return chunks[-1]
-
-    monkeypatch.setattr(evaluate, "chunk_pixels", spy)
+    monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 17)
     cfg = config("slspp", classifier, r=WIDE_R, sparsity=WIDE_K, window=window, dict_window=WINDOW)
     _, predict = fit_pipeline(cube, train, cfg)
-    [chunk] = chunks
+    chunks = spy_chunks(monkeypatch)
 
     pixels = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
-    order = np.random.default_rng(5).permutation(chunk + 1) % len(pixels)
-    coords = pixels[order]
+    many = pixels[np.random.default_rng(5).permutation(2 * len(pixels)) % len(pixels)]
+    everything = predict(many)
+    assert len(chunks) > 1
+    chunk = chunks[0]
+    coords = many[: chunk + 1]
     labels = predict(coords)
     assert labels.dtype == np.int64 and labels.shape == (chunk + 1,)
+    np.testing.assert_array_equal(labels, everything[: chunk + 1])
     for n in (chunk - 1, chunk):
         np.testing.assert_array_equal(predict(coords[:n]), labels[:n])
     k = min(7, chunk)
@@ -200,12 +215,17 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier, w
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
-def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monkeypatch):
+@pytest.mark.parametrize("K", [2, 3])
+def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monkeypatch, K):
     """predict gathers, projects and first correlates each distinct window
-    member once. On integer uint16-scale spectra with a patch of repeated
-    ones, truncated edge windows and chunks that end inside an image row, its
-    supports and labels equal those of the gathered stack and of one-pixel
-    sbomp, and its residuals agree with theirs to rounding."""
+    member once, and each later iteration correlates each distinct
+    (support, member) residual once. On integer uint16-scale spectra with a
+    patch of repeated ones, truncated edge windows and short chunks that end
+    inside an image row, its supports and labels equal those of the gathered
+    stack and of one-pixel sbomp, and its residuals agree with theirs to
+    rounding. The training pixels' windows are represented exactly, so they
+    stop early beside pixels that continue, and neighbours that share
+    members select different first blocks."""
     cube, train = wide_scene
     values = np.round(cube.values * 20000.0)
     assert values.max() < 2**16
@@ -223,9 +243,9 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
         labels=train.labels, coords=train.coords,
     )
 
-    chunk = 25
-    assert chunk % cube.cols  # so chunks end inside image rows
-    monkeypatch.setattr(evaluate, "chunk_pixels", lambda values_per_pixel: chunk)
+    # 64 KiB holds 63 score rows of the dictionary's 129 atoms: chunks of
+    # about 15 pixels, each with as many distinct members as fit beside them.
+    monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 16)
     recorded, class_residuals_of = [], classify.class_residuals
 
     def record(dictionary, S, K, members=None):
@@ -235,12 +255,18 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
 
     monkeypatch.setattr(classify, "class_residuals", record)
     _, supports = spy_refits(monkeypatch)
-    proj, predict = fit_pipeline(cube, train, config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K))
+    proj, predict = fit_pipeline(cube, train, config("slspp", "sbomp", r=WIDE_R, sparsity=K))
     coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
     labels = predict(coords)
-    assert len(recorded) == -(-len(coords) // chunk)
+    ends = np.cumsum([len(r) for r in recorded])
+    assert len(ends) > 10 and np.any(ends % cube.cols)  # chunks end inside image rows
     support, residuals = np.concatenate(supports), np.concatenate(recorded)
     supports.clear()
+    stopped = support[:, -1] < 0
+    assert np.any(stopped) and not np.all(stopped)
+    assert np.any(stopped[[cube.cols * r + c for r, c in train.coords]])
+    grid = support[:, 0].reshape(cube.rows, cube.cols)
+    assert np.any(grid[:, 1:] != grid[:, :-1])
 
     S, _ = evaluate.projected_windows(proj, cube, coords, WINDOW)
     blocks, counts = evaluate.projected_windows(proj, cube, train.coords, WINDOW)
@@ -250,14 +276,14 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     # Residuals are compared relative to the pixel's norm as well, since a
     # window its own class represents exactly leaves only rounding noise.
     scale = np.linalg.norm(S, axis=(1, 2))[:, None]
-    gathered = class_residuals(dictionary, S, WIDE_K)
+    gathered = class_residuals(dictionary, S, K)
     [gathered_support] = supports
     np.testing.assert_array_equal(support, gathered_support)
     np.testing.assert_allclose(residuals / scale, gathered / scale, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(labels, dictionary.class_ids[np.argmin(gathered, axis=1)])
     for i, rc in enumerate(coords):
         block = evaluate.projected_block(proj, cube, rc, WINDOW)
-        sol = sbomp(dictionary, block, WIDE_K)
+        sol = sbomp(dictionary, block, K)
         assert sol.support == tuple(int(j) for j in support[i] if j >= 0)
         by_class = residual_by_class(dictionary, block, sol)
         one = np.array([by_class[c] for c in dictionary.class_ids])
@@ -274,8 +300,8 @@ def spy_refits(monkeypatch):
         factored.append(len(A))
         return least_squares(A, B)
 
-    def record(dictionary, S, K, shared=None):
-        out = pursue(dictionary, S, K, shared)
+    def record(dictionary, S, K, Z, members):
+        out = pursue(dictionary, S, K, Z, members)
         supports.append(out[0])
         return out
 
@@ -369,3 +395,76 @@ def test_zero_test_spectrum_names_that_pixel(wide_scene):
     predict(coords[:25])
     with pytest.raises(ZeroVectorError, match=rf"^pixel \({r}, {c}\): cosine distance is undefined"):
         predict(coords)
+
+
+class TestPredictMemory:
+    """The traced peak of a warm predict. A chunk's distinct members (their
+    gathered spectra, then their score product) and its pixels' score sums
+    share one CHUNK_BYTES budget, so the peak stays near it when windows
+    share most members and when they share none. Measured: 7.07 MiB on the
+    map shape (5.75 MiB with the former chunks of 72 pixels, whose later
+    iterations scored every window column), 4.68 MiB on scattered pixels."""
+
+    @staticmethod
+    def peak(size, seed, window, coords=None):
+        cube, gt = synth_scene(size, size, 103, 9, noise_sd=0.05, seed=seed)
+        train_coords, _ = split_train_test(gt, 10, 0, seed)
+        train = pixels_to_sample_set(cube, train_coords, gt)
+        cfg = ExperimentConfig(
+            method="slspp", classifier="sbomp", r=30, window=window, sparsity=2, n_train=10,
+        )
+        _, predict = fit_pipeline(cube, train, cfg)
+        if coords is None:
+            coords = np.argwhere(gt.labels > 0)
+        predict(coords)
+        labels, peak = traced_peak(predict, coords)
+        assert labels.shape == (len(coords),)
+        return peak
+
+    def test_map_shape(self):
+        """96x96x103, slspp r = 30, window 3, K = 2: chunks of about 230
+        pixels and 420 distinct members against 810 atoms."""
+        assert self.peak(96, 5, 3) <= 7.5 * 2**20
+
+    def test_scattered_pixels(self):
+        """Window-5 pixels 5 apart on a 60x60x103 scene share no member:
+        chunks of 9 pixels and 225 members against about 2,150 atoms."""
+        grid = np.argwhere(np.ones((12, 12), dtype=bool)) * 5 + 2
+        assert self.peak(60, 3, 5, grid) <= 5 * 2**20
+
+
+class TestProjectedWindows:
+    """Window spectra are gathered and projected a chunk_pixels(w^2 * bands)
+    chunk of pixels at a time: 1,000 window-5 neighbourhoods of a 60x60x103
+    scene projected to r = 60 take 12 MB, their spectra 20.6 MB."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        cube, _ = synth_scene(60, 60, 103, 9, seed=3)
+        rng = np.random.default_rng(6)
+        proj = Projection(
+            matrix=rng.standard_normal((103, 60)), eigenvalues=np.zeros(60), method="lspp"
+        )
+        return cube, proj, rng.integers(0, 60, size=(1000, 2))
+
+    def test_peak_is_the_windows_and_one_chunk(self, case):
+        cube, proj, coords = case
+        (S, counts), peak = traced_peak(evaluate.projected_windows, proj, cube, coords, 5)
+        assert S.shape == (1000, 60, 25)
+        assert peak <= S.nbytes + counts.nbytes + data.CHUNK_BYTES + (1 << 20)
+
+    def test_chunks_match_one_product(self, case):
+        cube, proj, coords = case
+        S, counts = evaluate.projected_windows(proj, cube, coords, 5)
+        spectra, expected = data.neighborhood_spectra(cube, coords, 5)
+        np.testing.assert_array_equal(counts, expected)
+        product = spectra.reshape(-1, 103) @ proj.matrix
+        np.testing.assert_array_equal(S, product.reshape(1000, 25, 60).transpose(0, 2, 1))
+
+    def test_an_outside_centre_is_named_by_its_position(self, case):
+        cube, proj, coords = case
+        coords = coords.copy()
+        coords[700] = (60, 0)
+        with pytest.raises(OutOfBoundsError, match=r"^center \(60, 0\) outside") as info:
+            evaluate.projected_windows(proj, cube, coords, 5)
+        assert info.value.index == 700

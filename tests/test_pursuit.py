@@ -266,7 +266,7 @@ class TestBatch:
         for i, T in enumerate(tests):
             S[i, :, : T.shape[1]] = T
 
-        support, coefficients, norms = pursuit._pursue(d, S, K)
+        support, coefficients, norms = pursuit._pursue(d, S, K, *pursuit._own_columns(S))
         assert list(support[1]) == [2, -1, -1]
         assert list(support[3]) == [-1, -1, -1]
         assert np.all(support[[0, 2, 4]] >= 0)
@@ -337,7 +337,28 @@ class TestSharedColumns:
             windows = Z[members]
             expected = block_scores_reference(blocks, windows.transpose(0, 2, 1))
             np.testing.assert_allclose(pursuit._block_scores(d, Z, members), expected, rtol=1e-12)
-            np.testing.assert_allclose(pursuit._block_scores(d, windows), expected, rtol=1e-12)
+            own = pursuit._own_columns(windows.transpose(0, 2, 1))
+            np.testing.assert_allclose(pursuit._block_scores(d, *own), expected, rtol=1e-12)
+
+    def test_residual_scores_match_the_loop_reference(self):
+        """Windows of one support group share the residual of each member
+        they share; any cap on a product's rows leaves the scores as they
+        are, down to a cap of one group's distinct members."""
+        rng = np.random.default_rng(111)
+        for _ in range(50):
+            blocks, d, Z, members = self.case(rng)
+            P, w = members.shape
+            groups = rng.integers(0, 3, size=P)
+            by_pair = rng.standard_normal((3, len(Z), Z.shape[1]))
+            by_pair[:, -1] = 0.0
+            R = by_pair[groups[:, None], members].transpose(0, 2, 1)
+            expected = block_scores_reference(blocks, R)
+            widest = max(
+                len(np.unique(members[(groups == g)[:, None] & (members >= 0)])) for g in range(3)
+            )
+            for rows in (len(Z), max(widest, 1)):
+                scores = pursuit._residual_scores(d, R, members, groups, rows)
+                np.testing.assert_allclose(scores, expected, rtol=1e-12)
 
     def test_class_residuals_match_the_gathered_stack(self):
         rng = np.random.default_rng(109)
@@ -345,8 +366,8 @@ class TestSharedColumns:
             _, d, Z, members = self.case(rng, ddim=16)
             K = int(rng.integers(1, min(3, d.n_blocks) + 1))
             S = Z[members].transpose(0, 2, 1)
-            support = pursuit._pursue(d, S, K)[0]
-            shared = pursuit._pursue(d, S, K, (Z, members))[0]
+            support = pursuit._pursue(d, S, K, *pursuit._own_columns(S))[0]
+            shared = pursuit._pursue(d, S, K, Z, members)[0]
             np.testing.assert_array_equal(shared, support)
             np.testing.assert_allclose(
                 class_residuals(d, Z[:-1], K, members), class_residuals(d, S, K), rtol=1e-12

@@ -3,9 +3,11 @@ and over what importing the package loads.
 
 Every import in src/specangle must be referenced in its module or listed in
 its __all__; every name in an __all__ must be bound at the top level of its
-module; every exception class of errors.py must be named by another module.
-A helper whose last caller is removed then takes its import with it,
-an error that nothing raises any more takes its class with it, and the public
+module; every exception class of errors.py must be named by another module;
+every top-level private function or class must be named somewhere outside
+its own definition. A helper whose last caller is removed then takes its
+import with it, a private helper of deleted code leaves with that code, an
+error that nothing raises any more takes its class with it, and the public
 lists cannot name what is gone.
 """
 
@@ -93,6 +95,35 @@ def test_every_error_is_used():
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
     assert classes <= named, f"errors.py: classes no module names {sorted(classes - named)}"
+
+
+def named(node):
+    """The names, attributes and imported names that appear under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_private_definition_is_named_elsewhere():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unnamed = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            others = [other for other in tree.body if other is not node]
+            others += [t for p, t in trees.items() if p != path]
+            if not any(node.name in named(other) for other in others):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unnamed, f"private definitions nothing names: {unnamed}"
 
 
 def test_import_leaves_out_scipy_spatial():
