@@ -376,7 +376,14 @@ def load_ground_truth(path, fmt="csv"):
         cube = _load_envi(path)
         if cube.bands != 1:
             raise SizeMismatchError(f"ground-truth raster must be single-band, has {cube.bands}")
-        return GroundTruth(labels=cube.values[:, :, 0].astype(np.int64))
+        labels = cube.values[:, :, 0]
+        fractional = np.argwhere(labels != np.round(labels))
+        if len(fractional):
+            r, c = fractional[0]
+            raise BadRasterError(
+                f"ground-truth label {labels[r, c]} at pixel ({r}, {c}) is not an integer"
+            )
+        return GroundTruth(labels=labels.astype(np.int64))
     raise ValueError(f"ground-truth format must be 'csv' or 'envi', got '{fmt}'")
 
 

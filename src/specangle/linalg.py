@@ -144,6 +144,13 @@ def gen_eig_desc(A, B, ridge=0.0):
     return w, _fix_signs(V)
 
 
+def _pinv(A):
+    """pinv(A) of one (m, k) matrix or a stack, singular values at most
+    max(m, k) * eps times the largest one treated as zero."""
+    m, k = A.shape[-2:]
+    return np.linalg.pinv(A, rcond=max(m, k) * np.finfo(float).eps)
+
+
 def least_squares(A, B):
     """Minimum-norm minimizer of ||B - A C||_F, for one system or a stack.
 
@@ -170,7 +177,4 @@ def least_squares(A, B):
         raise DimensionMismatchError(
             f"row counts or stacks differ: A is {A.shape}, B is {B.shape}"
         )
-    m, k = A.shape[-2:]
-    if k == 0:
-        return np.zeros(A.shape[:-2] + (0, B.shape[-1]))
-    return np.linalg.pinv(A, rcond=max(m, k) * np.finfo(float).eps) @ B
+    return _pinv(A) @ B

@@ -125,14 +125,19 @@ class Projection:
             raise MalformedHeaderError(f"unknown method '{method}'")
         try:
             d, r = int(head[1]), int(head[2])
+            parsers = {"sigma": float, "window": int, "ridge": float}
             params = {
-                key: (None if tok == "-" else float(tok))
-                for key, tok in zip(("sigma", "window", "ridge"), head[3:])
+                key: parse(tok) for (key, parse), tok in zip(parsers.items(), head[3:]) if tok != "-"
             }
         except ValueError as exc:
             raise MalformedHeaderError(f"unparsable projection header: {exc}") from exc
         if min(d, r) < 1:
             raise MalformedHeaderError(f"projection dimensions must be positive, got {d}x{r}")
+        window = params.get("window", 1)
+        if window < 1 or window % 2 == 0:
+            raise MalformedHeaderError(f"projection window must be odd and >= 1, got {window}")
+        if not all(np.isfinite(params.get(key, 0.0)) for key in ("sigma", "ridge")):
+            raise MalformedHeaderError(f"projection sigma and ridge must be finite: '{lines[0]}'")
         try:
             values = [float(tok) for ln in lines[1:] for tok in ln.split()]
         except ValueError as exc:
@@ -141,14 +146,11 @@ class Projection:
             raise MalformedHeaderError(
                 f"expected {d * r + r} values for a {d}x{r} projection, got {len(values)}"
             )
-        fit_params = {k: v for k, v in params.items() if v is not None}
-        if "window" in fit_params:
-            fit_params["window"] = int(fit_params["window"])
         return cls(
             matrix=np.asarray(values[: d * r]).reshape(d, r),
             eigenvalues=np.asarray(values[d * r :]),
             method=method,
-            fit_params=fit_params,
+            fit_params=params,
         )
 
 

@@ -6,44 +6,44 @@ matrix right-hand side to the simultaneous variant, and wide blocks with a
 single column to the block variant.
 
 The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
-slice, against the fixed dictionary, given also as its columns: distinct
-columns and each pixel's members among them, as overlapping windows share
-most of their members (a gathered stack is its own columns, each member in
-one slice). Each iteration scores every block for every pixel: the l2,1 norm
-of the block's correlation with that pixel's residual, in one summation
-order for every caller (each atom's correlations with the pixel's columns
-squared and summed in column order, then the square roots summed over the
-block's atoms). The first iteration correlates each distinct column once
-with the stacked dictionary. Later ones correlate each distinct residual
-column once: pixels with the same support share the residual of every
-member they share, so each (support, member) residual is read from one of
-its pixels and scored once, and whole support groups go into products of at
-most as many rows as the first iteration's. A pixel's scores therefore do
-not depend on which pixels share its members. The engine masks the blocks a
-pixel has already selected, appends the best block to the pixel's support
-(ties go to the lowest block index), refits the pixel's coefficients by least
-squares over its whole support and updates the residual. Coefficients live in
-a slot layout: support slot k holds as many rows as the widest block, and the
-rows past a narrower block's width belong to a trailing zero atom of the
-stacked dictionary, so every support of L blocks is L slots of the same width.
-The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
-every support, however many of its atoms are collinear. pinv(A_I) depends on
-the dictionary and the ordered support, not on the pixel. Pixels choose few
-distinct supports, so each one is factored once per dictionary, padded to the
-slot layout with zero rows and kept in its cache for every later pixel and
-chunk that selects it: the supports an iteration misses are factored with one
-stacked least-squares solve per support width. Each iteration then refits
-every pixel with one stacked product. The cache is cleared before its
-pseudo-inverses would pass ``data.CHUNK_BYTES``. Each pixel stops on its own:
-after K iterations, or early when its residual is numerically zero or every
-remaining score is zero. A pixel that has stopped keeps its support and
-coefficients. Test blocks of different widths share a stack by zero-padding to
-the widest; zero columns change neither the scores nor the residuals. Class
-residuals then come from one segmented reduction over every pixel's selected
-blocks.
+slice, against the fixed dictionary. Each column of S has a member key:
+columns with the same key are equal, as overlapping windows share most of
+their members (a gathered stack gives each column its own key), and a key of
+-1 marks a zero column. Each iteration scores every block for every pixel by
+one rule: the l2,1 norm of the block's correlation with that pixel's
+residual, in one summation order for every caller (each atom's correlations
+with the pixel's columns squared and summed in column order, then the square
+roots summed over the block's atoms). Pixels with the same support share the
+residual of every member they share, so each distinct (support, member)
+residual is read from one of its pixels and correlated once with the stacked
+dictionary, whole support groups going into products of at most the distinct
+members and one zero row. Every pixel starts from the empty support, so the
+first iteration correlates each distinct member once. A pixel's scores
+therefore do not depend on which pixels share its members. The engine masks
+the blocks a pixel has already selected, appends the best block to the
+pixel's support (ties go to the lowest block index), refits the pixel's
+coefficients by least squares over its whole support and updates the
+residual. Coefficients live in a slot layout: support slot k holds as many
+rows as the widest block, and the rows past a narrower block's width belong
+to a trailing zero atom of the stacked dictionary, so every support of L
+blocks is L slots of the same width. The refit of support I is the
+minimum-norm X = pinv(A_I) S, defined for every support, however many of its
+atoms are collinear. pinv(A_I) depends on the dictionary and the ordered
+support, not on the pixel. Pixels choose few distinct supports, so each one
+is factored once per dictionary, padded to the slot layout with zero rows
+and kept in its cache for every later pixel and chunk that selects it: the
+supports an iteration misses are factored with one stacked pseudo-inverse
+per support width. Each iteration then refits every pixel with one stacked
+product. The cache is cleared before its pseudo-inverses would pass
+``data.CHUNK_BYTES``. Each pixel stops on its own: after K iterations, or
+early when its residual is numerically zero or every remaining score is
+zero. A pixel that has stopped keeps its support and coefficients. Test
+blocks of different widths share a stack by zero-padding to the widest; zero
+columns change neither the scores nor the residuals. Class residuals then
+come from one segmented reduction over every pixel's selected blocks.
 
 The largest arrays of one call are the (U, atoms) score products, U being
-the number of distinct columns, and the (P, atoms) score sums. A caller
+the number of distinct members, and the (P, atoms) score sums. A caller
 bounds memory through U and P; ``predict`` from
 ``evaluate.fit_pipeline`` keeps (U + P) rows of max(atoms, bands) values
 within ``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class`` run the same
@@ -61,7 +61,7 @@ from .errors import (
     NonFiniteError,
     SpecAngleError,
 )
-from .linalg import least_squares
+from .linalg import _pinv
 
 __all__ = [
     "BlockDictionary",
@@ -189,9 +189,10 @@ def _residual_scores(dictionary, R, members, groups, rows):
     Column j of R[i] is the residual of member members[i, j] (-1 a zero
     column) under the support numbered groups[i]. Two windows with
     the same support share the residual of every member they share, so each
-    distinct (support, member) column is correlated once. Each product takes
-    whole support groups and no more than ``rows`` rows: a group holds no
-    more distinct members than that.
+    distinct (support, member) column is correlated once; with every window
+    in one group, each distinct member is. Each product takes whole support
+    groups and no more than ``rows`` rows: a group holds no more distinct
+    members than that.
     """
     inside = members >= 0
     base = members.max() + 1
@@ -226,9 +227,9 @@ def _refits(dictionary, supports):
     block's width are zero, so a test block S refits to pinv @ S in the
     coefficient layout of ``_pursue``. The entries depend on the dictionary
     and the ordered support only, so they are kept in the dictionary's cache;
-    the missing ones are factored with one stacked least-squares solve
-    against the identity per support width. The cache is cleared when its
-    bytes would pass ``data.CHUNK_BYTES``.
+    the missing ones are factored with one stacked pseudo-inverse per
+    support width. The cache is cleared when its bytes would pass
+    ``data.CHUNK_BYTES``.
     """
     cache = dictionary._refits
     keys = [tuple(row) for row in supports.tolist()]
@@ -239,14 +240,13 @@ def _refits(dictionary, supports):
     atoms = dictionary._slots[supports[miss]].reshape(len(miss), -1)
     real = atoms >= 0
     widths = real.sum(axis=1)
-    d = dictionary.dim
     used = sum(pinv.nbytes for pinv in cache.values())
     for m in np.unique(widths):
         group = np.flatnonzero(widths == m)
         pos = np.nonzero(real[group])[1].reshape(-1, m)
         A = dictionary._stacked[:, atoms[group[:, None], pos]].transpose(1, 0, 2)
-        pinv = least_squares(A, np.broadcast_to(np.eye(d), (len(A), d, d)))
-        padded = np.zeros((len(A), atoms.shape[1], d))
+        pinv = _pinv(A)
+        padded = np.zeros((len(A), atoms.shape[1], dictionary.dim))
         padded[np.arange(len(A))[:, None], pos] = pinv
         size = padded[0].nbytes
         for i, entry in zip(miss[group], padded):
@@ -260,26 +260,29 @@ def _refits(dictionary, supports):
     return np.stack(refits)
 
 
-def _pursue(dictionary, S, K, Z, members):
+def _pursue(dictionary, S, K, members):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
     Returns ``support`` (P, K), block indices in selection order padded with
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. ``Z`` and ``members`` are the
-    columns of S as ``_block_scores`` takes them, Z[members[i]] being the
-    columns of S[i]: the first iteration scores each row of Z once, and each
-    later one each distinct (support, member) residual once, in products of
-    at most len(Z) rows. Each iteration refits every active pixel with one
-    stacked product by the pseudo-inverse of its support from ``_refits``,
-    which factors the supports not seen yet.
+    NaN after each pixel's last iteration. ``members`` (P, w) holds the key
+    of each column of S: columns with the same key are equal, keys lie in 0
+    to U - 1, and -1 marks a zero column. Every iteration scores with
+    ``_residual_scores``, each pixel grouped by its support and every pixel
+    starting in the group of the empty support, with the row bound of the
+    first iteration: the U members and the zero row. Each iteration refits
+    every active pixel with one stacked product by the pseudo-inverse of its
+    support from ``_refits``, which factors the supports not seen yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
     support = np.full((P, K), -1, dtype=np.int64)
-    # Per pixel, the rank of its support among the iteration's distinct ones.
+    # Per pixel, the rank of its support among the iteration's distinct ones;
+    # every pixel starts with the empty one.
     ranks = np.zeros(P, dtype=np.int64)
+    bound = members.max(initial=-1) + 2
     coefficients = np.zeros((P, K * slots.shape[1], w))
     norms = np.full((P, K + 1), np.nan)
     norms[:, 0] = np.linalg.norm(S, axis=(1, 2))
@@ -288,12 +291,7 @@ def _pursue(dictionary, S, K, Z, members):
     for t in range(K):
         if not active.size:
             break
-        if t == 0:
-            scores = _block_scores(dictionary, Z, members)
-        else:
-            scores = _residual_scores(
-                dictionary, R[active], members[active], ranks[active], len(Z)
-            )
+        scores = _residual_scores(dictionary, R[active], members[active], ranks[active], bound)
         rows = np.arange(len(active))
         scores[rows[:, None], support[active, :t]] = -np.inf
         best = np.argmax(scores, axis=1)
@@ -363,13 +361,6 @@ def _one_block(S):
     return S.reshape(S.shape[0], -1)
 
 
-def _own_columns(S):
-    """A (P, d, w) stack as ``_pursue`` takes its columns: the P * w columns
-    as rows, and each slice's own rows as its members."""
-    P, d, w = S.shape
-    return S.transpose(0, 2, 1).reshape(P * w, d), np.arange(P * w).reshape(P, w)
-
-
 def _slot_rows(dictionary, support):
     """Rows of the slot layout that hold the coefficients of ``support``."""
     return np.flatnonzero(dictionary._slots[support].ravel() >= 0)
@@ -391,7 +382,7 @@ def sbomp(dictionary, S, K):
     SparseSolution
     """
     S = _checked_stack(dictionary, _one_block(S)[None], K)
-    support, coefficients, norms = _pursue(dictionary, S, K, *_own_columns(S))
+    support, coefficients, norms = _pursue(dictionary, S, K, np.arange(S.shape[2])[None])
     chosen = support[0][support[0] >= 0]
     return SparseSolution(
         support=tuple(int(j) for j in chosen),
@@ -429,11 +420,12 @@ def class_residuals(dictionary, S, K, members=None):
     members : (P, w) int array_like, optional
         Test blocks given by their distinct columns: S holds one column per
         row, and pixel i's block is the columns S[members[i]], a -1 giving a
-        zero column. The first iteration then correlates each row of S once,
-        however many blocks share it, and each later one each residual of a
-        row under one support once; the results are those of the gathered
-        (P, d, w) stack up to how the products round a different row count.
-        Without ``members``, S is a gathered stack, its own distinct columns.
+        zero column. Every iteration correlates the residual of a row under
+        one support once, however many blocks share it; the first, where
+        every support is empty, each row of S once. The results are those of
+        the gathered (P, d, w) stack up to how the products round a
+        different row count. Without ``members``, S is a gathered stack and
+        each of its columns is a member of its own.
 
     Returns
     -------
@@ -449,12 +441,13 @@ def class_residuals(dictionary, S, K, members=None):
     """
     if members is None:
         S = _checked_stack(dictionary, S, K)
-        Z, members = _own_columns(S)
+        P, _, w = S.shape
+        members = np.arange(P * w).reshape(P, w)
     else:
         Z = np.asarray(S, dtype=float)
         # A trailing zero row, read by every -1 of members.
         Z = np.vstack([Z, np.zeros((1, Z.shape[-1]))])
         members = np.asarray(members, dtype=np.int64)
         S = _checked_stack(dictionary, np.ascontiguousarray(Z[members].transpose(0, 2, 1)), K)
-    support, coefficients, _ = _pursue(dictionary, S, K, Z, members)
+    support, coefficients, _ = _pursue(dictionary, S, K, members)
     return _class_residuals(dictionary, S, support, coefficients)

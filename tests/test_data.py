@@ -27,6 +27,7 @@ from specangle.data import (
     synth_scene,
 )
 from specangle.errors import (
+    BadRasterError,
     BadSpecError,
     EvenWindowError,
     InsufficientSamplesError,
@@ -278,6 +279,17 @@ class TestGroundTruthIO:
         )
         gt = load_ground_truth(path, "envi")
         np.testing.assert_array_equal(gt.labels, [[0, 1], [2, 2]])
+
+    def test_envi_float_labels_must_be_integers(self, tmp_path):
+        header = ["ENVI", "samples = 2", "lines = 2", "bands = 1",
+                  "data type = 4", "interleave = bsq"]
+        labels = np.array([[0.0, 2.0], [2.7, 1.2]], dtype="<f4")
+        path = write_envi(tmp_path, "gt.bsq", labels.tobytes(), header)
+        with pytest.raises(BadRasterError, match=r"pixel \(1, 0\) is not an integer"):
+            load_ground_truth(path, "envi")
+        labels[1] = 1.0
+        path = write_envi(tmp_path, "gt.bsq", labels.tobytes(), header)
+        np.testing.assert_array_equal(load_ground_truth(path, "envi").labels, [[0, 2], [1, 1]])
 
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError, match="contiguous"):

@@ -140,8 +140,8 @@ def test_eval_confusion_matches_reference(method, classifier):
     np.testing.assert_array_equal(report.confusions[0], expected)
 
 
-# K * window**2 <= r, so K=2 refits over window-3 blocks are not
-# rank-deficient by their size alone.
+# More bands than training pixels (3 classes of N_TRAIN), the paper's n < d
+# regime; a K=2 support of window-3 blocks holds 18 atoms, within r.
 WIDE_BANDS, WIDE_R, WIDE_K = 30, 20, 2
 
 
@@ -157,16 +157,14 @@ def test_block_pursuit_k2_matches_reference_on_every_pixel(wide_scene, method):
     """Every pixel of the image, so edge and corner windows are truncated.
 
     The lspp, lpp and lada fits on this n < d scene stretch some directions
-    thousands of times more than others, so some K=2 refits are
-    rank-deficient: predict must then name the first pixel that fails when
-    the pixels are classified one at a time.
+    thousands of times more than others; refits are minimum-norm, so every
+    method labels every pixel, as the one-pixel reference does.
     """
     cube, train = wide_scene
     proj, predict = fit_pipeline(cube, train, config(method, "sbomp", r=WIDE_R, sparsity=WIDE_K))
     coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
     expected = outcome(reference_labels, "sbomp", proj, cube, train, coords, sparsity=WIDE_K)
-    if method in ("slspp", "ada"):
-        assert isinstance(expected, list)
+    assert isinstance(expected, list) and len(expected) == len(coords)
     assert outcome(predict, coords) == expected
 
 
@@ -217,9 +215,9 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier, w
 
 @pytest.mark.parametrize("K", [2, 3])
 def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monkeypatch, K):
-    """predict gathers, projects and first correlates each distinct window
-    member once, and each later iteration correlates each distinct
-    (support, member) residual once. On integer uint16-scale spectra with a
+    """predict gathers and projects each distinct window member once, and
+    each iteration correlates each distinct (support, member) residual once,
+    the first one each member. On integer uint16-scale spectra with a
     patch of repeated ones, truncated edge windows and short chunks that end
     inside an image row, its supports and labels equal those of the gathered
     stack and of one-pixel sbomp, and its residuals agree with theirs to
@@ -294,18 +292,18 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
 def spy_refits(monkeypatch):
     """Record every stacked factorization (matrix count) and pursuit support."""
     factored, supports = [], []
-    least_squares, pursue = pursuit.least_squares, pursuit._pursue
+    pinv, pursue = pursuit._pinv, pursuit._pursue
 
-    def count(A, B):
+    def count(A):
         factored.append(len(A))
-        return least_squares(A, B)
+        return pinv(A)
 
-    def record(dictionary, S, K, Z, members):
-        out = pursue(dictionary, S, K, Z, members)
+    def record(dictionary, S, K, members):
+        out = pursue(dictionary, S, K, members)
         supports.append(out[0])
         return out
 
-    monkeypatch.setattr(pursuit, "least_squares", count)
+    monkeypatch.setattr(pursuit, "_pinv", count)
     monkeypatch.setattr(pursuit, "_pursue", record)
     return factored, supports
 

@@ -473,6 +473,20 @@ class TestPersistence:
             with pytest.raises(MalformedHeaderError, match="dimensions must be positive"):
                 Projection.load(path)
 
+    @pytest.mark.parametrize("params", [
+        "1 nan -", "1 inf -", "1 5.5 -", "1 -3 -", "1 0 -", "1 4 -",
+        "nan - 1e-06", "-inf - 1e-06", "1 - nan", "1 - inf",
+    ])
+    def test_malformed_fit_parameters(self, tmp_path, params):
+        """A window that is not a positive odd integer, and a sigma or ridge
+        that is not finite, make the header malformed."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"slspp 2 1 {params}\n1\n2\n3\n")
+        with pytest.raises(MalformedHeaderError):
+            Projection.load(path)
+        path.write_text("slspp 2 1 1 5 -\n1\n2\n3\n")
+        assert Projection.load(path).fit_params == {"sigma": 1.0, "window": 5}
+
 
 class TestDefaultSigma:
     """sigma=None is the median heuristic, selected from the same streamed

@@ -266,7 +266,7 @@ class TestBatch:
         for i, T in enumerate(tests):
             S[i, :, : T.shape[1]] = T
 
-        support, coefficients, norms = pursuit._pursue(d, S, K, *pursuit._own_columns(S))
+        support, coefficients, norms = pursuit._pursue(d, S, K, np.arange(15).reshape(5, 3))
         assert list(support[1]) == [2, -1, -1]
         assert list(support[3]) == [-1, -1, -1]
         assert np.all(support[[0, 2, 4]] >= 0)
@@ -337,8 +337,10 @@ class TestSharedColumns:
             windows = Z[members]
             expected = block_scores_reference(blocks, windows.transpose(0, 2, 1))
             np.testing.assert_allclose(pursuit._block_scores(d, Z, members), expected, rtol=1e-12)
-            own = pursuit._own_columns(windows.transpose(0, 2, 1))
-            np.testing.assert_allclose(pursuit._block_scores(d, *own), expected, rtol=1e-12)
+            own = np.arange(members.size).reshape(members.shape)
+            np.testing.assert_allclose(
+                pursuit._block_scores(d, windows.reshape(-1, Z.shape[1]), own), expected, rtol=1e-12
+            )
 
     def test_residual_scores_match_the_loop_reference(self):
         """Windows of one support group share the residual of each member
@@ -366,8 +368,8 @@ class TestSharedColumns:
             _, d, Z, members = self.case(rng, ddim=16)
             K = int(rng.integers(1, min(3, d.n_blocks) + 1))
             S = Z[members].transpose(0, 2, 1)
-            support = pursuit._pursue(d, S, K, *pursuit._own_columns(S))[0]
-            shared = pursuit._pursue(d, S, K, Z, members)[0]
+            support = pursuit._pursue(d, S, K, np.arange(members.size).reshape(members.shape))[0]
+            shared = pursuit._pursue(d, S, K, members)[0]
             np.testing.assert_array_equal(shared, support)
             np.testing.assert_allclose(
                 class_residuals(d, Z[:-1], K, members), class_residuals(d, S, K), rtol=1e-12
