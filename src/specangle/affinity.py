@@ -14,7 +14,11 @@ A pass writes all its blocks into one buffer of at most about
 ``CHUNK_BYTES`` and builds the left Gram factor for one block's rows at a
 time, so it holds the right factor [X; 1; |x|^2], one block and one block's
 left factor. A yielded block is valid only until the next one is requested:
-every consumer copies or consumes it first.
+every consumer copies or consumes it first. Each block comes with the count
+of its zeros, known from where they lie (on and left of the diagonal) and
+from the coincident pairs the pass recomputes, so no consumer counts them
+from the values. The median's bracket pass adds two boolean masks the size
+of the buffer, allocated once per pass and refilled for every block.
 """
 
 import numpy as np
@@ -44,25 +48,34 @@ def _features_of(X):
     return F
 
 
+def _block_room(m):
+    """Values in the largest block of a pass over m columns: rows x width is
+    at most chunk_pixels(1), or one row of width at most m, and no block is
+    larger than m x m."""
+    return min(m * m, max(chunk_pixels(1), m))
+
+
 def _distance_blocks(X):
     """Yield the squared distances between the columns of X, a block of rows
     at a time.
 
-    Yields ``(lo, D)``: D[k, c] is ||x_(lo+k) - x_(lo+c)||^2 for c > k and 0
-    on and left of the diagonal, so each unordered pair appears once. A block
-    holds ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
+    Yields ``(lo, D, zeros)``: D[k, c] is ||x_(lo+k) - x_(lo+c)||^2 for
+    c > k and 0 on and left of the diagonal, so each unordered pair appears
+    once, and ``zeros`` counts the entries of D that are 0. A block holds
+    ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
     ``chunk_pixels(m) >= m`` is one m x m block. Every block of a pass is
-    written into one buffer with room for any block: at most
-    ``chunk_pixels(1)`` values, or one row of width m. So a yielded block is
-    valid only until the next one is requested: a caller copies or consumes
-    it first, and may overwrite it.
+    written into one buffer of ``_block_room(m)`` values, room for any
+    block. So a yielded block is valid only until the next one is
+    requested: a caller copies or consumes it first, and may overwrite it.
 
     Each block is one GEMM of the augmented matrices [-2X; |x|^2; 1]^t, built
     for the block's rows only, and [X; 1; |x|^2]. That expansion cancels for
     near-coincident columns, so an entry at or below its rounding level,
     8 (d + 2) eps (|x_i|^2 + |x_j|^2), is recomputed from the difference of
     the columns: coincident columns are exactly 0 apart and no distance is
-    negative.
+    negative. An entry the GEMM leaves at 0 is under that level too, so the
+    zeros of a block are its rows (rows + 1) / 2 entries on and left of the
+    diagonal and the recomputed entries that are 0, and are counted there.
     """
     d, m = X.shape
     sq = np.einsum("ij,ij->j", X, X)
@@ -73,24 +86,24 @@ def _distance_blocks(X):
     # that most blocks clear without a search for candidates.
     tail_max = np.maximum.accumulate(sq[::-1])[::-1]
     step = chunk_pixels(d)
-    # Room for any block: rows x width is at most chunk_pixels(1), or one
-    # row of width at most m, and no block is larger than m x m.
-    buffer = np.empty(min(m * m, max(chunk_pixels(1), m)))
+    buffer = np.empty(_block_room(m))
     lo = 0
     while lo < m - 1:
         hi = min(m, lo + chunk_pixels(m - lo))
+        rows = hi - lo
         # Two columns at least: a one-row block then passes BLAS a strided
         # vector, as a slice of a whole-graph factor would, which rounds
         # differently from a unit-stride one for some d.
-        left = np.empty((d + 2, max(2, hi - lo)))[:, : hi - lo]
+        left = np.empty((d + 2, max(2, rows)))[:, :rows]
         np.multiply(X[:, lo:hi], -2.0, out=left[:d])
         left[d], left[d + 1] = sq[lo:hi], 1.0
-        D = buffer[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+        D = buffer[: rows * (m - lo)].reshape(rows, m - lo)
         np.matmul(left.T, right[:, lo:], out=D)
         # The diagonal and the lower triangle are set aside, so that they
         # are never candidates, and zeroed after.
-        square, lower = D[:, : hi - lo], np.tri(hi - lo, dtype=bool)
+        square, lower = D[:, :rows], np.tri(rows, dtype=bool)
         square[lower] = np.inf
+        zeros = rows * (rows + 1) // 2
         bound = level * (sq[lo:hi].max() + tail_max[lo])
         if D.min() <= bound:
             k, c = np.nonzero(D <= bound)
@@ -98,9 +111,11 @@ def _distance_blocks(X):
             k, c = k[near], c[near]
             for s in range(0, k.size, step):
                 diff = X[:, lo + k[s : s + step]] - X[:, lo + c[s : s + step]]
-                D[k[s : s + step], c[s : s + step]] = np.einsum("ij,ij->j", diff, diff)
+                exact = np.einsum("ij,ij->j", diff, diff)
+                zeros += exact.size - np.count_nonzero(exact)
+                D[k[s : s + step], c[s : s + step]] = exact
         square[lower] = 0.0
-        yield lo, D
+        yield lo, D, zeros
         lo = hi
 
 
@@ -109,12 +124,13 @@ def _sampled_bracket(X, budget):
     between the columns of X, from a random sample of column pairs.
 
     The k pairs i != j come from a fixed-key Philox stream and their exact
-    distances from the column differences, a chunk at a time. The sample's
-    positive order statistics at ranks 1/2 -+ z / (2 sqrt(k)) bracket the
-    median unless it lies z standard errors off, and k = 4 z^2 (pairs /
-    budget)^2 (at most the budget) leaves about half the budget of
-    distances inside. When every pair fits the budget, or no sampled
-    distance is positive, the bracket is all positive doubles.
+    distances from the column differences, a chunk at a time, gathered into
+    two buffers of one chunk of spectra each. The sample's positive order
+    statistics at ranks 1/2 -+ z / (2 sqrt(k)) bracket the median unless it
+    lies z standard errors off, and k = 4 z^2 (pairs / budget)^2 (at most
+    the budget) leaves about half the budget of distances inside. When
+    every pair fits the budget, or no sampled distance is positive, the
+    bracket is all positive doubles.
     """
     d, m = X.shape
     pairs = m * (m - 1) // 2
@@ -128,12 +144,17 @@ def _sampled_bracket(X, budget):
     # Each sampled pair gathers two contiguous spectra.
     spectra = np.ascontiguousarray(X.T)
     step = chunk_pixels(d)
+    gathered = np.empty((2, min(step, k), d))
     for s in range(0, k, step):
         i = rng.integers(m, size=min(step, k - s))
         j = rng.integers(m - 1, size=i.size)
         j += j >= i
-        diff = spectra[i]
-        diff -= spectra[j]
+        diff, other = gathered[:, : i.size]
+        # Every index is in range: mode="clip" changes no value and spares
+        # the copy of out that mode="raise" makes.
+        np.take(spectra, i, axis=0, out=diff, mode="clip")
+        np.take(spectra, j, axis=0, out=other, mode="clip")
+        diff -= other
         sample[s : s + i.size] = np.einsum("ij,ij->i", diff, diff)
     zeros = k - np.count_nonzero(sample)
     if zeros == k:
@@ -154,23 +175,28 @@ def _bracket_pass(X, lo, hi, budget):
     first bit pattern of bin i as ``edge(i)``, and the distances in the
     middle bin, or None when they outnumber the budget (they are kept only
     while they fit).
+
+    Beside the pass's block buffer it holds two boolean masks of the same
+    size, allocated once and refilled for each block, and the kept
+    distances. The zeros of each block come counted from
+    ``_distance_blocks``; none is positive, and all lie under lo.
     """
     below = inside = total = 0
     # A graph of fewer than two columns has no blocks: nothing is kept.
     kept = [np.empty(0)]
-    for _, D in _distance_blocks(X):
+    masks = np.empty((2, _block_room(X.shape[1])), dtype=bool)
+    for _, D, zeros in _distance_blocks(X):
         D = D.ravel()
-        # No distance is negative, so the zeros are below lo too.
-        positive = np.count_nonzero(D)
-        total += positive
-        under = D < lo
-        below += np.count_nonzero(under) - (D.size - positive)
+        under, middle = masks[:, : D.size]
+        total += D.size - zeros
+        np.less(D, lo, out=under)
+        below += np.count_nonzero(under) - zeros
         # lo <= hi, so every distance under lo is in D <= hi too.
-        middle = D <= hi
+        np.less_equal(D, hi, out=middle)
         middle ^= under
         inside += np.count_nonzero(middle)
         if inside <= budget:
-            kept.append(D[middle])
+            kept.append(D.take(np.flatnonzero(middle)))
     kept = np.concatenate(kept) if inside <= budget else None
     lo, hi = (int(key) for key in np.array([lo, hi]).view(np.int64))
     edges = (1, lo, hi + 1, int(np.array(np.inf).view(np.int64)))
@@ -188,7 +214,7 @@ def _histogram_pass(X, a, b):
     bins = ((b - a) >> shift) + 1
     # Bins -1 and `bins` collect the patterns below a and above b.
     counts = np.zeros(bins + 2, dtype=np.int64)
-    for _, D in _distance_blocks(X):
+    for _, D, _ in _distance_blocks(X):
         keys = D.view(np.int64).ravel()
         keys -= a
         keys >>= shift
@@ -214,7 +240,10 @@ def _streamed_median(X):
     keep them and select. Middle ranks in two bins have only empty bins
     between them, so a last pass takes the largest distance below the upper
     bin and the smallest in or above it. The sample sets the number of
-    passes, never the result.
+    passes, never the result. The first pass and a last pass that keeps a
+    bin are both ``_bracket_pass``, so they hold the block buffer, its two
+    masks and the kept distances, and take each block's zero count from
+    ``_distance_blocks``.
     """
     budget = max(X.size, chunk_pixels(1))
     cum, edge, kept = _bracket_pass(X, *_sampled_bracket(X, budget), budget)
@@ -227,7 +256,7 @@ def _streamed_median(X):
         if first != last:
             split = np.array(edge(last)).view(float)
             low, high = 0.0, np.inf
-            for _, D in _distance_blocks(X):
+            for _, D, _ in _distance_blocks(X):
                 low = max(low, D[D < split].max(initial=0.0))
                 high = min(high, D[D >= split].min(initial=np.inf))
             return float((low + high) / 2)
@@ -242,10 +271,7 @@ def _streamed_median(X):
         kept = None
     # kept holds the bracket, bin 1 of the first pass, if it was not overrun.
     if kept is None or first != 1:
-        low, high = np.array([a, b]).view(float)
-        kept = np.concatenate(
-            [D[(D >= low) & (D <= high)] for _, D in _distance_blocks(X)]
-        )
+        kept = _bracket_pass(X, *np.array([a, b]).view(float), budget)[2]
     kth = ranks - below
     kept.partition(kth)
     return float((kept[kth[0]] + kept[kth[1]]) / 2)
@@ -287,7 +313,7 @@ def heat_kernel_products(X, sigma):
     """
     C = np.zeros((X.shape[0], X.shape[0]))
     degrees = np.ones(X.shape[1])
-    for lo, U in _distance_blocks(X):
+    for lo, U, _ in _distance_blocks(X):
         rows = U.shape[0]
         U /= -sigma
         np.exp(U, out=U)

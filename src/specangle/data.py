@@ -30,6 +30,7 @@ csv formats hold the whole text of the file.
 """
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ from .errors import (
     BadSpecError,
     EvenWindowError,
     InsufficientSamplesError,
+    InvalidConfigError,
     MalformedHeaderError,
     NonFiniteError,
     OutOfBoundsError,
@@ -121,7 +123,13 @@ class GroundTruth:
         c = int(lab.max(initial=0))
         present = np.unique(lab[lab > 0])
         if len(present) != c:
-            missing = sorted(set(range(1, c + 1)) - set(present.tolist()))
+            # The missing ids are the gaps between consecutive present ids
+            # (and 0): name the first few, never all of them.
+            ids = present.tolist()
+            gaps = (range(a + 1, b) for a, b in zip([0, *ids], ids))
+            shown = list(itertools.islice(itertools.chain.from_iterable(gaps), 5))
+            count = c - len(ids)
+            missing = shown if count == len(shown) else f"{count} ids, first {shown}"
             raise BadRasterError(f"class ids must be contiguous 1..{c}; missing {missing}")
         object.__setattr__(self, "labels", lab)
 
@@ -511,8 +519,13 @@ def split_train_test(gt, n_train, n_test, seed):
     For each class id in ascending order, labeled pixel coordinates are
     enumerated in row-major order and permuted with a Philox stream keyed by
     seed; the first n_train become training pixels and the next n_test test
-    pixels. Returns (train_coords, test_coords) as (k, 2) int arrays.
+    pixels. Returns (train_coords, test_coords) as (k, 2) int arrays. A
+    negative size raises InvalidConfigError; 0 is an empty part.
     """
+    if n_train < 0 or n_test < 0:
+        raise InvalidConfigError(
+            f"split sizes must be >= 0, got n_train={n_train}, n_test={n_test}"
+        )
     rng = _philox(seed)
     train, test = [], []
     flat = gt.labels.ravel()

@@ -136,7 +136,7 @@ def streamed_upper(F):
     """The (n, n) strict upper triangle of the streamed distances, 0 elsewhere."""
     n = F.shape[1]
     D = np.zeros((n, n))
-    for lo, block in affinity._distance_blocks(F):
+    for lo, block, _ in affinity._distance_blocks(F):
         D[lo : lo + block.shape[0], lo:] = block
     return D
 
@@ -374,3 +374,39 @@ class TestSampledBracket:
         assert affinity._sampled_bracket(F, data.chunk_pixels(1)) == everything
         assert median_heuristic_sigma(F) == np.median(d2)
         assert len(passes) == 1
+
+
+class TestBracketPass:
+    """A bracket pass counts the positive distances below [lo, hi], up to hi
+    and in all, and keeps those inside. It takes each block's zeros as
+    _distance_blocks counts them: the entries on and left of the diagonal
+    and the coincident pairs it recomputes. On integer features the Gram
+    form is exact, so counts and kept distances equal pdist's, with copies
+    of columns in other blocks and whatever the blocks' rows."""
+
+    @pytest.mark.parametrize(
+        "chunk_bytes", [8 * 3, 8 * 8 * 3], ids=["one-row-blocks", "growing-blocks"]
+    )
+    def test_matches_pdist(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
+        F = np.random.default_rng(43).integers(-3, 4, (4, 30)).astype(float)
+        F[:, [7, 19, 26]] = F[:, [2, 2, 11]]
+        starts, rows = zip(*((lo, D.shape[0]) for lo, D, _ in affinity._distance_blocks(F)))
+        # Every copy lies in a later block than its column.
+        assert np.searchsorted(starts, 2, "right") < np.searchsorted(starts, 7, "right")
+        assert np.searchsorted(starts, 11, "right") < np.searchsorted(starts, 26, "right")
+        assert len(rows) > 3 and (rows[-1] == 1) == (chunk_bytes == 8 * 3)
+        d2 = pdist(F.T, "sqeuclidean")
+        positive = np.sort(d2[d2 > 0.0])
+        assert d2.size - positive.size >= 4
+        lo, hi = positive[positive.size // 3], positive[2 * positive.size // 3]
+        cum, _, kept = affinity._bracket_pass(F, lo, hi, d2.size)
+        inside = positive[(positive >= lo) & (positive <= hi)]
+        assert cum.tolist() == [
+            np.count_nonzero(positive < lo),
+            np.count_nonzero(positive <= hi),
+            positive.size,
+        ]
+        np.testing.assert_array_equal(np.sort(kept), inside)
+        # One distance over the budget, and none is kept.
+        assert affinity._bracket_pass(F, lo, hi, inside.size - 1)[2] is None

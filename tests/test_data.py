@@ -31,6 +31,7 @@ from specangle.errors import (
     BadSpecError,
     EvenWindowError,
     InsufficientSamplesError,
+    InvalidConfigError,
     MalformedHeaderError,
     NonFiniteError,
     OutOfBoundsError,
@@ -295,6 +296,19 @@ class TestGroundTruthIO:
         with pytest.raises(ValueError, match="contiguous"):
             GroundTruth(labels=np.array([[0, 1], [3, 1]]))
 
+    def test_a_huge_label_is_rejected_in_small_memory(self):
+        # The missing ids come from the gaps between the present ones: the
+        # message names the first few and their count, and no set of all
+        # 10**6 ids is built (that took 94.5 MiB).
+        def rejection(labels):
+            with pytest.raises(BadRasterError) as info:
+                GroundTruth(labels=labels)
+            return str(info.value)
+
+        message, peak = traced_peak(rejection, np.array([[0, 1], [2, 10**6]]))
+        assert message.endswith("1..1000000; missing 999997 ids, first [3, 4, 5, 6, 7]")
+        assert peak < 1 << 20
+
 
 class TestNeighborhoods:
     @pytest.fixture
@@ -390,6 +404,15 @@ class TestSplits:
         for cls in (1, 2, 3):
             assert sum(gt.labels[r, c] == cls for r, c in train) == 7
             assert sum(gt.labels[r, c] == cls for r, c in test) == 13
+
+    def test_negative_sizes_are_rejected(self):
+        gt = GroundTruth(labels=np.repeat([1, 2], 10).reshape(2, 10))
+        for n_train, n_test in [(-3, 2), (2, -1)]:
+            with pytest.raises(InvalidConfigError, match="must be >= 0"):
+                split_train_test(gt, n_train, n_test, seed=0)
+        # Zero stays legal: classify fits with n_test = 0.
+        train, test = split_train_test(gt, 0, 3, seed=0)
+        assert train.shape == (0, 2) and test.shape == (6, 2)
 
     def test_insufficient_names_class(self):
         gt = GroundTruth(labels=np.array([[1, 1, 1, 2], [1, 1, 2, 2]]))

@@ -601,9 +601,9 @@ class TestStreamedGraph:
         def spy(X):
             rows = []
             calls.append((X.shape[1], rows))
-            for lo, D in distance_blocks(X):
-                rows.append(D.shape[0])
-                yield lo, D
+            for block in distance_blocks(X):
+                rows.append(block[1].shape[0])
+                yield block
 
         monkeypatch.setattr(affinity, "_distance_blocks", spy)
         return calls
