@@ -294,8 +294,8 @@ def _bandwidth(X, sigma):
     if sigma is None:
         return _streamed_median(X)
     # Written so that NaN fails too.
-    if not sigma > 0:
-        raise NonPositiveSigmaError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise NonPositiveSigmaError(f"sigma must be finite and > 0, got {sigma}")
     return float(sigma)
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "save_cube",
     "load_ground_truth",
     "save_ground_truth",
-    "neighborhood_spectra",
     "pixels_to_sample_set",
     "l2_normalize_pixels",
     "split_train_test",
@@ -465,25 +464,6 @@ def _window_pixels(cube, centers, window):
     return np.take_along_axis(pixels, np.argsort(~inside, axis=1, kind="stable"), axis=1)
 
 
-def neighborhood_spectra(cube, centers, window):
-    """Window spectra of many pixels at once, by index arithmetic.
-
-    Returns ``spectra`` (P, window**2, bands) and ``counts`` (P,): the first
-    counts[i] rows of spectra[i] are the in-bounds pixels of the window x
-    window box around centers[i], the centre first and then the rest in
-    row-major order; the rows after them, for a window truncated at an image
-    edge, are zero. An out-of-bounds centre raises OutOfBoundsError with
-    ``index`` set to the first such centre.
-    """
-    pixels = _window_pixels(cube, centers, window)
-    inside = pixels >= 0
-    # Members outside the image read pixel 0 and are zeroed below.
-    rows, cols = np.divmod(np.maximum(pixels, 0), cube.cols)
-    spectra = cube.values[rows, cols]
-    spectra[~inside] = 0.0
-    return spectra, inside.sum(axis=1)
-
-
 def pixels_to_sample_set(cube, coords, gt=None):
     """Gather the spectra at coords into a SampleSet, with labels if gt given.
 
@@ -508,8 +488,10 @@ def l2_normalize_pixels(cube):
 
 
 def _philox(seed):
-    # Philox is a counter-based 64-bit generator with a fully specified
-    # algorithm, so streams are identical across platforms.
+    # Philox is a counter-based generator keyed by a uint64, with a fully
+    # specified algorithm, so streams are identical across platforms.
+    if not 0 <= seed < 2**64:
+        raise InvalidConfigError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -33,7 +33,7 @@ class DimensionMismatchError(SpecAngleError):
 
 
 class NonPositiveSigmaError(SpecAngleError):
-    """Heat-kernel bandwidth must be strictly positive."""
+    """Heat-kernel bandwidth must be finite and strictly positive."""
 
 
 class TooFewSamplesError(SpecAngleError):

@@ -17,10 +17,10 @@ import numpy as np
 
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
+    _pixels_inside,
     _window_pixels,
     chunk_pixels,
     l2_normalize_pixels,
-    neighborhood_spectra,
     pixels_to_sample_set,
     split_train_test,
 )
@@ -42,7 +42,6 @@ __all__ = [
     "fit_projection",
     "fit_pipeline",
     "projected_block",
-    "projected_windows",
     "export_sphere_coords",
     "sphere_coords_csv",
     "accuracy_table",
@@ -89,6 +88,9 @@ class ExperimentConfig:
         for name in ("sparsity", "n_train", "n_test", "trials"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Every trial's split seed must be a Philox key.
+        if self.seed < 0 or _split_seed(self.seed, self.trials - 1) >= 2**64:
+            raise InvalidConfigError(f"seed {self.seed} gives split seeds outside [0, 2**64)")
 
     def params(self):
         """Config as a plain dict, for reports."""
@@ -156,41 +158,37 @@ def fit_projection(work_cube, train, config):
     return METHODS[config.method](work_cube, train, config)
 
 
-def projected_windows(proj, cube, coords, window):
-    """Projected neighborhoods of many pixels.
+def _window_members(cube, centers, window):
+    """The distinct in-image members of the windows around centers, as flat
+    pixel indices in order of first appearance in ``data._window_pixels``'s
+    layout (so the first n windows' members are a prefix), and that layout
+    (P, window**2) with each index replaced by its position among them."""
+    pixels = _window_pixels(cube, centers, window)
+    inside = pixels >= 0
+    flat = pixels[inside]
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    members = np.full(pixels.shape, -1)
+    members[inside] = np.argsort(order)[inverse]
+    return flat[first[order]], members
 
-    Returns ``S`` (P, r, window**2) and ``counts`` (P,): S[i, :, :counts[i]]
-    is projected_block of coords[i]; the columns after it are zero. The
-    window spectra are gathered and projected a chunk_pixels(window**2 *
-    bands) chunk of pixels at a time, so beside S they take about
-    ``data.CHUNK_BYTES``. An out-of-bounds centre raises OutOfBoundsError
-    with ``index`` set to the first such centre.
-    """
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-    w = window**2
-    S = np.empty((len(coords), w, proj.r))
-    counts = np.empty(len(coords), dtype=np.int64)
-    step = chunk_pixels(w * cube.bands)
-    # Once for no pixels too, so the window is still checked.
-    for lo in range(0, max(len(coords), 1), step):
-        try:
-            spectra, counts[lo : lo + step] = neighborhood_spectra(
-                cube, coords[lo : lo + step], window
-            )
-        except SpecAngleError as exc:
-            if exc.index is not None:
-                exc.index += lo
-            raise
-        out = S[lo : lo + step].reshape(-1, proj.r)
-        np.matmul(spectra.reshape(-1, cube.bands), proj.matrix, out=out)
-        del spectra  # before the next chunk is gathered
-    return S.transpose(0, 2, 1), counts
+
+def _projected(proj, cube, pixels):
+    """proj^T times the spectra of the flat pixel indices, as rows (U, r),
+    gathered and projected a chunk_pixels(bands) block at a time."""
+    rows, cols = np.divmod(pixels, cube.cols)
+    Z = np.empty((len(pixels), proj.r))
+    step = chunk_pixels(cube.bands)
+    for lo in range(0, len(pixels), step):
+        part = slice(lo, lo + step)
+        np.matmul(cube.values[rows[part], cols[part]], proj.matrix, out=Z[part])
+    return Z
 
 
 def projected_block(proj, cube, coord, window):
     """proj^T times the in-bounds window spectra around coord, (r, members)."""
-    S, counts = projected_windows(proj, cube, [coord], window)
-    return S[0, :, : counts[0]]
+    pixels = _window_pixels(cube, [coord], window)[0]
+    return _projected(proj, cube, pixels[pixels >= 0]).T
 
 
 def _label_chunk(label, coords):
@@ -235,8 +233,9 @@ def fit_pipeline(work_cube, train, config):
         chunk = chunk_pixels(max(train.n_samples, work_cube.bands))
 
         def label(coords):
-            X, _ = projected_windows(proj, work_cube, coords, 1)
-            return nn_cosine_labels(train_proj, norms, X[:, :, 0].T)
+            centers = _pixels_inside(work_cube, coords, "center")
+            X = work_cube.values[centers[:, 0], centers[:, 1]] @ proj.matrix
+            return nn_cosine_labels(train_proj, norms, X.T)
 
     else:
         # Sparse-representation classifiers: block dictionary from the
@@ -244,9 +243,10 @@ def fit_pipeline(work_cube, train, config):
         # the projected test neighborhood.
         cls_window = config.window if config.dict_window is None else config.dict_window
         block_window = 1 if config.classifier == "somp" else cls_window
-        blocks, counts = projected_windows(proj, work_cube, train.coords, block_window)
+        distinct, members = _window_members(work_cube, train.coords, block_window)
+        Z = _projected(proj, work_cube, distinct)
         dictionary = BlockDictionary(
-            blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
+            blocks=tuple(Z[m[m >= 0]].T for m in members), classes=train.labels
         )
         # Rows of max(atoms, bands) values that a chunk's distinct members
         # (gathered spectra, then their score product) and its pixels (score
@@ -255,24 +255,14 @@ def fit_pipeline(work_cube, train, config):
         chunk = max(1, budget // 2)
 
         def label(coords):
-            # The longest prefix of coords that fits the budget, at least one
-            # pixel; each distinct window member of it is gathered and
-            # projected once.
-            pixels = _window_pixels(work_cube, coords, cls_window)
-            inside = pixels >= 0
-            distinct, first, inverse = np.unique(
-                pixels[inside], return_index=True, return_inverse=True
-            )
-            # The pixel that brings each distinct member first.
-            owner = np.flatnonzero(inside)[first] // pixels.shape[1]
-            rows = np.cumsum(np.bincount(owner, minlength=len(coords)) + 1)
+            # The longest prefix of coords whose distinct members (the running
+            # max of members, plus one) and pixels fit the budget, at least
+            # one pixel; each member is projected once.
+            distinct, members = _window_members(work_cube, coords, cls_window)
+            rows = np.maximum.accumulate(members.max(axis=1)) + np.arange(2, len(coords) + 2)
             n = max(1, int(np.searchsorted(rows, budget, side="right")))
-            kept = owner < n
-            members = np.full((n, pixels.shape[1]), -1)
-            members[inside[:n]] = (np.cumsum(kept) - 1)[inverse[: np.count_nonzero(inside[:n])]]
-            r, c = np.divmod(distinct[kept], work_cube.cols)
-            Z = work_cube.values[r, c] @ proj.matrix
-            return sbomp_labels(dictionary, Z, config.sparsity, members)
+            Z = _projected(proj, work_cube, distinct[: members[:n].max() + 1])
+            return sbomp_labels(dictionary, Z, config.sparsity, members[:n])
 
     def predict(coords):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)

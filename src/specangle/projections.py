@@ -26,7 +26,6 @@ from .data import (
     SampleSet,
     _window_pixels,
     chunk_pixels,
-    neighborhood_spectra,
     pixels_to_sample_set,
 )
 from .errors import (
@@ -146,12 +145,15 @@ class Projection:
             raise MalformedHeaderError(
                 f"expected {d * r + r} values for a {d}x{r} projection, got {len(values)}"
             )
-        return cls(
-            matrix=np.asarray(values[: d * r]).reshape(d, r),
-            eigenvalues=np.asarray(values[d * r :]),
-            method=method,
-            fit_params=params,
-        )
+        try:
+            return cls(
+                matrix=np.asarray(values[: d * r]).reshape(d, r),
+                eigenvalues=np.asarray(values[d * r :]),
+                method=method,
+                fit_params=params,
+            )
+        except ValueError as exc:
+            raise MalformedHeaderError(f"invalid projection: {exc}") from exc
 
 
 def _check_r(r, d):
@@ -208,39 +210,32 @@ def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     )
 
 
-def _check_members_bounded(cube, centers, window, Z):
-    """``_bandwidth``'s overflow rule for window spectra Z, as returned by
-    ``neighborhood_spectra``: a member z for which 4 |z|^2 is not finite
-    raises NonFiniteError naming its pixel."""
-    with np.errstate(over="ignore"):
-        bound = 4.0 * np.einsum("pkd,pkd->pk", Z, Z)
-    bad = ~np.isfinite(bound)
-    if bad.any():
-        p, k = np.argwhere(bad)[0]
-        row, col = divmod(int(_window_pixels(cube, centers[p : p + 1], window)[0, k]), cube.cols)
-        raise NonFiniteError(
-            f"pixel ({row}, {col}) in the window of center ({centers[p, 0]}, {centers[p, 1]}): "
-            "squared distances overflow"
-        )
-
-
-def slspp_context_matrix(cube, coords, window, sigma):
+def slspp_context_matrix(cube, pixels, sigma):
     """Sum over pixels i and window neighbors k of W_ik * z_k x_i^t.
 
-    W_ik is the heat kernel between the center spectrum x_i and the neighbor
-    spectrum z_k; the center belongs to its own neighborhood (W_ii = 1), and
-    windows are truncated at image edges. A member for which 4 |z_k|^2 is not
-    finite raises NonFiniteError naming its pixel, as ``_bandwidth`` does for
-    the centers.
+    ``pixels`` holds the windows as ``data._window_pixels`` lays them out,
+    the center x_i first. W_ik is the heat kernel between x_i and the
+    neighbor spectrum z_k, so W_ii = 1. A member for which 4 |z_k|^2 is not
+    finite raises NonFiniteError naming its pixel, as ``_bandwidth`` does
+    for the centers.
     """
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     M = np.zeros((cube.bands, cube.bands))
-    step = chunk_pixels(window**2 * cube.bands)
-    for lo in range(0, len(coords), step):
-        # Zero rows past a truncated window add nothing, since their z is 0.
-        centers = coords[lo : lo + step]
-        Z, _ = neighborhood_spectra(cube, centers, window)
-        _check_members_bounded(cube, centers, window, Z)
+    step = chunk_pixels(pixels.shape[1] * cube.bands)
+    for lo in range(0, len(pixels), step):
+        block = pixels[lo : lo + step]
+        # Members outside the image read pixel 0 and are zeroed; a zero z
+        # adds nothing.
+        rows, cols = np.divmod(np.maximum(block, 0), cube.cols)
+        Z = cube.values[rows, cols]
+        Z[block < 0] = 0.0
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(4.0 * np.einsum("pkd,pkd->pk", Z, Z))
+        if bad.any():
+            p, k = np.argwhere(bad)[0]
+            raise NonFiniteError(
+                f"pixel ({rows[p, k]}, {cols[p, k]}) in the window of center "
+                f"({rows[p, 0]}, {cols[p, 0]}): squared distances overflow"
+            )
         x = Z[:, 0]
         w = np.exp(-np.sum((Z - x[:, None]) ** 2, axis=2) / sigma)
         M += np.einsum("pk,pkd->dp", w, Z) @ x
@@ -259,9 +254,9 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
     if len(coords) < 1:
         raise TooFewSamplesError("need at least one center pixel")
     # Window and centres are checked before the bandwidth's distance pass.
-    _window_pixels(cube, coords, window)
+    pixels = _window_pixels(cube, coords, window)
     sigma = _bandwidth(pixels_to_sample_set(cube, coords).features, sigma)
-    M = slspp_context_matrix(cube, coords, window, sigma)
+    M = slspp_context_matrix(cube, pixels, sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))
     return Projection(
         matrix=V[:, :r],

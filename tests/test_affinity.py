@@ -70,7 +70,7 @@ class TestHeatKernel:
     def test_errors(self):
         # Checked by the package, before any graph is built.
         X = np.zeros((2, 3))
-        for sigma in (0.0, -1.0, float("nan")):
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(NonPositiveSigmaError):
                 fit_lspp(X, 1, sigma=sigma)
         with pytest.raises(NonFiniteError):

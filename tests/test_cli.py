@@ -173,6 +173,15 @@ CONFIG_ERRORS = [
     (["fit", "--method", "lspp", "--sigma", "nan"], "NonPositiveSigmaError"),
     (["fit", "--method", "lspp", "--ridge", "nan"], "SpecAngleError"),
     (["fit", "--method", "lspp", "--ridge", "inf"], "SpecAngleError"),
+    (["fit", "--method", "slspp", "--sigma", "inf"], "NonPositiveSigmaError"),
+    (["eval", "--n-test", "10", "--sigma", "inf"], "NonPositiveSigmaError"),
+    # Split seeds are Philox keys, uint64: seed * 1000003 + trial must fit.
+    (["eval", "--seed", "-1"], "InvalidConfigError"),
+    (["eval", "--seed", "18446744073709551"], "InvalidConfigError"),
+    (["sweep", "--seed", "-1"], "InvalidConfigError"),
+    (["classify", "--seed", "-1"], "InvalidConfigError"),
+    (["export-sphere", "--seed", "-1"], "InvalidConfigError"),
+    (["fit", "--n-train", "5", "--seed", "-1"], "InvalidConfigError"),
 ]
 
 
@@ -199,6 +208,12 @@ class TestErrors:
         assert err.startswith(f"error: {error}: ")
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_synth_seed_outside_the_philox_keys_is_one_line(self, tmp_path, capsys, seed):
+        assert main(["synth", "--seed", seed, "--out", str(tmp_path / "scene")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidConfigError: seed must be in [0, 2**64), got {seed}\n"
 
     @pytest.mark.parametrize("command,prefix", [
         (["classify"], ""),

@@ -16,7 +16,6 @@ from specangle.data import (
     GroundTruth,
     HyperCube,
     class_signatures,
-    neighborhood_spectra,
     l2_normalize_pixels,
     load_cube,
     load_ground_truth,
@@ -311,16 +310,22 @@ class TestGroundTruthIO:
 
 
 class TestNeighborhoods:
+    """The window layout of ``data._window_pixels``, the one source of window
+    members: flat indices, the centre first, then row-major, then -1s."""
+
     @pytest.fixture
     def cube(self):
         # Every spectrum is distinct, so a gathered row names its pixel.
         vals = np.arange(5 * 4 * 2, dtype=float).reshape(5, 4, 2)
         return HyperCube(values=vals)
 
+    @staticmethod
+    def spectra(cube, pixels):
+        """The spectra of the in-image members of one window, as rows."""
+        return cube.values.reshape(-1, cube.bands)[pixels[pixels >= 0]]
+
     def window(self, cube, center, window):
-        """The in-bounds rows of neighborhood_spectra for one centre."""
-        spectra, counts = neighborhood_spectra(cube, [center], window)
-        return spectra[0, : counts[0]]
+        return self.spectra(cube, data._window_pixels(cube, [center], window)[0])
 
     def test_window_one(self, cube):
         np.testing.assert_array_equal(self.window(cube, (2, 2), 1), cube.values[[2], [2]])
@@ -340,7 +345,7 @@ class TestNeighborhoods:
     def test_member_count_matches_bruteforce(self, cube):
         centers = [(r, c) for r in range(cube.rows) for c in range(cube.cols)]
         for window in (1, 3, 5):
-            _, counts = neighborhood_spectra(cube, centers, window)
+            counts = (data._window_pixels(cube, centers, window) >= 0).sum(axis=1)
             for (r, c), n in zip(centers, counts):
                 count = sum(
                     1
@@ -351,26 +356,27 @@ class TestNeighborhoods:
                 assert n == count
 
     def test_stacked_spectra_pad_each_neighborhood(self, cube):
+        # In-image members first, then a -1 for each member outside.
         centers = [(r, c) for r in range(cube.rows) for c in range(cube.cols)]
         for window in (1, 3, 5):
-            spectra, counts = neighborhood_spectra(cube, centers, window)
-            assert spectra.shape == (len(centers), window**2, cube.bands)
-            for rc, rows, n in zip(centers, spectra, counts):
+            pixels = data._window_pixels(cube, centers, window)
+            assert pixels.shape == (len(centers), window**2)
+            for rc, row in zip(centers, pixels):
                 block = neighborhood_bruteforce(cube.values, rc, window)
-                assert n == block.shape[1]
-                np.testing.assert_array_equal(rows[:n], block.T)
-                assert not np.any(rows[n:])
+                n = block.shape[1]
+                np.testing.assert_array_equal(self.spectra(cube, row[:n]), block.T)
+                assert np.all(row[n:] == -1)
 
     def test_stacked_spectra_name_first_outside_center(self, cube):
         with pytest.raises(OutOfBoundsError, match=r"center \(5, 0\) outside") as info:
-            neighborhood_spectra(cube, [(0, 0), (5, 0), (-1, 2)], 3)
+            data._window_pixels(cube, [(0, 0), (5, 0), (-1, 2)], 3)
         assert info.value.index == 1
 
     def test_errors(self, cube):
         with pytest.raises(EvenWindowError):
-            neighborhood_spectra(cube, [(0, 0)], 2)
+            data._window_pixels(cube, [(0, 0)], 2)
         with pytest.raises(OutOfBoundsError):
-            neighborhood_spectra(cube, [(9, 0)], 3)
+            data._window_pixels(cube, [(9, 0)], 3)
 
 
 class TestSplits:
@@ -413,6 +419,13 @@ class TestSplits:
         # Zero stays legal: classify fits with n_test = 0.
         train, test = split_train_test(gt, 0, 3, seed=0)
         assert train.shape == (0, 2) and test.shape == (6, 2)
+
+    def test_seeds_are_philox_keys(self):
+        gt = GroundTruth(labels=np.repeat([1, 2], 10).reshape(2, 10))
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidConfigError, match=r"seed must be in \[0, 2\*\*64\)"):
+                split_train_test(gt, 2, 2, seed=seed)
+        assert len(split_train_test(gt, 2, 2, seed=2**64 - 1)[0]) == 4
 
     def test_insufficient_names_class(self):
         gt = GroundTruth(labels=np.array([[1, 1, 1, 2], [1, 1, 2, 2]]))

@@ -7,7 +7,7 @@ automatically, and a classifier name without a reference below fails the
 test. ``predict`` labels pixels in chunks; further tests pin that its labels
 do not depend on the chunking or on the pursuit's refit cache, that each
 distinct support is factored once, that its errors name the right pixel, and
-that a warm predict and the projected windows stay within their memory
+that a warm predict and the dictionary gather stay within their memory
 bounds.
 """
 
@@ -70,6 +70,18 @@ def reference_labels(classifier, proj, cube, train, coords, window=WINDOW, spars
         except SpecAngleError as exc:
             raise type(exc)(f"pixel ({r}, {c}): {exc}") from exc
     return labels
+
+
+def gathered_windows(proj, cube, coords, window):
+    """The projected windows of coords gathered by brute force: the blocks
+    (r, members) and their stack (P, r, window**2), zero-padded."""
+    blocks = [
+        (neighborhood_bruteforce(cube.values, rc, window).T @ proj.matrix).T for rc in coords
+    ]
+    S = np.zeros((len(blocks), proj.r, window**2))
+    for s, block in zip(S, blocks):
+        s[:, : block.shape[1]] = block
+    return blocks, S
 
 
 def outcome(label, *args, **kwargs):
@@ -266,11 +278,9 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     grid = support[:, 0].reshape(cube.rows, cube.cols)
     assert np.any(grid[:, 1:] != grid[:, :-1])
 
-    S, _ = evaluate.projected_windows(proj, cube, coords, WINDOW)
-    blocks, counts = evaluate.projected_windows(proj, cube, train.coords, WINDOW)
-    dictionary = BlockDictionary(
-        blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
-    )
+    _, S = gathered_windows(proj, cube, coords, WINDOW)
+    blocks, _ = gathered_windows(proj, cube, train.coords, WINDOW)
+    dictionary = BlockDictionary(blocks=tuple(blocks), classes=train.labels)
     # Residuals are compared relative to the pixel's norm as well, since a
     # window its own class represents exactly leaves only rounding noise.
     scale = np.linalg.norm(S, axis=(1, 2))[:, None]
@@ -333,13 +343,11 @@ def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
     cfg = config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K)
     coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
     proj, predict = fit_pipeline(cube, train, cfg)
-    S, _ = evaluate.projected_windows(proj, cube, coords, WINDOW)
-    blocks, counts = evaluate.projected_windows(proj, cube, train.coords, WINDOW)
+    _, S = gathered_windows(proj, cube, coords, WINDOW)
+    blocks, _ = gathered_windows(proj, cube, train.coords, WINDOW)
 
     def fresh():
-        return BlockDictionary(
-            blocks=tuple(b[:, :n] for b, n in zip(blocks, counts)), classes=train.labels
-        )
+        return BlockDictionary(blocks=tuple(blocks), classes=train.labels)
 
     labels = predict(coords)
     np.testing.assert_array_equal(predict(coords), labels)
@@ -431,10 +439,14 @@ class TestPredictMemory:
         assert self.peak(60, 3, 5, grid) <= 5 * 2**20
 
 
-class TestProjectedWindows:
-    """Window spectra are gathered and projected a chunk_pixels(w^2 * bands)
-    chunk of pixels at a time: 1,000 window-5 neighbourhoods of a 60x60x103
-    scene projected to r = 60 take 12 MB, their spectra 20.6 MB."""
+class TestDictionaryGather:
+    """fit_pipeline builds the block dictionary from the distinct members of
+    the training windows, each gathered and projected once, a
+    chunk_pixels(bands) block of spectra at a time. 1,000 window-5
+    neighbourhoods of a 60x60x103 scene projected to r = 60 make 11.5 MB of
+    blocks, held twice (the blocks and the dictionary's stacked atoms), from
+    3,587 distinct members: 1.7 MB projected, 3.0 MB of spectra, so three
+    chunks under a 1 MiB budget; the gather peaks at 2.8 MB."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -443,26 +455,55 @@ class TestProjectedWindows:
         proj = Projection(
             matrix=rng.standard_normal((103, 60)), eigenvalues=np.zeros(60), method="lspp"
         )
-        return cube, proj, rng.integers(0, 60, size=(1000, 2))
+        coords = rng.integers(0, 60, size=(1000, 2))
+        train = SampleSet(
+            features=cube.values[coords[:, 0], coords[:, 1]].T,
+            labels=np.arange(1000) % 9 + 1, coords=coords,
+        )
+        return cube, proj, train
 
-    def test_peak_is_the_windows_and_one_chunk(self, case):
-        cube, proj, coords = case
-        (S, counts), peak = traced_peak(evaluate.projected_windows, proj, cube, coords, 5)
-        assert S.shape == (1000, 60, 25)
-        assert peak <= S.nbytes + counts.nbytes + data.CHUNK_BYTES + (1 << 20)
+    @staticmethod
+    def dictionary(monkeypatch, cube, proj, train):
+        """fit_pipeline's dictionary for the fixed projection proj, and the
+        traced peak of fit_pipeline."""
+        built = []
 
-    def test_chunks_match_one_product(self, case):
-        cube, proj, coords = case
-        S, counts = evaluate.projected_windows(proj, cube, coords, 5)
-        spectra, expected = data.neighborhood_spectra(cube, coords, 5)
-        np.testing.assert_array_equal(counts, expected)
-        product = spectra.reshape(-1, 103) @ proj.matrix
-        np.testing.assert_array_equal(S, product.reshape(1000, 25, 60).transpose(0, 2, 1))
+        def spy(**kwargs):
+            built.append(BlockDictionary(**kwargs))
+            return built[-1]
 
-    def test_an_outside_centre_is_named_by_its_position(self, case):
-        cube, proj, coords = case
-        coords = coords.copy()
+        monkeypatch.setattr(evaluate, "fit_projection", lambda *args: proj)
+        monkeypatch.setattr(evaluate, "BlockDictionary", spy)
+        _, peak = traced_peak(fit_pipeline, cube, train, config("lspp", "sbomp", r=60, window=5))
+        return built[0], peak
+
+    def test_peak_is_the_blocks_and_one_chunk(self, case, monkeypatch):
+        cube, proj, train = case
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 20)
+        distinct, _ = evaluate._window_members(cube, train.coords, 5)
+        assert len(distinct) * cube.bands * 8 > 2 * data.CHUNK_BYTES
+        Z, peak = traced_peak(evaluate._projected, proj, cube, distinct)
+        assert peak <= Z.nbytes + data.CHUNK_BYTES + (1 << 18)
+        # The whole build: the projected members, the blocks and the atoms.
+        dictionary, peak = self.dictionary(monkeypatch, cube, proj, train)
+        blocks = sum(b.nbytes for b in dictionary.blocks)
+        assert blocks > 11 * 10**6
+        assert peak <= Z.nbytes + 2 * blocks + data.CHUNK_BYTES + (1 << 20)
+
+    def test_chunks_match_one_product(self, case, monkeypatch):
+        cube, proj, train = case
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 20)
+        dictionary, _ = self.dictionary(monkeypatch, cube, proj, train)
+        expected, _ = gathered_windows(proj, cube, train.coords, 5)
+        assert len(dictionary.blocks) == len(expected)
+        for block, brute in zip(dictionary.blocks, expected):
+            np.testing.assert_array_equal(block, brute)
+
+    def test_an_outside_centre_is_named_by_its_position(self, case, monkeypatch):
+        cube, proj, train = case
+        coords = train.coords.copy()
         coords[700] = (60, 0)
+        train = SampleSet(features=train.features, labels=train.labels, coords=coords)
         with pytest.raises(OutOfBoundsError, match=r"^center \(60, 0\) outside") as info:
-            evaluate.projected_windows(proj, cube, coords, 5)
+            self.dictionary(monkeypatch, cube, proj, train)
         assert info.value.index == 700

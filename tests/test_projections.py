@@ -155,6 +155,11 @@ class TestLpp:
         assert objs[0] == min(objs)
 
 
+def context_matrix(cube, coords, window, sigma):
+    """slspp_context_matrix over the windows of coords, as fit_slspp builds it."""
+    return slspp_context_matrix(cube, data._window_pixels(cube, coords, window), sigma)
+
+
 class TestSlspp:
     def test_constant_cube(self):
         v = np.array([1.0, 3.0, 2.0])
@@ -169,7 +174,7 @@ class TestSlspp:
         rng = np.random.default_rng(50)
         cube = HyperCube(values=rng.standard_normal((3, 3, 4)))
         coords = [(0, 0), (1, 2), (2, 1)]
-        M = slspp_context_matrix(cube, coords, window=1, sigma=1.0)
+        M = context_matrix(cube, coords, 1, 1.0)
         expected = np.zeros((4, 4))
         for r, c in coords:
             x = cube.values[r, c]
@@ -179,7 +184,8 @@ class TestSlspp:
     def test_corner_uses_four_neighbors(self):
         rng = np.random.default_rng(51)
         cube = HyperCube(values=rng.standard_normal((3, 3, 2)))
-        M = slspp_context_matrix(cube, [(0, 0)], window=3, sigma=1.0)
+        # The window of (0, 0): itself, (0, 1), (1, 0), (1, 1), five outside.
+        M = slspp_context_matrix(cube, np.array([[0, 1, 3, 4] + [-1] * 5]), 1.0)
         brute = slspp_matrix_bruteforce(cube.values, [(0, 0)], 3, 1.0)
         np.testing.assert_allclose(M, brute, atol=1e-12)
 
@@ -188,7 +194,7 @@ class TestSlspp:
         cube = HyperCube(values=rng.standard_normal((5, 6, 3)))
         coords = [(r, c) for r in range(5) for c in range(0, 6, 2)]
         sigma = 0.9
-        M = slspp_context_matrix(cube, coords, window=3, sigma=sigma)
+        M = context_matrix(cube, coords, 3, sigma)
         brute = slspp_matrix_bruteforce(cube.values, coords, 3, sigma)
         np.testing.assert_allclose(M, brute, atol=1e-10)
 
@@ -209,7 +215,7 @@ class TestSlspp:
         rng = np.random.default_rng(54)
         cube = HyperCube(values=rng.standard_normal((4, 5, 4)))
         coords = [(1, 1), (2, 3), (3, 4)]
-        M = slspp_context_matrix(cube, coords, window=3, sigma=1.0)
+        M = context_matrix(cube, coords, 3, 1.0)
         sym = 0.5 * (M + M.T)
         for _ in range(20):
             P = np.linalg.qr(rng.standard_normal((4, 2)))[0]
@@ -224,7 +230,7 @@ class TestSlspp:
         cube = HyperCube(values=rng.standard_normal((6, 7, 4)))
         coords = [(r, c) for r in range(5) for c in range(0, 7, 2)]
         monkeypatch.setattr(data, "CHUNK_BYTES", 3 * 8 * 25 * 4)
-        M = slspp_context_matrix(cube, coords, window=5, sigma=1.3)
+        M = context_matrix(cube, coords, 5, 1.3)
         brute = slspp_matrix_bruteforce(cube.values, coords, 5, 1.3)
         np.testing.assert_allclose(M, brute, rtol=1e-12, atol=1e-12 * np.abs(brute).max())
 
@@ -486,6 +492,17 @@ class TestPersistence:
             Projection.load(path)
         path.write_text("slspp 2 1 1 5 -\n1\n2\n3\n")
         assert Projection.load(path).fit_params == {"sigma": 1.0, "window": 5}
+
+    @pytest.mark.parametrize("values, message", [
+        ("1 nan\n2 3\n4 1", "contains NaN or Inf"),
+        ("1 0\n0 1\n1 2", "sorted descending"),
+    ], ids=["nan-matrix", "ascending-eigenvalues"])
+    def test_invalid_values(self, tmp_path, values, message):
+        """Values the file parses but a Projection cannot hold."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"lspp 2 2 1 - 1e-06\n{values}\n")
+        with pytest.raises(MalformedHeaderError, match=message):
+            Projection.load(path)
 
 
 class TestDefaultSigma:
