@@ -11,14 +11,9 @@ block-simultaneous pursuit used for classification.
 
 import numpy as np
 
-from specangle import (
-    BlockDictionary,
-    nn_cosine_classify,
-    residual_by_class,
-    sbomp,
-)
-from specangle.classify import sbomp_labels
-from specangle.data import SampleSet
+from specangle import BlockDictionary, SampleSet
+from specangle.classify import nn_cosine_classify, sbomp_labels
+from specangle.pursuit import residual_by_class, sbomp
 
 rng = np.random.default_rng(0)
 
@@ -45,10 +40,14 @@ residuals = residual_by_class(dictionary, S, sol)
 print("per-class residuals:", {k: round(v, 4) for k, v in residuals.items()})
 
 # The label is the class with the smallest residual (the lowest id on ties).
-# sbomp_labels does this for a whole (pixels, d, w) stack in one pursuit.
+# sbomp_labels does this for many pixels in one pursuit. It takes their
+# distinct columns as the rows of Z and, per pixel, the rows its block reads:
+# overlapping windows share columns, and a -1 reads a zero column.
 print("predicted class:", min(residuals, key=lambda k: (residuals[k], k)))
-stack = np.stack([S, blocks[0] @ rng.standard_normal((4, 5))])
-print("stacked labels:", sbomp_labels(dictionary, stack, K=2))
+T = blocks[0] @ rng.standard_normal((4, 5))
+Z = np.vstack([S.T, T.T])
+members = np.array([[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [0, 1, 2, 7, -1]])
+print("labels of three blocks:", sbomp_labels(dictionary, Z, 2, members))
 
 # The nearest-neighbor baseline compares spectral angles directly.
 train = SampleSet(

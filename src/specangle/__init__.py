@@ -8,8 +8,6 @@ pursuit over spatial-neighborhood dictionaries. A repeated random-subsampling
 harness reproduces the standard evaluation protocol at desk scale.
 """
 
-from .affinity import median_heuristic_sigma
-from .classify import Prediction, nn_cosine_classify
 from .data import (
     GroundTruth,
     HyperCube,
@@ -44,19 +42,11 @@ from .projections import (
     fit_slspp,
     project,
 )
-from .pursuit import (
-    BlockDictionary,
-    SparseSolution,
-    residual_by_class,
-    sbomp,
-)
+from .pursuit import BlockDictionary
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "median_heuristic_sigma",
-    "Prediction",
-    "nn_cosine_classify",
     "GroundTruth",
     "HyperCube",
     "SampleSet",
@@ -88,7 +78,4 @@ __all__ = [
     "fit_slspp",
     "project",
     "BlockDictionary",
-    "SparseSolution",
-    "residual_by_class",
-    "sbomp",
 ]

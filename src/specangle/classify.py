@@ -33,16 +33,15 @@ class Prediction:
     tie_broken: bool = False
 
 
-def sbomp_labels(dictionary, S, K, members=None):
-    """Labels of a (P, d, w) stack of test blocks, as an array: per pixel the
-    class with the smallest residual of ``pursuit.class_residuals``, the
-    lowest class id on ties. With ``members``, S holds the blocks' distinct
-    columns as rows, as ``class_residuals`` takes them.
+def sbomp_labels(dictionary, Z, K, members):
+    """Labels of the test blocks that ``members`` reads from the rows of Z, as
+    ``pursuit.class_residuals`` takes them: per pixel the class with the
+    smallest residual, the lowest class id on ties.
 
     A failure names its pixel through the error's ``index``; see
     ``pursuit.class_residuals``.
     """
-    return dictionary.class_ids[np.argmin(class_residuals(dictionary, S, K, members), axis=1)]
+    return dictionary.class_ids[np.argmin(class_residuals(dictionary, Z, K, members), axis=1)]
 
 
 def training_norms(train):

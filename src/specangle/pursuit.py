@@ -6,11 +6,11 @@ matrix right-hand side to the simultaneous variant, and wide blocks with a
 single column to the block variant.
 
 The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
-slice, against the fixed dictionary. Each column of S has a member key:
-columns with the same key are equal, as overlapping windows share most of
-their members (a gathered stack gives each column its own key), and a key of
--1 marks a zero column. Each iteration scores every block for every pixel by
-one rule: the l2,1 norm of the block's correlation with that pixel's
+slice, against the fixed dictionary. Callers give the stack as its distinct
+columns, the rows of Z (n, d), and each pixel's members, the rows its
+columns read: overlapping windows share most of their members, and a member
+of -1 marks a zero column. Each iteration scores every block for every pixel
+by one rule: the l2,1 norm of the block's correlation with that pixel's
 residual, in one summation order for every caller (each atom's correlations
 with the pixel's columns squared and summed in column order, then the square
 roots summed over the block's atoms). Pixels with the same support share the
@@ -46,8 +46,8 @@ The largest arrays of one call are the (U, atoms) score products, U being
 the number of distinct members, and the (P, atoms) score sums. A caller
 bounds memory through U and P; ``predict`` from
 ``evaluate.fit_pipeline`` keeps (U + P) rows of max(atoms, bands) values
-within ``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class`` run the same
-engine on a stack of one.
+within ``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class``, the
+one-pixel forms, run the same engine on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -338,22 +338,36 @@ def _class_residuals(dictionary, S, support, coefficients):
     return out
 
 
-def _checked_stack(dictionary, S, K):
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 3 or S.shape[1] != dictionary.dim:
-        raise DimensionMismatchError(
-            f"S must be (P, {dictionary.dim}, w), got shape {S.shape}"
-        )
+def _gathered(dictionary, Z, K, members):
+    """The stack (P, d, w) whose slice i holds the rows Z[members[i]] of Z
+    (n, d) as columns, a -1 giving a zero column, and members as int64.
+
+    Checks the shapes, K, that every member lies in [-1, n) and that every
+    row a block reads is finite; an error about a member or a row has
+    ``index`` set to the first pixel whose block holds it.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != dictionary.dim:
+        raise DimensionMismatchError(f"Z must be (n, {dictionary.dim}), got shape {Z.shape}")
     if not 1 <= K <= dictionary.n_blocks:
-        raise SpecAngleError(
-            f"K must be in [1, {dictionary.n_blocks}], got {K}"
-        )
-    finite = np.all(np.isfinite(S), axis=(1, 2))
+        raise SpecAngleError(f"K must be in [1, {dictionary.n_blocks}], got {K}")
+    members = np.asarray(members)
+    if members.ndim != 2 or not np.issubdtype(members.dtype, np.integer):
+        raise SpecAngleError(f"members must be a 2-D integer array, got shape {members.shape}")
+    members = members.astype(np.int64, copy=False)
+    outside = np.any((members < -1) | (members >= len(Z)), axis=1)
+    if np.any(outside):
+        exc = SpecAngleError(f"members must lie in [-1, {len(Z)})")
+        exc.index = int(np.argmax(outside))
+        raise exc
+    # A trailing zero row, read by every -1 of members.
+    Z = np.vstack([Z, np.zeros((1, Z.shape[1]))])
+    finite = np.all(np.isfinite(Z), axis=1)[members].all(axis=1)
     if not np.all(finite):
         exc = NonFiniteError("S contains NaN or Inf")
         exc.index = int(np.argmin(finite))
         raise exc
-    return S
+    return np.ascontiguousarray(Z[members].transpose(0, 2, 1)), members
 
 
 def _one_block(S):
@@ -381,8 +395,9 @@ def sbomp(dictionary, S, K):
     -------
     SparseSolution
     """
-    S = _checked_stack(dictionary, _one_block(S)[None], K)
-    support, coefficients, norms = _pursue(dictionary, S, K, np.arange(S.shape[2])[None])
+    Z = _one_block(S).T
+    S, members = _gathered(dictionary, Z, K, np.arange(len(Z))[None])
+    support, coefficients, norms = _pursue(dictionary, S, K, members)
     chosen = support[0][support[0] >= 0]
     return SparseSolution(
         support=tuple(int(j) for j in chosen),
@@ -406,48 +421,36 @@ def residual_by_class(dictionary, S, sol):
     return {int(c): float(v) for c, v in zip(dictionary.class_ids, res)}
 
 
-def class_residuals(dictionary, S, K, members=None):
-    """Pursue every test block of a stack at sparsity K; residuals per class.
+def class_residuals(dictionary, Z, K, members):
+    """Pursue every test block at sparsity K; residuals per class.
 
     Parameters
     ----------
     dictionary : BlockDictionary
-    S : (P, d, w) array_like, or (n, d) with ``members``
-        One test block per pixel. A narrower block is zero-padded on the
-        right; zero columns change neither its pursuit nor its residuals.
+    Z : (n, d) array_like
+        The distinct columns of the test blocks, one per row.
     K : int
         Maximum number of blocks to select, 1 <= K <= number of blocks.
-    members : (P, w) int array_like, optional
-        Test blocks given by their distinct columns: S holds one column per
-        row, and pixel i's block is the columns S[members[i]], a -1 giving a
-        zero column. Every iteration correlates the residual of a row under
-        one support once, however many blocks share it; the first, where
-        every support is empty, each row of S once. The results are those of
-        the gathered (P, d, w) stack up to how the products round a
-        different row count. Without ``members``, S is a gathered stack and
-        each of its columns is a member of its own.
+    members : (P, w) int array_like
+        Pixel i's test block is the columns Z[members[i]], in that order, a -1
+        giving a zero column; zero columns change neither the block's pursuit
+        nor its residuals. Every iteration correlates the residual of a row
+        under one support once, however many blocks share it; the first,
+        where every support is empty, each row of Z once.
 
     Returns
     -------
     (P, n_classes) ndarray
-        Row i holds residual_by_class of sbomp(dictionary, S[i], K), columns
-        in ``dictionary.class_ids`` order.
+        Row i holds residual_by_class of sbomp(dictionary, S_i, K) for pixel
+        i's block S_i, columns in ``dictionary.class_ids`` order, up to how
+        the products round a different row count.
 
     Raises
     ------
     SpecAngleError
-        A NonFiniteError has ``index`` set to the first pixel whose block
-        holds NaN or Inf.
+        An error about a member or a non-finite row (NonFiniteError) has
+        ``index`` set to the first pixel whose block holds it.
     """
-    if members is None:
-        S = _checked_stack(dictionary, S, K)
-        P, _, w = S.shape
-        members = np.arange(P * w).reshape(P, w)
-    else:
-        Z = np.asarray(S, dtype=float)
-        # A trailing zero row, read by every -1 of members.
-        Z = np.vstack([Z, np.zeros((1, Z.shape[-1]))])
-        members = np.asarray(members, dtype=np.int64)
-        S = _checked_stack(dictionary, np.ascontiguousarray(Z[members].transpose(0, 2, 1)), K)
+    S, members = _gathered(dictionary, Z, K, members)
     support, coefficients, _ = _pursue(dictionary, S, K, members)
     return _class_residuals(dictionary, S, support, coefficients)

@@ -10,6 +10,8 @@ blocks. The one-shot data references (``split_train_test_reference``,
 ``envi_payload_reference``, ``envi_load_reference``) hold whole arrays where
 the package works a class or a block of rows at a time. ``traced_peak``
 measures the memory bounds those block-at-a-time paths are held to.
+``stack_members`` gives a gathered stack of test blocks in the input form of
+the batch pursuit.
 """
 
 import tracemalloc
@@ -142,6 +144,15 @@ def block_scores_reference(blocks, windows):
     return np.array(
         [[sum(np.linalg.norm(atom @ W) for atom in B.T) for B in blocks] for W in windows]
     )
+
+
+def stack_members(S):
+    """A stack S (P, d, w) of test blocks as ``pursuit.class_residuals``
+    takes it: its columns as the rows of Z (P * w, d), and members (P, w)
+    giving each column a row of its own."""
+    S = np.asarray(S, dtype=float)
+    P, d, w = S.shape
+    return S.transpose(0, 2, 1).reshape(P * w, d), np.arange(P * w).reshape(P, w)
 
 
 def class_residuals_oracle(blocks, classes, S, support, coef):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import class_residuals_oracle, omp_oracle
+from oracles import class_residuals_oracle, omp_oracle, stack_members
 from specangle.classify import nn_cosine_classify, sbomp_labels
 from specangle.data import SampleSet
 from specangle.errors import ZeroVectorError
@@ -17,9 +17,9 @@ def width1_dictionary(atoms, classes):
 
 def label_and_residuals(d, S, K):
     """sbomp_labels of one test block, and its class_residuals by class id."""
-    S = np.asarray(S, dtype=float).reshape(1, d.dim, -1)
-    residuals = class_residuals(d, S, K)[0]
-    return int(sbomp_labels(d, S, K)[0]), dict(zip(d.class_ids.tolist(), residuals))
+    Z, members = stack_members(np.asarray(S, dtype=float).reshape(1, d.dim, -1))
+    residuals = class_residuals(d, Z, K, members)[0]
+    return int(sbomp_labels(d, Z, K, members)[0]), dict(zip(d.class_ids.tolist(), residuals))
 
 
 def best_class(residuals):
@@ -65,7 +65,8 @@ class TestSbompClassify:
         blocks = [rng.standard_normal((6, 2)) for _ in range(8)]
         d = BlockDictionary(blocks=tuple(blocks), classes=np.arange(8) % 2 + 1)
         S = rng.standard_normal((6, 3))
-        p1, p5 = sbomp_labels(d, np.stack([S, 5.0 * S]), K=2)
+        Z, members = stack_members(np.stack([S, 5.0 * S]))
+        p1, p5 = sbomp_labels(d, Z, 2, members)
         assert p1 == p5
 
     def test_spanning_class_wins(self):

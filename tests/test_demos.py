@@ -1,8 +1,9 @@
 """Smoke run of every script under demos/ and of the README's Python quick
 start, each in a fresh directory.
 
-Demo 02 calls sbomp and residual_by_class one pixel at a time, so this also
-covers the single-pixel forms of the batched pursuit.
+Demo 02 calls sbomp and residual_by_class one pixel at a time and
+sbomp_labels on blocks that share columns, so this also covers the
+one-pixel forms of the batched pursuit.
 """
 
 import os

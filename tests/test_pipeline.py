@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import neighborhood_bruteforce, traced_peak
+from oracles import neighborhood_bruteforce, stack_members, traced_peak
 from specangle import classify, data, evaluate, pursuit
 from specangle.classify import nn_cosine_classify
 from specangle.cli import main
@@ -258,9 +258,8 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 16)
     recorded, class_residuals_of = [], classify.class_residuals
 
-    def record(dictionary, S, K, members=None):
-        assert members is not None
-        recorded.append(class_residuals_of(dictionary, S, K, members))
+    def record(dictionary, Z, K, members):
+        recorded.append(class_residuals_of(dictionary, Z, K, members))
         return recorded[-1]
 
     monkeypatch.setattr(classify, "class_residuals", record)
@@ -284,7 +283,8 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     # Residuals are compared relative to the pixel's norm as well, since a
     # window its own class represents exactly leaves only rounding noise.
     scale = np.linalg.norm(S, axis=(1, 2))[:, None]
-    gathered = class_residuals(dictionary, S, K)
+    Z, members = stack_members(S)
+    gathered = class_residuals(dictionary, Z, K, members)
     [gathered_support] = supports
     np.testing.assert_array_equal(support, gathered_support)
     np.testing.assert_allclose(residuals / scale, gathered / scale, rtol=1e-12, atol=1e-12)
@@ -343,7 +343,7 @@ def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
     cfg = config("slspp", "sbomp", r=WIDE_R, sparsity=WIDE_K)
     coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
     proj, predict = fit_pipeline(cube, train, cfg)
-    _, S = gathered_windows(proj, cube, coords, WINDOW)
+    Z, members = stack_members(gathered_windows(proj, cube, coords, WINDOW)[1])
     blocks, _ = gathered_windows(proj, cube, train.coords, WINDOW)
 
     def fresh():
@@ -352,8 +352,8 @@ def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
     labels = predict(coords)
     np.testing.assert_array_equal(predict(coords), labels)
     dictionary = fresh()
-    residuals = class_residuals(dictionary, S, WIDE_K)
-    np.testing.assert_array_equal(class_residuals(dictionary, S, WIDE_K), residuals)
+    residuals = class_residuals(dictionary, Z, WIDE_K, members)
+    np.testing.assert_array_equal(class_residuals(dictionary, Z, WIDE_K, members), residuals)
 
     budget = 1 << 16
     monkeypatch.setattr(data, "CHUNK_BYTES", budget)
@@ -368,7 +368,7 @@ def test_refit_cache_history_does_not_change_results(wide_scene, monkeypatch):
     monkeypatch.setattr(pursuit, "_refits", bounded)
     _, small = fit_pipeline(cube, train, cfg)
     np.testing.assert_array_equal(small(coords), labels)
-    np.testing.assert_array_equal(class_residuals(fresh(), S, WIDE_K), residuals)
+    np.testing.assert_array_equal(class_residuals(fresh(), Z, WIDE_K, members), residuals)
     # More factorizations than supports: the cache was cleared and refilled.
     assert sum(factored) > len(distinct_supports(supports))
     assert 0 < max(peak) <= budget

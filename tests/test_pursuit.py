@@ -7,6 +7,7 @@ from oracles import (
     class_residuals_oracle,
     omp_oracle,
     somp_oracle,
+    stack_members,
 )
 from specangle.errors import (
     DimensionMismatchError,
@@ -99,7 +100,8 @@ class TestSbomp:
                 np.testing.assert_allclose(sol.coefficients, coef, atol=1e-8)
                 res = class_residuals_oracle(blocks, classes, T, support, coef)
                 expected.append([res[c] for c in d.class_ids])
-            np.testing.assert_allclose(class_residuals(d, S, K), expected, atol=1e-8)
+            Z, members = stack_members(S)
+            np.testing.assert_allclose(class_residuals(d, Z, K, members), expected, atol=1e-8)
 
     def test_residual_monotone_and_history(self):
         rng = np.random.default_rng(103)
@@ -284,7 +286,8 @@ class TestBatch:
             np.testing.assert_allclose(norms[i, : n + 1], sol.residual_norms, rtol=self.TOL, atol=self.TOL)
             assert np.all(np.isnan(norms[i, n + 1:]))
 
-        residuals = class_residuals(d, S, K)
+        Z, members = stack_members(S)
+        residuals = class_residuals(d, Z, K, members)
         for i, T in enumerate(tests):
             one = fresh()
             expected = residual_by_class(one, T, sbomp(one, T, K))
@@ -298,19 +301,22 @@ class TestBatch:
         S = np.zeros((4, 3, 1))
         S[:, 2, 0] = 1.0  # block 1 represents these exactly
         S[[2, 3], :, 0] = a[:, 0]  # selects block 0, whose two atoms are equal
-        first = class_residuals(d, S, 1)
+        Z, members = stack_members(S)
+        first = class_residuals(d, Z, 1, members)
         assert (0,) in d._refits  # the duplicate-atom support is cached too
         np.testing.assert_allclose(first[[2, 3], 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(first[[0, 1], 1], 0.0, atol=1e-12)
         # A second run and a reordered part of the stack read both supports
         # from the cache; a fresh dictionary factors them again.
         fresh = BlockDictionary(blocks=d.blocks, classes=d.classes)
-        np.testing.assert_array_equal(class_residuals(d, S, 1), first)
-        np.testing.assert_array_equal(class_residuals(fresh, S, 1), first)
-        np.testing.assert_array_equal(class_residuals(d, S[[3, 1]], 1), first[[3, 1]])
+        np.testing.assert_array_equal(class_residuals(d, Z, 1, members), first)
+        np.testing.assert_array_equal(class_residuals(fresh, Z, 1, members), first)
+        part, part_members = stack_members(S[[3, 1]])
+        np.testing.assert_array_equal(class_residuals(d, part, 1, part_members), first[[3, 1]])
         S[1, 0, 0] = np.nan
+        Z, members = stack_members(S)
         with pytest.raises(NonFiniteError) as info:
-            class_residuals(d, S, 1)
+            class_residuals(d, Z, 1, members)
         assert info.value.index == 1
 
 
@@ -371,8 +377,10 @@ class TestSharedColumns:
             support = pursuit._pursue(d, S, K, np.arange(members.size).reshape(members.shape))[0]
             shared = pursuit._pursue(d, S, K, members)[0]
             np.testing.assert_array_equal(shared, support)
+            columns, own = stack_members(S)
             np.testing.assert_allclose(
-                class_residuals(d, Z[:-1], K, members), class_residuals(d, S, K), rtol=1e-12
+                class_residuals(d, Z[:-1], K, members), class_residuals(d, columns, K, own),
+                rtol=1e-12,
             )
 
     def test_a_non_finite_column_names_the_first_block_holding_it(self):
@@ -383,3 +391,25 @@ class TestSharedColumns:
         with pytest.raises(NonFiniteError) as info:
             class_residuals(d, Z, 1, [[0, 1, -1], [3, 0, 1], [1, 2, 0], [2, -1, -1]])
         assert info.value.index == 2
+
+    @pytest.mark.parametrize("bad", [4, -2, 5])
+    def test_a_member_outside_the_rows_names_the_first_block_holding_it(self, bad):
+        """With 4 rows, member 4 would read the zero row, -2 wrap to row 2
+        and 5 fail on a bare index."""
+        rng = np.random.default_rng(112)
+        _, d, _, _ = self.case(rng)
+        Z = rng.standard_normal((4, 12))
+        members = np.array([[0, 1, -1], [3, 0, 1], [1, bad, 0], [bad, -1, -1]])
+        with pytest.raises(SpecAngleError) as info:
+            class_residuals(d, Z, 1, members)
+        assert type(info.value) is SpecAngleError
+        assert info.value.index == 2
+        assert "members must lie in [-1, 4)" in str(info.value)
+
+    @pytest.mark.parametrize("members", [np.zeros((2, 3)), np.zeros(3, dtype=int)])
+    def test_members_must_be_a_2d_integer_array(self, members):
+        rng = np.random.default_rng(113)
+        _, d, _, _ = self.case(rng)
+        with pytest.raises(SpecAngleError) as info:
+            class_residuals(d, rng.standard_normal((4, 12)), 1, members)
+        assert info.value.index is None
