@@ -293,10 +293,14 @@ def _bandwidth(X, sigma):
         raise NonFiniteError("squared distances between samples overflow")
     if sigma is None:
         return _streamed_median(X)
-    # Written so that NaN fails too.
-    if not 0 < sigma < np.inf:
-        raise NonPositiveSigmaError(f"sigma must be finite and > 0, got {sigma}")
+    _check_sigma(sigma)
     return float(sigma)
+
+
+def _check_sigma(sigma):
+    # Written so that NaN fails too.
+    if sigma is not None and not 0 < sigma < np.inf:
+        raise NonPositiveSigmaError(f"sigma must be finite and > 0, got {sigma}")
 
 
 def heat_kernel_products(X, sigma):

@@ -34,13 +34,9 @@ class Prediction:
 
 
 def sbomp_labels(dictionary, Z, K, members):
-    """Labels of the test blocks that ``members`` reads from the rows of Z, as
-    ``pursuit.class_residuals`` takes them: per pixel the class with the
-    smallest residual, the lowest class id on ties.
-
-    A failure names its pixel through the error's ``index``; see
-    ``pursuit.class_residuals``.
-    """
+    """Per pixel, the class with the smallest residual of
+    ``pursuit.class_residuals``, which takes the same input and names a
+    failing pixel through the error's ``index``; the lowest id on ties."""
     return dictionary.class_ids[np.argmin(class_residuals(dictionary, Z, K, members), axis=1)]
 
 

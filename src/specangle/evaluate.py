@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .affinity import _check_sigma
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
     _pixels_inside,
@@ -30,6 +31,7 @@ from .errors import (
     SpecAngleError,
     ZeroVectorError,
 )
+from .linalg import _check_ridge
 from .projections import DEFAULT_RIDGE, METHODS, project
 from .pursuit import BlockDictionary
 
@@ -85,12 +87,15 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"classifier '{self.classifier}' is not one of {', '.join(CLASSIFIERS)}"
             )
-        for name in ("sparsity", "n_train", "n_test", "trials"):
+        for name in ("r", "sparsity", "n_train", "n_test", "trials"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Every trial's split seed must be a Philox key.
         if self.seed < 0 or _split_seed(self.seed, self.trials - 1) >= 2**64:
             raise InvalidConfigError(f"seed {self.seed} gives split seeds outside [0, 2**64)")
+        # A method that never reads sigma or ridge would report them unchecked.
+        _check_sigma(self.sigma)
+        _check_ridge(self.ridge)
 
     def params(self):
         """Config as a plain dict, for reports."""
@@ -142,7 +147,7 @@ class AccuracyReport:
             "per_trial_accuracy": [round(float(a), 12) for a in self.per_trial_accuracy],
             "overall_accuracy": round(self.overall_accuracy, 12),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _jsonable(v):

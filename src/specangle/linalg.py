@@ -84,12 +84,16 @@ def sym_eig_desc(A):
     return w, _fix_signs(V)
 
 
+def _check_ridge(ridge):
+    if not 0 <= ridge < np.inf:
+        raise SpecAngleError(f"ridge must be finite and >= 0, got {ridge}")
+
+
 def regularized(B, ridge):
     """Return B + ridge * (trace(B)/n) * I, the ridge used by gen_eig_desc."""
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
-    if not 0 <= ridge < np.inf:
-        raise SpecAngleError(f"ridge must be finite and >= 0, got {ridge}")
+    _check_ridge(ridge)
     if ridge == 0 or n == 0:
         return B.copy()
     return B + (ridge * np.trace(B) / n) * np.eye(n)

@@ -34,6 +34,7 @@ from .errors import (
     MalformedHeaderError,
     NonFiniteError,
     ReducedDimTooLargeError,
+    ReducedDimTooSmallError,
     SingleClassError,
     TooFewSamplesError,
 )
@@ -158,7 +159,8 @@ class Projection:
 
 def _check_r(r, d):
     if not 1 <= r <= d:
-        raise ReducedDimTooLargeError(f"r must be in [1, {d}], got {r}")
+        error = ReducedDimTooSmallError if r < 1 else ReducedDimTooLargeError
+        raise error(f"r must be in [1, {d}], got {r}")
 
 
 def _graph_pencil(X, r, sigma):

@@ -339,13 +339,8 @@ def _class_residuals(dictionary, S, support, coefficients):
 
 
 def _gathered(dictionary, Z, K, members):
-    """The stack (P, d, w) whose slice i holds the rows Z[members[i]] of Z
-    (n, d) as columns, a -1 giving a zero column, and members as int64.
-
-    Checks the shapes, K, that every member lies in [-1, n) and that every
-    row a block reads is finite; an error about a member or a row has
-    ``index`` set to the first pixel whose block holds it.
-    """
+    """The checked stack (P, d, w) of the blocks Z[members[i]].T, a -1
+    giving a zero column, and members as int64; see ``class_residuals``."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != dictionary.dim:
         raise DimensionMismatchError(f"Z must be (n, {dictionary.dim}), got shape {Z.shape}")
@@ -433,10 +428,9 @@ def class_residuals(dictionary, Z, K, members):
         Maximum number of blocks to select, 1 <= K <= number of blocks.
     members : (P, w) int array_like
         Pixel i's test block is the columns Z[members[i]], in that order, a -1
-        giving a zero column; zero columns change neither the block's pursuit
-        nor its residuals. Every iteration correlates the residual of a row
-        under one support once, however many blocks share it; the first,
-        where every support is empty, each row of Z once.
+        giving a zero column, which changes neither its pursuit nor its
+        residuals. Every iteration correlates the residual of a row under one
+        support once, however many blocks share it.
 
     Returns
     -------
@@ -448,8 +442,8 @@ def class_residuals(dictionary, Z, K, members):
     Raises
     ------
     SpecAngleError
-        An error about a member or a non-finite row (NonFiniteError) has
-        ``index`` set to the first pixel whose block holds it.
+        A member outside [-1, n), or a NonFiniteError for a row with NaN or
+        Inf, has ``index`` set to the first pixel whose block holds it.
     """
     S, members = _gathered(dictionary, Z, K, members)
     support, coefficients, _ = _pursue(dictionary, S, K, members)

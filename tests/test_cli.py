@@ -1,11 +1,12 @@
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from specangle import evaluate
-from specangle.cli import main
+from specangle.cli import build_parser, main
 from specangle.data import (
     HyperCube,
     load_cube,
@@ -15,6 +16,7 @@ from specangle.data import (
     split_train_test,
     synth_scene,
 )
+from specangle.evaluate import ExperimentConfig
 from specangle.projections import Projection
 
 
@@ -163,6 +165,20 @@ class TestExportSphere:
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["method", "r", "sigma", "window", "ridge", "classifier", "sparsity",
+              "n_test", "trials", "seed", "n_train"]),
+    ("classify", ["method", "r", "sigma", "window", "ridge", "classifier", "sparsity",
+                  "seed", "n_train"]),
+])
+def test_flag_defaults_are_the_config_defaults(command, flags):
+    """The parser restates the config's defaults; a config default changed
+    without them would not reach the command."""
+    args = build_parser().parse_args([command, "--cube", "c", "--gt", "g", "--out", "o"])
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert {name: getattr(args, name) for name in flags} == {name: defaults[name] for name in flags}
+
+
 CONFIG_ERRORS = [
     (["eval", "--trials", "0"], "InvalidConfigError"),
     (["eval", "--n-test", "0"], "InvalidConfigError"),
@@ -182,6 +198,17 @@ CONFIG_ERRORS = [
     (["classify", "--seed", "-1"], "InvalidConfigError"),
     (["export-sphere", "--seed", "-1"], "InvalidConfigError"),
     (["fit", "--n-train", "5", "--seed", "-1"], "InvalidConfigError"),
+    # A method that never reads sigma or ridge would write them into the
+    # report unchecked, and Infinity and NaN are not JSON.
+    *[
+        case
+        for command in ("eval", "sweep", "classify")
+        for case in (
+            ([command, "--method", "ada", "--sigma", "inf"], "NonPositiveSigmaError"),
+            ([command, "--method", "slspp", "--ridge", "nan"], "SpecAngleError"),
+            ([command, "--r", "0"], "InvalidConfigError"),
+        )
+    ],
 ]
 
 

@@ -98,6 +98,13 @@ class TestRunExperiment:
         assert a == b
         json.loads(a)  # stays valid JSON
 
+    def test_json_refuses_non_finite_values(self):
+        report = AccuracyReport(
+            params={"sigma": float("inf")}, confusions=np.eye(2, dtype=np.int64)[None]
+        )
+        with pytest.raises(ValueError):
+            report.to_json()
+
     def test_trial_failure_has_context(self, scene):
         cube, gt = scene
         cfg = ExperimentConfig(n_train=500, n_test=500, trials=2, seed=6)

@@ -21,6 +21,7 @@ from specangle.errors import (
     MalformedHeaderError,
     OutOfBoundsError,
     ReducedDimTooLargeError,
+    ReducedDimTooSmallError,
     SingleClassError,
     SpecAngleError,
 )
@@ -99,6 +100,10 @@ class TestLspp:
         with pytest.raises(ReducedDimTooLargeError):
             fit_lspp(np.ones((3, 4)), r=4, sigma=1.0)
 
+    def test_r_too_small(self):
+        with pytest.raises(ReducedDimTooSmallError, match=r"r must be in \[1, 3\], got 0"):
+            fit_lspp(np.ones((3, 4)), r=0, sigma=1.0)
+
     def test_random_feasible_directions_never_beat_fit(self):
         rng = np.random.default_rng(43)
         for d in (2, 3):
@@ -169,6 +174,11 @@ class TestSlspp:
         p = proj.matrix[:, 0]
         cos = abs(p @ v) / (np.linalg.norm(p) * np.linalg.norm(v))
         assert cos >= 1.0 - 1e-10
+
+    def test_r_too_small(self):
+        cube = HyperCube(values=np.random.default_rng(53).standard_normal((4, 4, 3)))
+        with pytest.raises(ReducedDimTooSmallError, match=r"r must be in \[1, 3\], got 0"):
+            fit_slspp(cube, [(1, 1), (2, 2)], r=0, window=3, sigma=1.0)
 
     def test_window_one_outer_product(self):
         rng = np.random.default_rng(50)
