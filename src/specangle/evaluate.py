@@ -326,11 +326,12 @@ def sweep(cube, gt, config, axes):
         if not axes[name]:
             raise ValueError(f"sweep axis '{name}' has no values")
     names = list(axes)
-    reports = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        cfg = replace(config, **dict(zip(names, combo)))
-        reports.append(run_experiment(cube, gt, cfg))
-    return reports
+    # Every point's config is checked before the first point runs.
+    configs = [
+        replace(config, **dict(zip(names, combo)))
+        for combo in itertools.product(*(axes[n] for n in names))
+    ]
+    return [run_experiment(cube, gt, cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

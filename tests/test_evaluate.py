@@ -7,6 +7,7 @@ import specangle.evaluate as evaluate
 from specangle.data import SampleSet, synth_scene
 from specangle.errors import (
     InsufficientSamplesError,
+    NonPositiveSigmaError,
     ReducedDimTooSmallError,
     SpecAngleError,
     ZeroVectorError,
@@ -211,6 +212,14 @@ class TestSweep:
         assert len(reports) == 6
         assert [r.params["window"] for r in reports] == [1, 1, 3, 3, 5, 5]
         assert [r.params["sparsity"] for r in reports] == [1, 2, 1, 2, 1, 2]
+
+    def test_every_point_is_checked_before_the_first_runs(self, scene, monkeypatch):
+        cube, gt = scene
+        ran = []
+        monkeypatch.setattr(evaluate, "run_experiment", lambda *args: ran.append(args))
+        with pytest.raises(NonPositiveSigmaError):
+            sweep(cube, gt, ExperimentConfig(), {"sigma": [1.0, float("inf")]})
+        assert not ran
 
     def test_single_point_axis_matches_run_experiment(self, scene):
         cube, gt = scene

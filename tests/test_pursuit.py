@@ -394,7 +394,7 @@ class TestSharedColumns:
 
     @pytest.mark.parametrize("bad", [4, -2, 5])
     def test_a_member_outside_the_rows_names_the_first_block_holding_it(self, bad):
-        """With 4 rows, member 4 would read the zero row, -2 wrap to row 2
+        """With 4 rows, member 4 would read the zero row, -2 wrap to row 3
         and 5 fail on a bare index."""
         rng = np.random.default_rng(112)
         _, d, _, _ = self.case(rng)
