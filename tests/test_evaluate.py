@@ -7,6 +7,7 @@ import specangle.evaluate as evaluate
 from specangle.data import SampleSet, synth_scene
 from specangle.errors import (
     InsufficientSamplesError,
+    InvalidConfigError,
     NonPositiveSigmaError,
     ReducedDimTooSmallError,
     SpecAngleError,
@@ -148,6 +149,27 @@ class TestWideBlocks:
             n_train=5, n_test=20, trials=2,
         ))
         np.testing.assert_array_equal(rep.confusions.sum(axis=2), 20)
+
+
+class TestConfigCounts:
+    """Count fields and the seed must be integers; a wrong type raises
+    InvalidConfigError naming the field before any comparison is made."""
+
+    @pytest.mark.parametrize("name", ["r", "sparsity", "n_train", "n_test", "trials", "seed"])
+    @pytest.mark.parametrize("value", [None, 2.5, "3", True])
+    def test_a_non_integer_count_names_its_field(self, name, value):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            ExperimentConfig(**{name: value})
+
+    def test_numpy_integers_are_counts(self):
+        cfg = ExperimentConfig(r=np.int64(4), trials=np.int32(2), seed=np.uint8(200))
+        assert [(v, type(v)) for v in (cfg.r, cfg.trials, cfg.seed)] == [(4, int), (2, int), (200, int)]
+        json.dumps(cfg.params())
+
+    @pytest.mark.parametrize("name", ["r", "sparsity", "n_train", "n_test", "trials"])
+    def test_a_count_below_one_names_its_field(self, name):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be >= 1, got 0$"):
+            ExperimentConfig(**{name: 0})
 
 
 class TestFirstFailure:
