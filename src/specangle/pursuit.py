@@ -7,39 +7,38 @@ single column to the block variant.
 
 The engine pursues a whole stack of test blocks S (P, d, w), one pixel per
 slice, against the fixed dictionary. Callers give the stack as its distinct
-columns, the rows of Z (n, d), and each pixel's members, the rows its
-columns read: overlapping windows share most of their members, and a member
-of -1 marks a zero column. Each iteration scores every block for every pixel
-by one rule: the l2,1 norm of the block's correlation with that pixel's
-residual, in one summation order for every caller (each atom's correlations
-with the pixel's columns squared and summed in column order, then the square
-roots summed over the block's atoms). Pixels with the same support share the
-residual of every member they share, so each distinct (support, member)
-residual is read from one of its pixels and correlated once with the stacked
-dictionary, whole support groups going into products of at most the distinct
-members and one zero row. Every pixel starts from the empty support, so the
-first iteration correlates each distinct member once. A pixel's scores
-therefore do not depend on which pixels share its members. The engine masks
-the blocks a pixel has already selected, appends the best block to the
-pixel's support (ties go to the lowest block index), refits the pixel's
-coefficients by least squares over its whole support and updates the
-residual. Coefficients live in a slot layout: support slot k holds as many
-rows as the widest block, and the rows past a narrower block's width belong
-to a trailing zero atom of the stacked dictionary, so every support of L
-blocks is L slots of the same width. The refit of support I is the
-minimum-norm X = pinv(A_I) S, defined for every support, however many of its
-atoms are collinear. pinv(A_I) depends on the dictionary and the ordered
-support, not on the pixel. Pixels choose few distinct supports, so each one
-is factored once per dictionary, padded to the slot layout with zero rows
-and kept in its cache for every later pixel and chunk that selects it: the
-supports an iteration misses are factored with one stacked pseudo-inverse
-per support width. Each iteration then refits every pixel with one stacked
-product. The cache is cleared before its pseudo-inverses would pass
-``data.CHUNK_BYTES``. Each pixel stops on its own: after K iterations, or
-early when its residual is numerically zero or every remaining score is
-zero. A pixel that has stopped keeps its support and coefficients. Test
-blocks of different widths share a stack by zero-padding to the widest; zero
-columns change neither the scores nor the residuals. Class residuals then
+columns, the rows of Z (n, d), and each pixel's members, the rows its columns
+read: overlapping windows share most of their members, and a member of -1 marks
+a zero column. Each iteration scores every block for every pixel by one rule:
+the l2,1 norm of the block's correlation with that pixel's residual, in one
+summation order for every caller (each atom's correlations with the pixel's
+columns squared and summed in column order, then the square roots summed over
+the block's atoms). Pixels with the same support share the residual of every
+member they share, so each distinct (support, member) residual is read from one
+of its pixels and correlated once with the stacked dictionary, whole support
+groups going into products of at most the distinct members, and one sparse
+product sums each window's squares. Every pixel starts from the empty support,
+so the first iteration correlates each distinct member once. A pixel's scores
+therefore do not depend on which pixels share its members. The engine masks the
+blocks a pixel has already selected, appends the best block to the pixel's
+support (ties go to the lowest block index), refits the pixel's coefficients by
+least squares over its whole support and updates the residual. Coefficients
+live in a slot layout: support slot k holds as many rows as the widest block,
+and the rows past a narrower block's width belong to a trailing zero atom of
+the stacked dictionary, so every support of L blocks is L slots of the same
+width. The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
+every support, however many of its atoms are collinear. pinv(A_I) depends on
+the dictionary and the ordered support, not on the pixel. Pixels choose few
+distinct supports, so each one is factored once per dictionary, padded to the
+slot layout with zero rows and kept in its cache for every later pixel and
+chunk that selects it: the supports an iteration misses are factored with one
+stacked pseudo-inverse per support width. Each iteration then refits every
+pixel with one stacked product. The cache is cleared before its pseudo-inverses
+would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
+iterations, or early when its residual is numerically zero or every remaining
+score is zero. A pixel that has stopped keeps its support and coefficients.
+Test blocks of different widths share a stack by zero-padding to the widest;
+zero columns change neither the scores nor the residuals. Class residuals then
 come from one segmented reduction over every pixel's selected blocks.
 
 The largest arrays of one call are the (U, atoms) score products, U being
@@ -54,6 +53,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy import sparse
 
 from . import data
 from .errors import (
@@ -162,24 +162,22 @@ def _block_scores(dictionary, Z, members):
     """Selection score of every block for every window, (P, n_blocks).
 
     Window i holds the columns Z[members[i]] of the (n, d) array Z, in that
-    order; a -1 reads the last row, which the caller keeps zero. Each row of Z
-    is correlated once, however many windows share it. A block's score is the
-    sum over its atoms of the l2 norm of the atom's correlations with the
-    window's columns, squared and summed in column order, so a window's score
-    does not depend on which other windows share its rows, up to how the
-    product rounds a row for a different row count. The sums are taken a
-    block of windows at a time, the block's sums and one gathered column of
-    it together an eighth of ``data.CHUNK_BYTES``, so that they stay in cache.
+    order, a member below 0 giving a zero column. Each row of Z is correlated
+    once, however many windows share it. A block's score is the sum over its
+    atoms of the l2 norm of the atom's correlations with the window's columns,
+    squared and summed in column order by one CSR product of the (P, n)
+    incidence matrix with the squares, which adds each row's entries to zero
+    in stored order. So a window's score does not depend on which windows
+    share its rows, up to how the product rounds a row for another row count.
     """
     squares = Z @ dictionary._stacked
     squares *= squares
-    total = np.zeros((len(members), squares.shape[1]))
-    step = data.chunk_pixels(16 * squares.shape[1])
-    column = np.empty((min(step, len(members)), squares.shape[1]))
-    for lo in range(0, len(members), step):
-        sums, block = total[lo : lo + step], members[lo : lo + step]
-        for m in block.T:
-            sums += np.take(squares, m, axis=0, out=column[: len(block)], mode="wrap")
+    inside = members >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
+    incidence = sparse.csr_array(
+        (np.ones(indptr[-1]), members[inside], indptr), shape=(len(members), len(Z))
+    )
+    total = incidence @ squares
     return np.add.reduceat(np.sqrt(total, out=total), dictionary._offsets[:-1], axis=1)
 
 
@@ -211,9 +209,8 @@ def _residual_scores(dictionary, R, members, groups, rows):
         stop = int(np.searchsorted(ends, lo + rows, side="right"))
         hi = ends[stop - 1]
         batch = np.flatnonzero((groups >= g) & (groups < stop))
-        Z = np.vstack([columns[lo:hi], np.zeros((1, columns.shape[1]))])
-        batch_members = np.where(inside[batch], local[batch] - lo, -1)
-        scores[batch] = _block_scores(dictionary, Z, batch_members)
+        # The batch's members lie in [lo, hi); each -1 stays below 0.
+        scores[batch] = _block_scores(dictionary, columns[lo:hi], local[batch] - lo)
         g, lo = stop, hi
     return scores
 
@@ -272,9 +269,9 @@ def _pursue(dictionary, S, K, members):
     to U - 1, and -1 marks a zero column. Every iteration scores with
     ``_residual_scores``, each pixel grouped by its support and every pixel
     starting in the group of the empty support, with the row bound of the
-    first iteration: the U members and the zero row. Each iteration refits
-    every active pixel with one stacked product by the pseudo-inverse of its
-    support from ``_refits``, which factors the supports not seen yet.
+    first iteration: the U members. Each iteration refits every active pixel
+    with one stacked product by the pseudo-inverse of its support from
+    ``_refits``, which factors the supports not seen yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -282,16 +279,16 @@ def _pursue(dictionary, S, K, members):
     # Per pixel, the rank of its support among the iteration's distinct ones;
     # every pixel starts with the empty one.
     ranks = np.zeros(P, dtype=np.int64)
-    bound = members.max(initial=-1) + 2
+    bound = members.max(initial=-1) + 1
     coefficients = np.zeros((P, K * slots.shape[1], w))
     norms = np.full((P, K + 1), np.nan)
     norms[:, 0] = np.linalg.norm(S, axis=(1, 2))
-    R = S.copy()
-    active = np.arange(P)
+    # The pixels still pursued, and their residuals in that order.
+    active, R = np.arange(P), S
     for t in range(K):
         if not active.size:
             break
-        scores = _residual_scores(dictionary, R[active], members[active], ranks[active], bound)
+        scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
         rows = np.arange(len(active))
         scores[rows[:, None], support[active, :t]] = -np.inf
         best = np.argmax(scores, axis=1)
@@ -305,21 +302,23 @@ def _pursue(dictionary, S, K, members):
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         ranks[active] = inverse
         distinct = support[active[first], : t + 1]
-        X = _refits(dictionary, distinct)[inverse] @ S[active]
+        R = S[active]
+        X = _refits(dictionary, distinct)[inverse] @ R
         coefficients[active, : X.shape[1]] = X
         atoms = slots[support[active, : t + 1]].reshape(len(active), -1)
-        R[active] = S[active] - dictionary._stacked[:, atoms].transpose(1, 0, 2) @ X
-        norms[active, t + 1] = np.linalg.norm(R[active], axis=(1, 2))
-        active = active[norms[active, t + 1] > _EXACT_RTOL * norms[active, 0]]
+        R -= dictionary._stacked[:, atoms].transpose(1, 0, 2) @ X
+        norms[active, t + 1] = np.linalg.norm(R, axis=(1, 2))
+        keep = norms[active, t + 1] > _EXACT_RTOL * norms[active, 0]
+        active, R = active[keep], R[keep]
     return support, coefficients, norms
 
 
-def _class_residuals(dictionary, S, support, coefficients):
+def _class_residuals(dictionary, S, support, coefficients, norms):
     """Residual norm per class, (P, n_classes), from one solution per pixel.
 
     Each selected block's partial reconstruction is summed over the selected
     blocks of its own class (one segmented reduction); a class with no
-    selected block keeps ||S_i||_F.
+    selected block keeps ||S_i||_F, which ``norms`` (P,) holds.
     """
     P, d, w = S.shape
     K = support.shape[1]
@@ -331,8 +330,8 @@ def _class_residuals(dictionary, S, support, coefficients):
     cls = dictionary._class_pos[selected]
     same = (cls[:, :, None] == cls[:, None, :]) & used[:, None, :]
     recon = np.einsum("pkl,pldw->pkdw", same.astype(float), parts)
-    by_slot = np.linalg.norm(S[:, None] - recon, axis=(2, 3))
-    out = np.repeat(np.linalg.norm(S, axis=(1, 2))[:, None], len(dictionary.class_ids), axis=1)
+    by_slot = np.linalg.norm(np.subtract(S[:, None], recon, out=recon), axis=(2, 3))
+    out = np.repeat(norms[:, None], len(dictionary.class_ids), axis=1)
     p, k = np.nonzero(used)
     out[p, cls[p, k]] = by_slot[p, k]
     return out
@@ -408,11 +407,12 @@ def residual_by_class(dictionary, S, sol):
     are kept; the residual is the Frobenius norm of S minus that partial
     reconstruction. A class with no selected block therefore scores ||S||_F.
     """
-    S = _one_block(S)
+    S = _one_block(S)[None]
     support = np.asarray(sol.support, dtype=np.int64)
-    coefficients = np.zeros((len(support) * dictionary._slots.shape[1], S.shape[1]))
+    coefficients = np.zeros((len(support) * dictionary._slots.shape[1], S.shape[2]))
     coefficients[_slot_rows(dictionary, support)] = sol.coefficients
-    res = _class_residuals(dictionary, S[None], support[None], coefficients[None])[0]
+    norm = np.linalg.norm(S, axis=(1, 2))
+    res = _class_residuals(dictionary, S, support[None], coefficients[None], norm)[0]
     return {int(c): float(v) for c, v in zip(dictionary.class_ids, res)}
 
 
@@ -446,5 +446,5 @@ def class_residuals(dictionary, Z, K, members):
         Inf, has ``index`` set to the first pixel whose block holds it.
     """
     S, members = _gathered(dictionary, Z, K, members)
-    support, coefficients, _ = _pursue(dictionary, S, K, members)
-    return _class_residuals(dictionary, S, support, coefficients)
+    support, coefficients, norms = _pursue(dictionary, S, K, members)
+    return _class_residuals(dictionary, S, support, coefficients, norms[:, 0])

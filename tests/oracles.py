@@ -11,7 +11,8 @@ blocks. The one-shot data references (``split_train_test_reference``,
 the package works a class or a block of rows at a time. ``traced_peak``
 measures the memory bounds those block-at-a-time paths are held to.
 ``stack_members`` gives a gathered stack of test blocks in the input form of
-the batch pursuit.
+the batch pursuit, and ``window_scores_reference`` sums its window scores one
+window and one column at a time.
 """
 
 import tracemalloc
@@ -144,6 +145,26 @@ def block_scores_reference(blocks, windows):
     return np.array(
         [[sum(np.linalg.norm(atom @ W) for atom in B.T) for B in blocks] for W in windows]
     )
+
+
+def window_scores_reference(correlations, offsets, members):
+    """Block scores of windows of rows, (P, n_blocks), one window and one
+    column at a time.
+
+    ``correlations`` (n, atoms) holds each row's correlation with every atom,
+    ``offsets`` the first atom of each block and then the atom count, and
+    ``members`` (P, w) the rows of each window, -1 for a zero column. Each
+    window's squared correlations are added to zeros in column order, a -1
+    adding nothing; the square roots of the sums are then summed over each
+    block's atoms by the same ``np.add.reduceat`` the package uses, so the
+    result is comparable bit for bit.
+    """
+    sums = np.zeros((len(members), correlations.shape[1]))
+    for total, window in zip(sums, members):
+        for m in window:
+            if m >= 0:
+                total += correlations[m] * correlations[m]
+    return np.add.reduceat(np.sqrt(sums), offsets[:-1], axis=1)
 
 
 def stack_members(S):

@@ -8,6 +8,7 @@ from oracles import (
     omp_oracle,
     somp_oracle,
     stack_members,
+    window_scores_reference,
 )
 from specangle.errors import (
     DimensionMismatchError,
@@ -348,6 +349,28 @@ class TestSharedColumns:
                 pursuit._block_scores(d, windows.reshape(-1, Z.shape[1]), own), expected, rtol=1e-12
             )
 
+    def test_block_scores_match_the_window_sum_oracle_bit_for_bit(self):
+        """Each window's squares are added to zeros in column order: -1
+        members at any position add nothing, rows shared between windows are
+        read once, an all -1 window scores 0 (so its pixel stops before a
+        selection), and Z needs no zero row."""
+        rng = np.random.default_rng(114)
+        shared = 0
+        for _ in range(50):
+            _, d, Z, members = self.case(rng)
+            Z = Z[:-1]
+            empty = int(rng.integers(len(members)))
+            members[empty] = -1
+            inside = members[members >= 0]
+            shared += len(np.unique(inside)) < len(inside)
+            scores = pursuit._block_scores(d, Z, members)
+            expected = window_scores_reference(Z @ d._stacked, d._offsets, members)
+            np.testing.assert_array_equal(scores, expected)
+            assert not np.any(scores[empty])
+            S, checked = pursuit._gathered(d, Z, 1, members)
+            assert pursuit._pursue(d, S, 1, checked)[0][empty, 0] == -1
+        assert shared > 25
+
     def test_residual_scores_match_the_loop_reference(self):
         """Windows of one support group share the residual of each member
         they share; any cap on a product's rows leaves the scores as they
@@ -382,6 +405,46 @@ class TestSharedColumns:
                 class_residuals(d, Z[:-1], K, members), class_residuals(d, columns, K, own),
                 rtol=1e-12,
             )
+
+    def test_chunk_class_residuals_match_one_pixel_pursuits(self, monkeypatch):
+        """The chunk hands _class_residuals the ||S_i|| of _pursue's residual
+        history and still gives each pixel residual_by_class of its own
+        sbomp, also for pixels that stop early: an all -1 window scores 0,
+        and a window of one column in a block's span is represented exactly.
+        The chunk's products have other shapes, so TOL allows a few hundred
+        ulps."""
+        TOL = 256 * np.finfo(float).eps
+        handed = []
+        whole = pursuit._class_residuals
+
+        def spy(dictionary, S, support, coefficients, norms):
+            handed.append((norms, np.linalg.norm(S, axis=(1, 2))))
+            return whole(dictionary, S, support, coefficients, norms)
+
+        monkeypatch.setattr(pursuit, "_class_residuals", spy)
+        rng = np.random.default_rng(116)
+        stopped = 0
+        for _ in range(30):
+            blocks, d, Z, members = self.case(rng, ddim=16)
+            Z = Z[:-1]
+            K = int(rng.integers(1, min(3, d.n_blocks) + 1))
+            members[0] = -1
+            if len(members) > 1:
+                Z[0] = 3.0 * blocks[-1] @ rng.standard_normal(blocks[-1].shape[1])
+                members[1] = -1
+                members[1, int(rng.integers(members.shape[1]))] = 0
+            residuals = class_residuals(d, Z, K, members)
+            norms, expected_norms = handed.pop()
+            np.testing.assert_array_equal(norms, expected_norms)
+            S, checked = pursuit._gathered(d, Z, K, members)
+            stopped += np.count_nonzero(pursuit._pursue(d, S, K, checked)[0][:, -1] < 0)
+            for i, S_i in enumerate(S):
+                one = BlockDictionary(blocks=d.blocks, classes=d.classes)
+                expected = residual_by_class(one, S_i, sbomp(one, S_i, K))
+                np.testing.assert_allclose(
+                    residuals[i], [expected[c] for c in d.class_ids], rtol=TOL, atol=TOL
+                )
+        assert stopped > 30
 
     def test_a_non_finite_column_names_the_first_block_holding_it(self):
         rng = np.random.default_rng(110)
