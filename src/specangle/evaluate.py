@@ -93,10 +93,10 @@ class ExperimentConfig:
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
             # A numpy integer would not serialize in a report, and the split
             # seeds would wrap in its width.
-            value = int(value)
-            object.__setattr__(self, name, value)
-            if name != "seed" and value < 1:
-                raise InvalidConfigError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
+        for name in ("r", "sparsity", "n_train", "n_test", "trials"):
+            if getattr(self, name) < 1:
+                raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # Every trial's split seed must be a Philox key.
         if self.seed < 0 or _split_seed(self.seed, self.trials - 1) >= 2**64:
             raise InvalidConfigError(f"seed {self.seed} gives split seeds outside [0, 2**64)")
