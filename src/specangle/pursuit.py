@@ -313,12 +313,12 @@ def _pursue(dictionary, S, K, members):
     return support, coefficients, norms
 
 
-def _class_residuals(dictionary, S, support, coefficients, norms):
+def _class_residuals(dictionary, S, support, coefficients):
     """Residual norm per class, (P, n_classes), from one solution per pixel.
 
     Each selected block's partial reconstruction is summed over the selected
     blocks of its own class (one segmented reduction); a class with no
-    selected block keeps ||S_i||_F, which ``norms`` (P,) holds.
+    selected block keeps ||S_i||_F.
     """
     P, d, w = S.shape
     K = support.shape[1]
@@ -331,7 +331,7 @@ def _class_residuals(dictionary, S, support, coefficients, norms):
     same = (cls[:, :, None] == cls[:, None, :]) & used[:, None, :]
     recon = np.einsum("pkl,pldw->pkdw", same.astype(float), parts)
     by_slot = np.linalg.norm(np.subtract(S[:, None], recon, out=recon), axis=(2, 3))
-    out = np.repeat(norms[:, None], len(dictionary.class_ids), axis=1)
+    out = np.repeat(np.linalg.norm(S, axis=(1, 2))[:, None], len(dictionary.class_ids), axis=1)
     p, k = np.nonzero(used)
     out[p, cls[p, k]] = by_slot[p, k]
     return out
@@ -411,8 +411,7 @@ def residual_by_class(dictionary, S, sol):
     support = np.asarray(sol.support, dtype=np.int64)
     coefficients = np.zeros((len(support) * dictionary._slots.shape[1], S.shape[2]))
     coefficients[_slot_rows(dictionary, support)] = sol.coefficients
-    norm = np.linalg.norm(S, axis=(1, 2))
-    res = _class_residuals(dictionary, S, support[None], coefficients[None], norm)[0]
+    res = _class_residuals(dictionary, S, support[None], coefficients[None])[0]
     return {int(c): float(v) for c, v in zip(dictionary.class_ids, res)}
 
 
@@ -446,5 +445,5 @@ def class_residuals(dictionary, Z, K, members):
         Inf, has ``index`` set to the first pixel whose block holds it.
     """
     S, members = _gathered(dictionary, Z, K, members)
-    support, coefficients, norms = _pursue(dictionary, S, K, members)
-    return _class_residuals(dictionary, S, support, coefficients, norms[:, 0])
+    support, coefficients, _ = _pursue(dictionary, S, K, members)
+    return _class_residuals(dictionary, S, support, coefficients)
