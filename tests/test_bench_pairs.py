@@ -74,6 +74,13 @@ def test_a_side_whose_outputs_change_between_runs_stops_the_pairs():
         bench_pairs.run_pairs({"parent": "P", "change": "C"}, "map", 7, 40, 2, run=run)
 
 
+def test_sides_whose_outputs_differ_stop_the_pairs():
+    run, calls = canned_run([0.5] * 4, digests={("C", 2): "0000000000000000"})
+    with pytest.raises(RuntimeError, match="pair 1: the two sides' outputs differ"):
+        bench_pairs.run_pairs({"parent": "P", "change": "C"}, "map", 7, 40, 2, run=run)
+    assert calls == ["P", "C"]
+
+
 def test_summary_medians_quartiles_wins_and_losses():
     parent = [0.48, 0.46, 0.47, 0.50, 0.45]
     change = [0.43, 0.44, 0.47, 0.42, 0.46]

@@ -3,22 +3,26 @@
 Run from the root of a git checkout:
 
     python3 tools/bench_pairs.py --workload map --parent afbf4b4 --change HEAD \\
-        --seed 7 --seconds 40 --pairs 10 --holdout-seed 29 \\
+        --seed 7 --pairs 10 --holdout-seed 29 \\
         --host "2-vCPU Xeon VM, Python 3.11, numpy 2.4, OpenBLAS 0.3.31"
 
-Each commit is extracted with ``git archive`` into its own directory, so both
-sides run exactly their committed files and the repository's own git state is
-left alone. Pair i runs ``perfbench/run.py --trace 0`` once on each side, the
-parent first in odd pairs and the change first in even ones, so a drift of
-the host's speed does not favour one side. The held-out pairs repeat this on
+The workload names and the run length (``run_seconds``) come from the
+repository's BENCHMARK.json. Each commit is extracted with ``git archive``
+into its own directory, so both sides run exactly their committed files and
+the repository's own git state is left alone. Pair i runs
+``perfbench/run.py --trace 0`` once on each side, the parent first in odd
+pairs and the change first in even ones, so a drift of the host's speed does
+not favour one side. The runner stops when a run's operation lines (name,
+accuracy, output digest) differ from those of the first run of either side:
+times of two programs that compute different outputs are no speed
+comparison. The held-out pairs repeat this on
 a seed not used while the change was written, HOLDOUT_PAIRS times. The
 report goes to BENCH_<workload>.json in the current directory.
 
 The report holds, per end-to-end metric, each side's median and quartiles
 (inclusive method) and the pairs the change won and lost by the metric's
 direction in BENCHMARK.json, ties counting for neither; the operation lines
-(name, accuracy, output digest) of the change; and every pair's JSON result
-line. A gain is claimable when the change wins at least nine tenths of the
+both sides share; and every pair's JSON result line. A gain is claimable when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range;
 the printed table says which metrics meet that.
 """
@@ -62,9 +66,9 @@ def run_side(checkout, workload, seed, seconds):
 
 
 def run_pairs(checkouts, workload, seed, seconds, n_pairs, run=run_side):
-    """``n_pairs`` alternating pairs: (pairs, op lines of the change, the
-    distinct BLAS thread counts). Raises when a run's op lines differ from
-    the first run of its side."""
+    """``n_pairs`` alternating pairs: (pairs, the op lines both sides share,
+    the distinct BLAS thread counts). Raises when a run's op lines differ
+    from the first run of its side, or the two sides' op lines differ."""
     pairs, ops, threads = [], {}, set()
     for i in range(n_pairs):
         first = SIDES[i % 2]
@@ -75,13 +79,13 @@ def run_pairs(checkouts, workload, seed, seconds, n_pairs, run=run_side):
                 raise RuntimeError(f"pair {i + 1}: {side} outputs differ from its first run")
             threads.add(side_threads)
             pair[side] = payload
+        if ops["parent"] != ops["change"]:
+            raise RuntimeError(f"pair {i + 1}: the two sides' outputs differ:\n"
+                               + "\n".join(ops["parent"] + ops["change"]))
         pairs.append({key: pair[key] for key in ("pair", "first", *SIDES)})
         print(f"# pair {i + 1}: " + "  ".join(
             f"{side} run_s={pair[side]['metrics']['run_s']['value']:.4f}" for side in SIDES
         ), file=sys.stderr)
-    if ops["parent"] != ops["change"]:
-        print("# the two sides' op lines differ:\n" + "\n".join(ops["parent"] + ops["change"]),
-              file=sys.stderr)
     return pairs, ops["change"], sorted(threads)
 
 
@@ -173,13 +177,12 @@ def describe(rev):
     return out.stdout.strip()
 
 
-def parse_args(argv):
+def parse_args(argv, workloads):
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("--workload", required=True, choices=("protocol", "map", "scene-fit"))
+    p.add_argument("--workload", required=True, choices=workloads)
     p.add_argument("--parent", required=True, help="commit measured as the parent")
     p.add_argument("--change", default="HEAD", help="commit measured as the change")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--holdout-seed", type=int)
     p.add_argument("--host", required=True, help="the machine the runs share, for the report")
@@ -187,19 +190,21 @@ def parse_args(argv):
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads(Path("BENCHMARK.json").read_text())
+    args = parse_args(argv, [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             extract(rev, checkouts[side])
 
         def measured(seed, n_pairs):
-            pairs, ops, threads = run_pairs(checkouts, args.workload, seed, args.seconds, n_pairs)
+            pairs, ops, threads = run_pairs(checkouts, args.workload, seed, seconds, n_pairs)
             summary = summarize(pairs, better)
             print(f"# seed {seed}, {n_pairs} pairs\n{table(summary, n_pairs, better)}")
             return {
-                "command": " ".join(["python3", *command(args.workload, seed, args.seconds)]),
+                "command": " ".join(["python3", *command(args.workload, seed, seconds)]),
                 "seed": seed,
                 "summary": summary,
                 "op_lines": ops,
@@ -211,7 +216,7 @@ def main(argv=None):
             "workload": args.workload,
             "command": main_run["command"],
             "seed": args.seed,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "blas_threads": threads[0] if len(threads) == 1 else threads,
             "host": args.host,
             "parent": describe(args.parent),
