@@ -445,23 +445,33 @@ def _pixels_inside(cube, coords, what):
     return coords
 
 
+def _window_centers(cube, centers, window):
+    """centers as a (P, 2) int64 array, checked as window centres: a window
+    that is even or below 1 raises EvenWindowError, then an out-of-bounds
+    centre OutOfBoundsError with ``index`` set to the first such centre."""
+    if window < 1 or window % 2 == 0:
+        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
+    return _pixels_inside(cube, centers, "center")
+
+
 def _window_pixels(cube, centers, window):
     """Flat indices (row * cols + col) of the members of each window, (P, window**2).
 
     Row i lists the in-bounds pixels of the window x window box around
     centers[i], the centre first and then the rest in row-major order, then
-    -1 once per member outside the image (a window truncated at an edge). An
-    out-of-bounds centre raises OutOfBoundsError with ``index`` set to the
-    first such centre.
+    -1 once per member outside the image (a window truncated at an edge).
+    window and centers are checked by ``_window_centers``.
     """
-    if window < 1 or window % 2 == 0:
-        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
-    centers = _pixels_inside(cube, centers, "center")
+    centers = _window_centers(cube, centers, window)
     members = centers[:, None, :] + _window_offsets(window)
     inside = ((members >= 0) & (members < (cube.rows, cube.cols))).all(axis=2)
     pixels = np.where(inside, members[:, :, 0] * cube.cols + members[:, :, 1], -1)
-    # Stable, so the in-bounds members keep their order.
-    return np.take_along_axis(pixels, np.argsort(~inside, axis=1, kind="stable"), axis=1)
+    # Only a window cut by the image edge has members to move last. Stable,
+    # so the in-bounds members keep their order.
+    cut = np.flatnonzero(~inside.all(axis=1))
+    order = np.argsort(~inside[cut], axis=1, kind="stable")
+    pixels[cut] = np.take_along_axis(pixels[cut], order, axis=1)
+    return pixels
 
 
 def pixels_to_sample_set(cube, coords, gt=None):

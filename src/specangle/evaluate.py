@@ -234,8 +234,11 @@ def fit_pipeline(work_cube, train, config):
     chunks sized by ``data.CHUNK_BYTES``: for nn-cos a fixed number of
     pixels; for sbomp and somp the longest run of pixels whose distinct
     window members and pixels, a row of max(atoms, bands) values each, fit in
-    it together, counted from the members the chunk gathers anyway. The
-    labels do not depend on the chunking. A SpecAngleError raised for a pixel
+    it together, counted from the members the chunk gathers anyway. That
+    rule bounds the pursuit's score arrays only: each pixel also holds
+    arrays of K * w * r values for its refits and class residuals (see the
+    ``pursuit`` module docstring), so a chunk's peak can pass the budget.
+    The labels do not depend on the chunking. A SpecAngleError raised for a pixel
     names the first failing pixel in input order.
     """
     proj = fit_projection(work_cube, train, config)

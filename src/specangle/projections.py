@@ -24,6 +24,7 @@ import numpy as np
 from .affinity import _bandwidth, _features_of, heat_kernel_products
 from .data import (
     SampleSet,
+    _window_centers,
     _window_pixels,
     chunk_pixels,
     pixels_to_sample_set,
@@ -250,15 +251,33 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
     Builds the context matrix over all (center, neighbor) pairs, then takes
     the top-r eigenvectors of its symmetric part, which maximize the trace
     objective over orthonormal projections. Labels are never consulted.
+
+    ``coords`` holds the centres: a SampleSet whose ``coords`` they are and
+    whose ``features`` are their spectra in cube, as the training set of the
+    pipeline is, or the (P, 2) coordinates, whose spectra are then gathered
+    from cube. The median-heuristic sigma is taken over those spectra.
     """
     _check_r(r, cube.bands)
+    samples = coords if isinstance(coords, SampleSet) else None
+    if samples is not None:
+        if samples.coords is None:
+            raise ValueError("fit_slspp needs a SampleSet with coords")
+        if samples.dim != cube.bands:
+            raise DimensionMismatchError(
+                f"cube has {cube.bands} bands, centre spectra have {samples.dim}"
+            )
+        coords = samples.coords
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
     if len(coords) < 1:
         raise TooFewSamplesError("need at least one center pixel")
-    # Window and centres are checked before the bandwidth's distance pass.
-    pixels = _window_pixels(cube, coords, window)
-    sigma = _bandwidth(pixels_to_sample_set(cube, coords).features, sigma)
-    M = slspp_context_matrix(cube, pixels, sigma)
+    # Window and centres are checked before the bandwidth's distance pass,
+    # and the window layout is built after it, so the pass never holds it.
+    coords = _window_centers(cube, coords, window)
+    if samples is None:
+        samples = pixels_to_sample_set(cube, coords)
+    sigma = _bandwidth(samples.features, sigma)
+    del samples  # a gathered copy is not held through the context pass
+    M = slspp_context_matrix(cube, _window_pixels(cube, coords, window), sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))
     return Projection(
         matrix=V[:, :r],
@@ -409,13 +428,13 @@ def project(P, X):
 
 
 # The projection methods by name, each as the evaluation pipeline fits it:
-# (cube, train, config) -> Projection, where config carries r, sigma, window
-# and ridge. Its keys are the one list of method names.
+# (cube, train, config) -> Projection, where train is the training SampleSet
+# gathered from cube and config carries r, sigma, window and ridge. SLSPP
+# takes train's coords as its centres and train's features as their spectra.
+# Its keys are the one list of method names.
 METHODS = {
     "lspp": lambda cube, train, c: fit_lspp(train, c.r, sigma=c.sigma, ridge=c.ridge),
-    "slspp": lambda cube, train, c: fit_slspp(
-        cube, train.coords, c.r, window=c.window, sigma=c.sigma
-    ),
+    "slspp": lambda cube, train, c: fit_slspp(cube, train, c.r, window=c.window, sigma=c.sigma),
     "ada": lambda cube, train, c: fit_ada(train, r=c.r, ridge=c.ridge),
     "lada": lambda cube, train, c: fit_lada(train, r=c.r, sigma=c.sigma, ridge=c.ridge),
     "lpp": lambda cube, train, c: fit_lpp(train, c.r, sigma=c.sigma, ridge=c.ridge),

@@ -41,12 +41,20 @@ Test blocks of different widths share a stack by zero-padding to the widest;
 zero columns change neither the scores nor the residuals. Class residuals then
 come from one segmented reduction over every pixel's selected blocks.
 
-The largest arrays of one call are the (U, atoms) score products, U being
-the number of distinct members, and the (P, atoms) score sums. A caller
-bounds memory through U and P; ``predict`` from
+The arrays of one call that grow with the dictionary are the (U, atoms)
+score products, U being the number of distinct members, and the (P, atoms)
+score sums. A caller bounds those through U and P; ``predict`` from
 ``evaluate.fit_pipeline`` keeps (U + P) rows of max(atoms, bands) values
-within ``data.CHUNK_BYTES``. ``sbomp`` and ``residual_by_class``, the
-one-pixel forms, run the same engine on a stack of one.
+within ``data.CHUNK_BYTES``. That rule does not count the arrays of K * w * r
+values that each pixel also holds, w being the columns of a window block
+and r the dimension: the gathered pseudo-inverses and atoms of ``_pursue``,
+and the blocks, parts and reconstructions of ``_class_residuals``. So a
+chunk can pass the budget: a warm ``predict`` on the ``map`` benchmark's
+scene (96x96x103, slspp r = 30, window 3, K = 2) traces about 6.0 MiB
+against the 4 MiB budget, and on a 60x60x103 scene at r = 60, window 5,
+K = 2, where each pixel holds 3,000 such values against about 2,200 atoms,
+about 9.5 MiB. ``sbomp`` and ``residual_by_class``, the one-pixel forms,
+run the same engine on a stack of one.
 """
 
 from dataclasses import dataclass

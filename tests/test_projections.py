@@ -13,7 +13,14 @@ from oracles import (
 )
 from specangle import affinity, data
 from specangle.affinity import median_heuristic_sigma
-from specangle.data import HyperCube, SampleSet, pixels_to_sample_set, split_train_test, synth_scene
+from specangle.data import (
+    HyperCube,
+    SampleSet,
+    l2_normalize_pixels,
+    pixels_to_sample_set,
+    split_train_test,
+    synth_scene,
+)
 from specangle.errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -256,13 +263,64 @@ class TestSlspp:
     def test_bad_centres_and_window_fail_before_the_bandwidth(
         self, monkeypatch, coords, window, error
     ):
+        # As coordinates, and as a SampleSet holding them with their spectra.
         calls = []
         monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
         cube = HyperCube(values=np.ones((5, 5, 3)))
-        with pytest.raises(error) as info:
-            fit_slspp(cube, coords, 2, window=window)
-        assert isinstance(info.value, SpecAngleError)
+        for centres in (coords, SampleSet(features=np.ones((3, len(coords))), coords=coords)):
+            with pytest.raises(error) as info:
+                fit_slspp(cube, centres, 2, window=window)
+            assert isinstance(info.value, SpecAngleError)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (SampleSet(features=np.ones((3, 2))), ValueError, "needs a SampleSet with coords"),
+            (
+                SampleSet(features=np.ones((4, 2)), coords=[[1, 1], [2, 2]]),
+                DimensionMismatchError,
+                "cube has 3 bands, centre spectra have 4",
+            ),
+        ],
+        ids=["no-coords", "other-bands"],
+    )
+    def test_sample_set_without_centre_spectra_fails(self, monkeypatch, samples, error, message):
+        calls = []
+        monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
+        cube = HyperCube(values=np.ones((5, 5, 3)))
+        with pytest.raises(error, match=message):
+            fit_slspp(cube, samples, 2, window=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("sigma", [None, 0.05], ids=["median", "explicit"])
+    def test_training_set_fit_writes_the_bytes_of_its_coords(self, tmp_path, sigma):
+        # METHODS hands fit_slspp the training set; its features are the
+        # spectra a gather of its coords reads, so sigma and every value of
+        # the saved projection are the same.
+        cube, gt = synth_scene(12, 12, 10, 3, noise_sd=0.05, patch_size=4, seed=58)
+        work = l2_normalize_pixels(cube)
+        train = pixels_to_sample_set(work, split_train_test(gt, 6, 0, seed=58)[0], gt)
+        config = ExperimentConfig(method="slspp", r=3, window=3, sigma=sigma)
+        METHODS["slspp"](work, train, config).save(tmp_path / "set.proj")
+        fit_slspp(work, train.coords, 3, window=3, sigma=sigma).save(tmp_path / "coords.proj")
+        written = (tmp_path / "set.proj").read_bytes()
+        assert written == (tmp_path / "coords.proj").read_bytes()
+        assert written.split(b"\n")[0].split()[3] != b"-"
+
+    def test_peak_memory_level_with_lspp(self):
+        # Through METHODS the fit reads the training set's features and
+        # builds its window layout after the bandwidth's distance pass, so
+        # it peaks where LSPP on the same sample does: no second copy of the
+        # 1,600 x 40 centre spectra (0.49 MiB) and no (1,600, 25) layout is
+        # held through the pass. Allowance: a tenth of one copy.
+        cube, gt = synth_scene(40, 40, 40, 4, seed=22)
+        train = pixels_to_sample_set(cube, np.argwhere(gt.labels > 0), gt)
+        peaks = {}
+        for method in ("lspp", "slspp"):
+            config = ExperimentConfig(method=method, r=3, window=5)
+            peaks[method] = traced_peak(METHODS[method], cube, train, config)[1]
+        assert peaks["slspp"] <= peaks["lspp"] + train.features.nbytes // 10
 
     def test_one_centre_default_sigma(self):
         # One centre has no pair to take a median of: sigma falls back to 1.
@@ -547,13 +605,11 @@ class TestDefaultSigma:
     @pytest.mark.parametrize("method", METHODS)
     def test_none_equals_explicit_median(self, scene, method):
         # a method that takes no sigma (ada) passes trivially
+        # slspp's centre spectra are train's features too.
         cube, train = scene
-        samples = pixels_to_sample_set(cube, train.coords) if method == "slspp" else train
         cfg = ExperimentConfig(method=method, r=4, window=3)
         auto = METHODS[method](cube, train, cfg)
-        explicit = METHODS[method](
-            cube, train, replace(cfg, sigma=median_heuristic_sigma(samples))
-        )
+        explicit = METHODS[method](cube, train, replace(cfg, sigma=median_heuristic_sigma(train)))
         np.testing.assert_array_equal(auto.matrix, explicit.matrix)
         np.testing.assert_array_equal(auto.eigenvalues, explicit.eigenvalues)
         assert auto.fit_params == explicit.fit_params
