@@ -238,8 +238,8 @@ def fit_pipeline(work_cube, train, config):
     rule bounds the pursuit's score arrays only: each pixel also holds
     arrays of K * w * r values for its refits and class residuals (see the
     ``pursuit`` module docstring), so a chunk's peak can pass the budget.
-    The labels do not depend on the chunking. A SpecAngleError raised for a pixel
-    names the first failing pixel in input order.
+    The labels do not depend on the chunking. A SpecAngleError raised for a
+    pixel names the first failing pixel in input order.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":

@@ -285,7 +285,7 @@ class TestSlspp:
         ],
         ids=["no-coords", "other-bands"],
     )
-    def test_sample_set_without_centre_spectra_fails(self, monkeypatch, samples, error, message):
+    def test_sample_set_must_hold_centres_in_the_cube(self, monkeypatch, samples, error, message):
         calls = []
         monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
         cube = HyperCube(values=np.ones((5, 5, 3)))
