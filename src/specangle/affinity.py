@@ -14,11 +14,13 @@ A pass writes all its blocks into one buffer of at most about
 ``CHUNK_BYTES`` and builds the left Gram factor for one block's rows at a
 time, so it holds the right factor [X; 1; |x|^2], one block and one block's
 left factor. A yielded block is valid only until the next one is requested:
-every consumer copies or consumes it first. Each block comes with the count
-of its zeros, known from where they lie (on and left of the diagonal) and
-from the coincident pairs the pass recomputes, so no consumer counts them
-from the values. The median's bracket pass adds two boolean masks the size
-of the buffer, allocated once per pass and refilled for every block.
+every consumer copies or consumes it first. A block marks the entries that
+are no pair, on and left of its diagonal, with +inf, which every consumer
+passes over: its weight exp(-inf) is exactly 0, and the median's passes
+count it in no bin. Each block comes with the count of its zeros, the
+coincident pairs the pass recomputes, so no consumer counts them from the
+values. The median's bracket pass adds two boolean masks the size of the
+buffer, allocated once per pass and refilled for every block.
 """
 
 import numpy as np
@@ -60,9 +62,9 @@ def _distance_blocks(X):
     at a time.
 
     Yields ``(lo, D, zeros)``: D[k, c] is ||x_(lo+k) - x_(lo+c)||^2 for
-    c > k and 0 on and left of the diagonal, so each unordered pair appears
-    once, and ``zeros`` counts the entries of D that are 0. A block holds
-    ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
+    c > k and +inf on and left of the diagonal, so each unordered pair
+    appears once, and ``zeros`` counts the entries of D that are 0. A block
+    holds ``chunk_pixels(m - lo)`` rows of width m - lo; a graph with
     ``chunk_pixels(m) >= m`` is one m x m block. Every block of a pass is
     written into one buffer of ``_block_room(m)`` values, room for any
     block. So a yielded block is valid only until the next one is
@@ -74,8 +76,8 @@ def _distance_blocks(X):
     8 (d + 2) eps (|x_i|^2 + |x_j|^2), is recomputed from the difference of
     the columns: coincident columns are exactly 0 apart and no distance is
     negative. An entry the GEMM leaves at 0 is under that level too, so the
-    zeros of a block are its rows (rows + 1) / 2 entries on and left of the
-    diagonal and the recomputed entries that are 0, and are counted there.
+    zeros of a block are the recomputed entries that are 0, and are counted
+    there.
     """
     d, m = X.shape
     sq = np.einsum("ij,ij->j", X, X)
@@ -99,11 +101,10 @@ def _distance_blocks(X):
         left[d], left[d + 1] = sq[lo:hi], 1.0
         D = buffer[: rows * (m - lo)].reshape(rows, m - lo)
         np.matmul(left.T, right[:, lo:], out=D)
-        # The diagonal and the lower triangle are set aside, so that they
-        # are never candidates, and zeroed after.
-        square, lower = D[:, :rows], np.tri(rows, dtype=bool)
-        square[lower] = np.inf
-        zeros = rows * (rows + 1) // 2
+        # The diagonal and the lower triangle hold no pair, and are never
+        # candidates.
+        D[:, :rows][np.tri(rows, dtype=bool)] = np.inf
+        zeros = 0
         bound = level * (sq[lo:hi].max() + tail_max[lo])
         if D.min() <= bound:
             k, c = np.nonzero(D <= bound)
@@ -114,7 +115,6 @@ def _distance_blocks(X):
                 exact = np.einsum("ij,ij->j", diff, diff)
                 zeros += exact.size - np.count_nonzero(exact)
                 D[k[s : s + step], c[s : s + step]] = exact
-        square[lower] = 0.0
         yield lo, D, zeros
         lo = hi
 
@@ -179,16 +179,18 @@ def _bracket_pass(X, lo, hi, budget):
     Beside the pass's block buffer it holds two boolean masks of the same
     size, allocated once and refilled for each block, and the kept
     distances. The zeros of each block come counted from
-    ``_distance_blocks``; none is positive, and all lie under lo.
+    ``_distance_blocks``; none is positive, and all lie under lo. The +inf
+    entries on and left of its diagonal, no pair, lie above hi.
     """
     below = inside = total = 0
     # A graph of fewer than two columns has no blocks: nothing is kept.
     kept = [np.empty(0)]
     masks = np.empty((2, _block_room(X.shape[1])), dtype=bool)
     for _, D, zeros in _distance_blocks(X):
+        rows = D.shape[0]
         D = D.ravel()
         under, middle = masks[:, : D.size]
-        total += D.size - zeros
+        total += D.size - rows * (rows + 1) // 2 - zeros
         np.less(D, lo, out=under)
         below += np.count_nonzero(under) - zeros
         # lo <= hi, so every distance under lo is in D <= hi too.
@@ -321,7 +323,6 @@ def heat_kernel_products(X, sigma):
         rows = U.shape[0]
         U /= -sigma
         np.exp(U, out=U)
-        U[:, :rows][np.tri(rows, dtype=bool)] = 0.0
         degrees[lo : lo + rows] += U.sum(axis=1)
         degrees[lo:] += U.sum(axis=0)
         C += X[:, lo : lo + rows] @ (U @ X[:, lo:].T)

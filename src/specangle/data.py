@@ -23,10 +23,10 @@ Memory
 one cube plus at most about one ``CHUNK_BYTES`` block: noise is drawn a block
 of rows at a time, a payload is read straight into the cube (converted a
 block of values at a time unless it is native float64), and one is written a
-block at a time: whole band planes or image rows in file order, or, for a bsq
-plane over the budget, a block of rows across every plane, each plane's part
-at its offset. ``HyperCube`` checks finiteness a block of rows at a time. The
-csv formats hold the whole text of the file.
+block at a time in file order: whole bsq band planes or bil image rows, or,
+for a plane or row over the budget, a block of its lines. ``HyperCube``
+checks finiteness a block of rows at a time. The csv formats hold the whole
+text of the file.
 """
 
 import functools
@@ -107,7 +107,9 @@ class HyperCube:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-pixel class ids, 0 meaning unlabeled. Ids are contiguous 1..c."""
+    """Per-pixel class ids, 0 meaning unlabeled. Ids are contiguous 1..c.
+    A float label that is no integer, NaN and Inf included, raises
+    BadRasterError naming its pixel."""
 
     labels: np.ndarray
 
@@ -116,6 +118,13 @@ class GroundTruth:
         if lab.ndim != 2:
             raise BadRasterError(f"labels must be 2-D, got shape {lab.shape}")
         if not np.issubdtype(lab.dtype, np.integer):
+            # Written so that NaN and Inf fail too.
+            bad = np.argwhere(~(np.isfinite(lab) & (lab == np.round(lab))))
+            if len(bad):
+                r, c = bad[0]
+                raise BadRasterError(
+                    f"ground-truth label {lab[r, c]} at pixel ({r}, {c}) is not an integer"
+                )
             lab = lab.astype(np.int64)
         if lab.min(initial=0) < 0:
             raise BadRasterError("labels must be nonnegative")
@@ -264,29 +273,18 @@ def _save_envi(path, values, interleave, dtype, byte_order):
     np_dtype = np.dtype(("<" if byte_order == 0 else ">") + _ENVI_DTYPES[code])
     rows, cols, bands = values.shape
     # The payload in file order, (bands, rows, cols) or (rows, bands, cols),
-    # written in blocks of whole slabs of its first axis when a slab fits the
-    # budget. A larger bsq band plane is written a block of rows across every
-    # plane at a time, so the cube is read once; a larger bil row, in lines.
+    # written in blocks of whole slabs of its first axis (a bsq band plane or
+    # a bil row) when a slab fits the budget, else a slab's lines at a time.
     payload = values.transpose((2, 0, 1) if interleave == "bsq" else (0, 2, 1))
     slabs, lines = payload.shape[:2]
     per_slab, per_line = chunk_pixels(lines * cols), lines
     if lines * cols > chunk_pixels(1):
-        if interleave == "bsq":
-            per_slab, per_line = slabs, chunk_pixels(slabs * cols)
-        else:
-            per_slab, per_line = 1, chunk_pixels(cols)
+        per_slab, per_line = 1, chunk_pixels(cols)
     with path.open("wb") as f:
         for i in range(0, slabs, per_slab):
             for j in range(0, lines, per_line):
                 block = payload[i : i + per_slab, j : j + per_line]
-                block = np.ascontiguousarray(block, dtype=np_dtype)
-                if per_slab == 1 or per_line == lines:
-                    f.write(block)  # the next run of bytes
-                    continue
-                # Rows of every band plane: each plane's run at its offset.
-                for slab, run in enumerate(block, i):
-                    f.seek((slab * lines + j) * cols * np_dtype.itemsize)
-                    f.write(run)
+                f.write(np.ascontiguousarray(block, dtype=np_dtype))
     header = (
         "ENVI\n"
         f"samples = {cols}\n"
@@ -383,14 +381,7 @@ def load_ground_truth(path, fmt="csv"):
         cube = _load_envi(path)
         if cube.bands != 1:
             raise SizeMismatchError(f"ground-truth raster must be single-band, has {cube.bands}")
-        labels = cube.values[:, :, 0]
-        fractional = np.argwhere(labels != np.round(labels))
-        if len(fractional):
-            r, c = fractional[0]
-            raise BadRasterError(
-                f"ground-truth label {labels[r, c]} at pixel ({r}, {c}) is not an integer"
-            )
-        return GroundTruth(labels=labels.astype(np.int64))
+        return GroundTruth(labels=cube.values[:, :, 0])
     raise ValueError(f"ground-truth format must be 'csv' or 'envi', got '{fmt}'")
 
 

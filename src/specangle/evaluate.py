@@ -18,7 +18,7 @@ import numpy as np
 from .affinity import _check_sigma
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
-    _pixels_inside,
+    _window_centers,
     _window_pixels,
     chunk_pixels,
     l2_normalize_pixels,
@@ -27,6 +27,7 @@ from .data import (
 )
 from .errors import (
     InvalidConfigError,
+    OutOfBoundsError,
     ReducedDimTooSmallError,
     SpecAngleError,
     ZeroVectorError,
@@ -203,28 +204,6 @@ def projected_block(proj, cube, coord, window):
     return _projected(proj, cube, pixels[pixels >= 0]).T
 
 
-def _label_chunk(label, coords):
-    """label(coords), or the error of the first failing pixel in coords.
-
-    ``label`` returns the labels of a prefix of coords, one pixel at least.
-    An error that names a pixel through its ``index`` is raised once every
-    pixel before it is labelled; one that names no pixel (its ``index`` is
-    None) is raised as it is.
-    """
-    try:
-        return label(coords)
-    except SpecAngleError as exc:
-        i = exc.index
-        if i is None:
-            raise
-        # A pixel before the one that failed may still fail later on.
-        done = 0
-        while done < i:
-            done += len(_label_chunk(label, coords[done:i]))
-        exc.args = (f"pixel ({coords[i, 0]}, {coords[i, 1]}): {exc}",)
-        raise
-
-
 def fit_pipeline(work_cube, train, config):
     """Fit one projection x classifier pipeline on labeled training pixels.
 
@@ -239,17 +218,19 @@ def fit_pipeline(work_cube, train, config):
     arrays of K * w * r values for its refits and class residuals (see the
     ``pursuit`` module docstring), so a chunk's peak can pass the budget.
     The labels do not depend on the chunking. A SpecAngleError raised for a
-    pixel names the first failing pixel in input order.
+    pixel names the first failing pixel in input order: one bounds scan per
+    call finds the first pixel outside the image, and each chunk of the
+    pixels before it reports its own first failing pixel.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
         train_proj = project(proj, train)
         norms = training_norms(train_proj)
         chunk = chunk_pixels(max(train.n_samples, work_cube.bands))
+        cls_window = 1
 
         def label(coords):
-            centers = _pixels_inside(work_cube, coords, "center")
-            X = work_cube.values[centers[:, 0], centers[:, 1]] @ proj.matrix
+            X = work_cube.values[coords[:, 0], coords[:, 1]] @ proj.matrix
             return nn_cosine_labels(train_proj, norms, X.T)
 
     else:
@@ -282,11 +263,27 @@ def fit_pipeline(work_cube, train, config):
     def predict(coords):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
         labels = np.empty(len(coords), dtype=np.int64)
-        done = 0
-        while done < len(coords):
-            prefix = _label_chunk(label, coords[done : done + chunk])
-            labels[done : done + len(prefix)] = prefix
-            done += len(prefix)
+        # One bounds scan: only the pixels before the first one outside the
+        # image are labelled, and its error waits for theirs.
+        failure = None
+        try:
+            _window_centers(work_cube, coords, cls_window)
+        except OutOfBoundsError as exc:
+            failure = exc
+        done, stop = 0, len(coords) if failure is None else failure.index
+        try:
+            while done < stop:
+                prefix = label(coords[done : min(done + chunk, stop)])
+                labels[done : done + len(prefix)] = prefix
+                done += len(prefix)
+        except SpecAngleError as exc:
+            if exc.index is None:
+                raise
+            # A chunk names its first failing pixel, so that is the first of all.
+            failure, stop = exc, done + exc.index
+        if failure is not None:
+            failure.args = (f"pixel ({coords[stop, 0]}, {coords[stop, 1]}): {failure}",)
+            raise failure
         return labels
 
     return proj, predict

@@ -133,9 +133,9 @@ def blocks(request, monkeypatch):
 
 
 def streamed_upper(F):
-    """The (n, n) strict upper triangle of the streamed distances, 0 elsewhere."""
+    """The (n, n) strict upper triangle of the streamed distances, +inf elsewhere."""
     n = F.shape[1]
-    D = np.zeros((n, n))
+    D = np.full((n, n), np.inf)
     for lo, block, _ in affinity._distance_blocks(F):
         D[lo : lo + block.shape[0], lo:] = block
     return D
@@ -260,7 +260,7 @@ class TestCoincidentColumns:
         assert np.any(coincident)
         assert np.all(streamed[coincident] == 0.0)
         np.testing.assert_allclose(streamed[~coincident], expected[~coincident], rtol=1e-12)
-        assert np.all(D[np.tril_indices(n)] == 0.0)
+        assert np.all(D[np.tril_indices(n)] == np.inf)
         assert median_heuristic_sigma(F) == pytest.approx(numpy_median(expected), rel=1e-12)
 
 
@@ -379,10 +379,11 @@ class TestSampledBracket:
 class TestBracketPass:
     """A bracket pass counts the positive distances below [lo, hi], up to hi
     and in all, and keeps those inside. It takes each block's zeros as
-    _distance_blocks counts them: the entries on and left of the diagonal
-    and the coincident pairs it recomputes. On integer features the Gram
-    form is exact, so counts and kept distances equal pdist's, with copies
-    of columns in other blocks and whatever the blocks' rows."""
+    _distance_blocks counts them, the coincident pairs it recomputes, and
+    passes over the +inf entries on and left of the diagonal. On integer
+    features the Gram form is exact, so counts and kept distances equal
+    pdist's, with copies of columns in other blocks and whatever the
+    blocks' rows."""
 
     @pytest.mark.parametrize(
         "chunk_bytes", [8 * 3, 8 * 8 * 3], ids=["one-row-blocks", "growing-blocks"]

@@ -179,10 +179,10 @@ class TestChunkedEnvi:
 
     @pytest.fixture(params=[1000, 8000, CHUNK_BYTES], ids=["lines", "slabs", "one-chunk"])
     def chunk_bytes(self, request, monkeypatch):
-        # 1000 bytes write bsq a row at a time across all 6 band planes, each
-        # plane's part at its offset, and bil a row at a time; 8000 write 2
-        # bsq planes or 9 bil rows at a time; reads of any type but
-        # native float64 take 125 or 1000 values, ending inside rows and bands.
+        # 1000 bytes write each bsq band plane 7 lines at a time and bil a
+        # row at a time; 8000 write 2 bsq planes or 9 bil rows at a time;
+        # reads of any type but native float64 take 125 or 1000 values,
+        # ending inside rows and bands.
         monkeypatch.setattr(data, "CHUNK_BYTES", request.param)
         return request.param
 
@@ -255,6 +255,18 @@ class TestCubeMemory:
         _, peak = traced_peak(save_cube, tmp_path / "c", scene, fmt)
         assert peak <= self.BOUND
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_save_slabs_over_the_budget(self, tmp_path, monkeypatch, interleave):
+        """At a 64 KiB budget each bsq band plane (48 x 1024 values) and
+        each bil row (10 x 1024) is over it, so each is written a block of
+        its lines at a time, and only one block is held."""
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 16)
+        vals = np.random.default_rng(6).uniform(0.0, 250.0, size=(48, 1024, 10))
+        path = tmp_path / f"c.{interleave}"
+        _, peak = traced_peak(save_cube, path, HyperCube(values=vals), f"envi_{interleave}")
+        assert peak <= 1.25 * data.CHUNK_BYTES
+        assert path.read_bytes() == envi_payload_reference(vals, interleave, "<f8")
+
     @pytest.mark.parametrize("dtype", ["f8", "u2"])
     def test_load(self, tmp_path, scene, dtype):
         path = tmp_path / "c.bsq"
@@ -290,6 +302,12 @@ class TestGroundTruthIO:
         labels[1] = 1.0
         path = write_envi(tmp_path, "gt.bsq", labels.tobytes(), header)
         np.testing.assert_array_equal(load_ground_truth(path, "envi").labels, [[0, 2], [1, 1]])
+
+    @pytest.mark.parametrize("value", [1.5, np.nan])
+    def test_a_label_that_is_no_integer_names_its_pixel(self, value):
+        message = rf"^ground-truth label {value} at pixel \(1, 0\) is not an integer$"
+        with pytest.raises(BadRasterError, match=message):
+            GroundTruth(labels=[[0.0, 2.0], [value, 1.0]])
 
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError, match="contiguous"):

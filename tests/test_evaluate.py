@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 import specangle.evaluate as evaluate
-from specangle.data import SampleSet, synth_scene
+from specangle import data
+from specangle.data import (
+    HyperCube,
+    SampleSet,
+    pixels_to_sample_set,
+    split_train_test,
+    synth_scene,
+)
 from specangle.errors import (
     InsufficientSamplesError,
     InvalidConfigError,
+    NonFiniteError,
     NonPositiveSigmaError,
+    OutOfBoundsError,
     ReducedDimTooSmallError,
     SpecAngleError,
     ZeroVectorError,
@@ -19,6 +28,7 @@ from specangle.evaluate import (
     accuracy_curve_csv,
     accuracy_table,
     export_sphere_coords,
+    fit_pipeline,
     run_experiment,
     sphere_coords_csv,
     sweep,
@@ -173,43 +183,83 @@ class TestConfigCounts:
 
 
 class TestFirstFailure:
-    def test_names_first_failing_pixel_in_input_order(self):
-        # A batch reports the failure it meets first, here the last bad pixel
-        # of the batch; the error must still name the first one in order.
-        bad = {3, 7}
+    """predict names the first failing pixel in input order, whether a
+    chunk's own check fails first or a pixel outside the image comes first.
+    BAD is 2 pixels or more from every training pixel, so only the test
+    windows read it; the other pixels' 3x3 windows are interior and share no
+    member with each other or with BAD's window."""
 
-        def label(coords):
-            hits = [i for i, row in enumerate(coords[:, 0]) if row in bad]
-            if hits:
-                exc = ZeroVectorError("zero spectrum")
-                exc.index = hits[-1]
-                raise exc
-            return coords[:, 0]
+    BAD, OUTSIDE = (2, 2), (18, 3)
+    CLEAN = [(2, 6), (2, 10), (2, 14), (6, 2), (6, 6), (6, 10)]
+    OUTSIDE_ERROR = OutOfBoundsError, r"^pixel \(18, 3\): center \(18, 3\) outside 18x18 image$"
 
-        coords = np.stack([np.arange(10), np.full(10, 4)], axis=1)
-        np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:3]), [0, 1, 2])
-        with pytest.raises(ZeroVectorError, match=r"^pixel \(3, 4\): zero spectrum$"):
-            evaluate._label_chunk(label, coords)
+    @staticmethod
+    def predictor(cube, gt, classifier, **overrides):
+        train_coords, _ = split_train_test(gt, 5, 0, 3)
+        train = pixels_to_sample_set(cube, train_coords, gt)
+        cfg = ExperimentConfig(
+            method="lspp", classifier=classifier, r=10, window=3, n_train=5, **overrides
+        )
+        return fit_pipeline(cube, train, cfg)[1]
 
-    def test_prefix_labels_still_name_the_first_failing_pixel(self):
-        # label takes all but the last 3 pixels it is given (1 at least), as
-        # predict's sbomp label takes the prefix that fits its budget: the
-        # pixels before a failure are then labelled over several calls.
-        bad = {2, 5}
+    @classmethod
+    def coords(cls, bad, outside):
+        """CLEAN with BAD at position bad and OUTSIDE at position outside."""
+        coords = list(cls.CLEAN)
+        for i, rc in sorted([(bad, cls.BAD), (outside, cls.OUTSIDE)]):
+            coords.insert(i, rc)
+        return np.array(coords)
 
-        def label(coords):
-            part = coords[: max(len(coords) - 3, 1)]
-            hits = [i for i, row in enumerate(part[:, 0]) if row in bad]
-            if hits:
-                exc = ZeroVectorError("zero spectrum")
-                exc.index = hits[-1]
-                raise exc
-            return part[:, 0]
+    @staticmethod
+    def set_pixel(cube, rc, value):
+        values = cube.values.copy()
+        values[rc] = value
+        return HyperCube(values=values)
 
-        coords = np.stack([np.arange(10), np.full(10, 4)], axis=1)
-        np.testing.assert_array_equal(evaluate._label_chunk(label, coords[:2]), [0])
-        with pytest.raises(ZeroVectorError, match=r"^pixel \(2, 4\): zero spectrum$"):
-            evaluate._label_chunk(label, coords)
+    @pytest.mark.parametrize("bad,outside", [(1, 3), (3, 1)])
+    def test_zero_spectrum_and_outside_pixel(self, scene, bad, outside):
+        cube, gt = scene
+        predict = self.predictor(self.set_pixel(cube, self.BAD, 0.0), gt, "nn-cos")
+        zero = ZeroVectorError, r"^pixel \(2, 2\): cosine distance is undefined for zero vectors$"
+        error, match = zero if bad < outside else self.OUTSIDE_ERROR
+        with pytest.raises(error, match=match):
+            predict(self.coords(bad, outside))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad,outside", [(1, 2), (2, 1), (1, 4), (4, 1), (4, 6)],
+                             ids=["one-chunk", "one-chunk-outside-first",
+                                  "two-chunks", "two-chunks-outside-first", "second-chunk"])
+    def test_overflowing_spectrum_and_outside_pixel(self, scene, monkeypatch, bad, outside):
+        """A 32 KiB budget fits three of these windows in a chunk of sbomp."""
+        cube, gt = scene
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 15)
+        predict = self.predictor(self.set_pixel(cube, self.BAD, np.finfo(float).max), gt, "sbomp")
+        chunks, sbomp_labels = [], evaluate.sbomp_labels
+
+        def record(*args):
+            labels = sbomp_labels(*args)
+            chunks.append(len(labels))
+            return labels
+
+        monkeypatch.setattr(evaluate, "sbomp_labels", record)
+        predict(np.array(self.CLEAN))
+        assert chunks == [3, 3]
+        overflow = NonFiniteError, r"^pixel \(2, 2\): S contains NaN or Inf$"
+        error, match = overflow if bad < outside else self.OUTSIDE_ERROR
+        with pytest.raises(error, match=match):
+            predict(self.coords(bad, outside))
+
+    @pytest.mark.parametrize("outside", [2, 5])
+    def test_sparsity_above_the_block_count_before_an_outside_pixel(self, scene, monkeypatch,
+                                                                     outside):
+        """K is checked for the whole chunk, so its error names no pixel,
+        with the pixel outside the image in the first chunk or a later one."""
+        cube, gt = scene
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 15)
+        predict = self.predictor(cube, gt, "sbomp", sparsity=100)
+        coords = np.insert(np.array(self.CLEAN), outside, self.OUTSIDE, axis=0)
+        with pytest.raises(SpecAngleError, match=r"^K must be in \[1, 15\], got 100$"):
+            predict(coords)
 
     def test_error_of_no_pixel_names_none(self, scene):
         # K is checked for the whole chunk, so the error has no index.

@@ -181,15 +181,16 @@ def test_block_pursuit_k2_matches_reference_on_every_pixel(wide_scene, method):
 
 
 def spy_chunks(monkeypatch):
-    """Record how many pixels each chunk of predict labels."""
-    chunks, label_chunk = [], evaluate._label_chunk
+    """Record how many pixels each classifier call of predict labels."""
+    chunks = []
+    for name in ("sbomp_labels", "nn_cosine_labels"):
 
-    def record(label, coords):
-        labels = label_chunk(label, coords)
-        chunks.append(len(labels))
-        return labels
+        def record(*args, labeller=getattr(evaluate, name)):
+            labels = labeller(*args)
+            chunks.append(len(labels))
+            return labels
 
-    monkeypatch.setattr(evaluate, "_label_chunk", record)
+        monkeypatch.setattr(evaluate, name, record)
     return chunks
 
 
