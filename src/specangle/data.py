@@ -108,8 +108,8 @@ class HyperCube:
 @dataclass(frozen=True)
 class GroundTruth:
     """Per-pixel class ids, 0 meaning unlabeled. Ids are contiguous 1..c.
-    A float label that is no integer, NaN and Inf included, raises
-    BadRasterError naming its pixel."""
+    A float label that is no integer (NaN included) or lies outside the int64
+    range (Inf included) raises BadRasterError naming its pixel."""
 
     labels: np.ndarray
 
@@ -118,13 +118,13 @@ class GroundTruth:
         if lab.ndim != 2:
             raise BadRasterError(f"labels must be 2-D, got shape {lab.shape}")
         if not np.issubdtype(lab.dtype, np.integer):
-            # Written so that NaN and Inf fail too.
-            bad = np.argwhere(~(np.isfinite(lab) & (lab == np.round(lab))))
+            # Checked before the cast, which would only warn: NaN fails `whole`, Inf the range.
+            whole = lab == np.round(lab)
+            bad = np.argwhere(~(whole & (lab >= -(2.0**63)) & (lab < 2.0**63)))
             if len(bad):
                 r, c = bad[0]
-                raise BadRasterError(
-                    f"ground-truth label {lab[r, c]} at pixel ({r}, {c}) is not an integer"
-                )
+                what = "is outside the int64 range" if whole[r, c] else "is not an integer"
+                raise BadRasterError(f"ground-truth label {lab[r, c]} at pixel ({r}, {c}) {what}")
             lab = lab.astype(np.int64)
         if lab.min(initial=0) < 0:
             raise BadRasterError("labels must be nonnegative")

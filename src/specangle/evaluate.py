@@ -192,9 +192,12 @@ def _projected(proj, cube, pixels):
     rows, cols = np.divmod(pixels, cube.cols)
     Z = np.empty((len(pixels), proj.r))
     step = chunk_pixels(cube.bands)
-    for lo in range(0, len(pixels), step):
-        part = slice(lo, lo + step)
-        np.matmul(cube.values[rows[part], cols[part]], proj.matrix, out=Z[part])
+    # A row that overflows to Inf is named as a pixel by the pursuit's
+    # finiteness check, so numpy's own warning would only precede that error.
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(pixels), step):
+            part = slice(lo, lo + step)
+            np.matmul(cube.values[rows[part], cols[part]], proj.matrix, out=Z[part])
     return Z
 
 

@@ -5,10 +5,11 @@ All functions are pure and operate on float64 numpy arrays. Eigenvectors are
 returned as matrix columns, unit norm (or B-orthonormal for the generalized
 problem), ordered by descending eigenvalue, with a deterministic sign
 convention: the largest-magnitude entry of each eigenvector is positive.
+Every kernel, the pencil reduction of ``gen_eig_desc`` included, uses numpy
+alone, so importing this module loads no scipy.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -138,14 +139,14 @@ def gen_eig_desc(A, B, ridge=0.0):
         raise SingularBError(
             "regularized B is not positive definite; increase ridge"
         ) from exc
-    # Reduce to the standard problem C u = lambda u with C = L^-1 A L^-t.
-    half = scipy.linalg.solve_triangular(L, A, lower=True)
-    C = scipy.linalg.solve_triangular(L, half.T, lower=True).T
+    # Reduce to the standard problem C u = lambda u with C = L^-1 A L^-t,
+    # whose eigenvectors map back as v = L^-t u.
+    L_inv = np.linalg.inv(L)
+    C = L_inv @ A @ L_inv.T
     C = 0.5 * (C + C.T)
     w, U = np.linalg.eigh(C)
     w, U = _descending(w, U)
-    V = scipy.linalg.solve_triangular(L.T, U, lower=False)
-    return w, _fix_signs(V)
+    return w, _fix_signs(L_inv.T @ U)
 
 
 def _pinv(A):

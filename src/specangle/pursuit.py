@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import sparse
 
 from . import data
 from .errors import (
@@ -178,6 +177,10 @@ def _block_scores(dictionary, Z, members):
     in stored order. So a window's score does not depend on which windows
     share its rows, up to how the product rounds a row for another row count.
     """
+    # Imported here, so that only block pursuit loads scipy.sparse (some
+    # 17 MB resident); fits and nn-cos labelling run on numpy alone.
+    from scipy import sparse
+
     squares = Z @ dictionary._stacked
     squares *= squares
     inside = members >= 0

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,14 @@ class TestGroundTruthIO:
     def test_a_label_that_is_no_integer_names_its_pixel(self, value):
         message = rf"^ground-truth label {value} at pixel \(1, 0\) is not an integer$"
         with pytest.raises(BadRasterError, match=message):
+            GroundTruth(labels=[[0.0, 2.0], [value, 1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e30, 2.0**63, -np.inf])
+    def test_a_label_beyond_int64_names_its_pixel(self, value):
+        # Cast to int64, these would warn "invalid value encountered in cast".
+        message = f"ground-truth label {value} at pixel (1, 0) is outside the int64 range"
+        with pytest.raises(BadRasterError, match=f"^{re.escape(message)}$"):
             GroundTruth(labels=[[0.0, 2.0], [value, 1.0]])
 
     def test_contiguity_enforced(self):

@@ -225,7 +225,7 @@ class TestFirstFailure:
         with pytest.raises(error, match=match):
             predict(self.coords(bad, outside))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad,outside", [(1, 2), (2, 1), (1, 4), (4, 1), (4, 6)],
                              ids=["one-chunk", "one-chunk-outside-first",
                                   "two-chunks", "two-chunks-outside-first", "second-chunk"])

@@ -27,9 +27,9 @@ EVAL_DIGESTS = {
     ("slspp", "sbomp"): "097baf10aab5b92e2ec601b42d393157893ed70caf5de5b176b9fdda6c5930fa",
     ("slspp", "somp"): "06c74a4e4103d186b1460dcd31eb22c99db2574baa31815e844b912fbfee085f",
     ("slspp", "nn-cos"): "049092c40893a9ca33332e0d10be5f38fc0f6ace67d02a5575abd3789a215c74",
-    ("ada", "sbomp"): "86dc581ecd473f1ca5dfcffe028858834914f0de3fc7779923e4dc61de1c792d",
-    ("ada", "somp"): "40cc4fea90bc5c451aff6b01475a3cd3ca33f165566f2a9ebebfd1a550099296",
-    ("ada", "nn-cos"): "65a3361a5c0419f6ab4118b65a75ac0d382e0b7200fd4fcbc13e105c6386edd3",
+    ("ada", "sbomp"): "63423c03e5d789cbdd6d2e5a9ad2c35037a6686b6fb224a3c668e7c81f3e0be4",
+    ("ada", "somp"): "516392bd15b332e8a374be68cf918d732e5a94f9d5912481d8fcfeb26158d441",
+    ("ada", "nn-cos"): "a5376702e2274f46b54bf3b888a188e2fcbe925f8e10ad36834266cf2c9a8898",
     ("lada", "sbomp"): "dea6e6fd3bd256e2a1cdea30798738a1de55dbf7154c0050f8ce44f6d1935fc8",
     ("lada", "somp"): "6723a9401f032bd3161740a83a18896d7373da4a8f9e4bd8bc3edafc3afdd9a7",
     ("lada", "nn-cos"): "3d65383a5f458b7c655acb67024a8b091f6afdfde9506c03a9930dbd767bc10f",
@@ -39,11 +39,11 @@ EVAL_DIGESTS = {
 }
 
 FIT_DIGESTS = {
-    "lspp": "b1d2c0749661352b2526ab0fddd904ad6f46794cd75abe1518e79b5c71ebe19c",
+    "lspp": "e56eb032feec0117006114fee3be9c81cca011f6fd551fdf34d7374d31a94b00",
     "slspp": "23d4d372d8e7dbc0e10c60a4ae092323e42a4f454234ab5c931e3bcf6c1bb915",
-    "ada": "80c99b42c9abbb1ec99a2a2ce781e8c020b29b2a2ea7411ee8c7eaf2116650ed",
-    "lada": "30e568a545397977d6a93ac476b10072a075f87fa4a6d023edce612b0bfb13a1",
-    "lpp": "f5bcb13ae5116fd361593563c446168f7791341cff544de40dce06cd9ce4d3fb",
+    "ada": "3b1e24741b995357f630f29b78d367947eaaac9d15184d2053369b85d6da0459",
+    "lada": "361fd83a280b02b38e0bf2e36184d269d75398e2bc465ab6798500b2726518e9",
+    "lpp": "0f73a24a02f50631f49b84395720d9bb16835dd2bc64f511d840caa575e6c7ec",
 }
 
 CLASSIFY_DIGEST = "c9d922ec4bcd1172e084a1648d31fb09eb3bdb81879abe87392a6a4549640176"

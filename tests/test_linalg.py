@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specangle.data import pixels_to_sample_set, split_train_test, synth_scene
 from specangle.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -9,6 +10,7 @@ from specangle.errors import (
     SpecAngleError,
 )
 from specangle.linalg import gen_eig_desc, least_squares, regularized, sym_eig_desc
+from specangle.projections import DEFAULT_RIDGE, _graph_pencil
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -114,6 +116,21 @@ class TestGenEig:
             tol = 1e-6 * max(1.0, np.linalg.norm(A))
             assert np.linalg.norm(A @ V - (B_reg @ V) * w, axis=0).max() <= tol
             assert np.abs(V.T @ B_reg @ V - np.eye(n)).max() <= 1e-6
+
+    @pytest.mark.parametrize("split_seed", [0, 3])
+    def test_residual_and_b_orthonormality_of_an_ill_conditioned_lspp_pencil(self, split_seed):
+        # The paper's regime on the 120x120x103 scene: n = 90 samples against
+        # d = 103 bands, so XDX^t has rank 90 and only the default ridge makes
+        # B' definite, with cond(B') near 1e7.
+        cube, gt = synth_scene(120, 120, 103, 9, seed=5)
+        train, _ = split_train_test(gt, 10, 100, split_seed)
+        A, B, _ = _graph_pencil(pixels_to_sample_set(cube, train, gt), 10, None)
+        B_reg = regularized(B, DEFAULT_RIDGE)
+        assert 1e6 < np.linalg.cond(B_reg) < 1e8
+        w, V = gen_eig_desc(A, B, DEFAULT_RIDGE)
+        residual = np.linalg.norm(A @ V - (B_reg @ V) * w)
+        assert residual <= 1e-15 * np.linalg.norm(A) * np.linalg.norm(V)
+        assert np.abs(V.T @ B_reg @ V - np.eye(len(w))).max() <= 1e-9
 
     def test_singular_b(self):
         with pytest.raises(SingularBError):

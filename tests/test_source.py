@@ -126,11 +126,35 @@ def test_every_private_definition_is_named_elsewhere():
     assert not unnamed, f"private definitions nothing names: {unnamed}"
 
 
-def test_import_leaves_out_scipy_spatial():
-    # The dense pdist references live in the tests, which import scipy.spatial
-    # themselves; a fresh interpreter shows what the package alone loads.
-    code = "import sys, specangle; print('scipy.spatial' in sys.modules)"
+def loaded(code, modules):
+    """Which of ``modules`` are in sys.modules after ``code`` runs in a fresh
+    interpreter: the tests import scipy themselves, so only a new process
+    shows what the package alone loads."""
+    code += f"\nimport sys; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return dict(zip(modules, (word == "True" for word in out.stdout.split())))
+
+
+@pytest.mark.parametrize("package", ["specangle", "specangle.cli"])
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.linalg", "scipy.sparse"])
+def test_import_leaves_out_scipy(package, module):
+    # The dense pdist references live in the tests; the eigensolver uses
+    # numpy alone, and only block pursuit imports scipy.sparse, when it runs.
+    assert loaded(f"import {package}", [module]) == {module: False}
+
+
+def test_fits_and_nn_cos_labelling_leave_out_scipy_linalg_and_sparse():
+    code = """
+from specangle.data import synth_scene
+from specangle.evaluate import ExperimentConfig, run_experiment
+from specangle.projections import METHODS
+cube, gt = synth_scene(12, 12, 8, 3, seed=1)
+for method in METHODS:
+    config = ExperimentConfig(method=method, classifier="nn-cos", r=2, window=3,
+                              n_train=4, n_test=4, trials=1)
+    run_experiment(cube, gt, config)
+"""
+    modules = ["scipy.linalg", "scipy.sparse"]
+    assert loaded(code, modules) == dict.fromkeys(modules, False)
