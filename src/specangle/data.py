@@ -120,7 +120,7 @@ class GroundTruth:
         if not np.issubdtype(lab.dtype, np.integer):
             # Checked before the cast, which would only warn: NaN fails `whole`, Inf the range.
             whole = lab == np.round(lab)
-            bad = np.argwhere(~(whole & (lab >= -(2.0**63)) & (lab < 2.0**63)))
+            bad = np.argwhere(~(whole & (np.abs(lab) < 2.0**63)))
             if len(bad):
                 r, c = bad[0]
                 what = "is outside the int64 range" if whole[r, c] else "is not an integer"
