@@ -181,8 +181,11 @@ def _block_scores(dictionary, Z, members):
     # 17 MB resident); fits and nn-cos labelling run on numpy alone.
     from scipy import sparse
 
-    squares = Z @ dictionary._stacked
-    squares *= squares
+    # A product or square that overflows gives a score that is not finite,
+    # which ``_pursue`` reports as a NonFiniteError naming the window.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = Z @ dictionary._stacked
+        squares *= squares
     inside = members >= 0
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
     incidence = sparse.csr_array(
@@ -300,6 +303,12 @@ def _pursue(dictionary, S, K, members):
         if not active.size:
             break
         scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
+        # Scores that overflow would tie every block, and the lowest would win.
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            exc = NonFiniteError("the scale of the spectra overflows block pursuit's scores")
+            exc.index = int(active[np.argmin(finite)])
+            raise exc
         rows = np.arange(len(active))
         scores[rows[:, None], support[active, :t]] = -np.inf
         best = np.argmax(scores, axis=1)
@@ -453,7 +462,9 @@ def class_residuals(dictionary, Z, K, members):
     ------
     SpecAngleError
         A member outside [-1, n), or a NonFiniteError for a row with NaN or
-        Inf, has ``index`` set to the first pixel whose block holds it.
+        Inf, has ``index`` set to the first pixel whose block holds it. A
+        NonFiniteError for block scores that overflow has ``index`` set to
+        the first pixel whose scores do.
     """
     S, members = _gathered(dictionary, Z, K, members)
     support, coefficients, _ = _pursue(dictionary, S, K, members)

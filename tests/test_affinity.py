@@ -136,32 +136,47 @@ def streamed_upper(F):
     """The (n, n) strict upper triangle of the streamed distances, +inf elsewhere."""
     n = F.shape[1]
     D = np.full((n, n), np.inf)
-    for lo, block, _ in affinity._distance_blocks(F):
+    for lo, block in affinity._distance_blocks(F):
         D[lo : lo + block.shape[0], lo:] = block
     return D
 
 
 class TestStreamedMedian:
-    """median_heuristic_sigma selects the median from streamed Gram-block
-    distances without storing them. On integer features the Gram form is
-    exact, so it must equal np.median of pdist's positive distances bit for
-    bit, from one block or from many."""
+    """median_heuristic_sigma takes the median of the streamed Gram-block
+    distances among at most 1,024 samples. On integer features the Gram form
+    is exact, so up to 1,024 samples it must equal np.median of pdist's
+    positive distances bit for bit, from one block or from many; beyond,
+    it is that median over a fixed draw of 1,024 samples."""
 
     @staticmethod
     def integers(d, n, seed):
         return np.random.default_rng(seed).integers(-20, 20, (d, n)).astype(float)
 
-    @pytest.mark.parametrize("n", [6, 7, 8, 40], ids=["15-pairs", "21-pairs", "28-pairs", "780-pairs"])
+    @pytest.mark.parametrize(
+        "n",
+        [6, 7, 8, 40, 1024],
+        ids=["15-pairs", "21-pairs", "28-pairs", "780-pairs", "523776-pairs"],
+    )
     def test_equals_numpy_median(self, blocks, n):
         F = self.integers(5, n, n)
         assert median_heuristic_sigma(F) == numpy_median(pdist(F.T, "sqeuclidean"))
 
+    @pytest.mark.parametrize("n", [1025, 1600])
+    def test_more_samples_take_a_fixed_draw(self, blocks, n):
+        # The draw the docstrings state: the first 1,024 positions of a
+        # Philox permutation with key 0, kept in column order.
+        F = self.integers(5, n, n)
+        idx = np.sort(np.random.Generator(np.random.Philox(key=0)).permutation(n)[:1024])
+        sigma = median_heuristic_sigma(F)
+        assert median_heuristic_sigma(F) == sigma
+        assert sigma == median_heuristic_sigma(F[:, idx])
+        assert sigma == numpy_median(pdist(F[:, idx].T, "sqeuclidean"))
+
     def test_middle_ranks_in_two_bins(self, blocks):
-        # Pairwise squared distances {1, 4, 9, 49, 81, 100}: the middle two
-        # lie in different histogram bins (the top 20 bits of the double).
+        # Pairwise squared distances {1, 4, 9, 49, 81, 100}: an even count,
+        # whose middle two differ, so the median is their mean.
         F = np.array([[0.0, 1.0, 3.0, 10.0]])
         d2 = np.sort(pdist(F.T, "sqeuclidean"))
-        assert d2[2].view(np.int64) >> 44 != d2[3].view(np.int64) >> 44
         assert median_heuristic_sigma(F) == numpy_median(d2) == 29.0
 
     def test_duplicate_columns_are_excluded(self, blocks):
@@ -176,7 +191,7 @@ class TestStreamedMedian:
 
     def test_one_column(self):
         # No pair, so no positive distance: the fallback, from an empty pass.
-        assert affinity._streamed_median(np.ones((3, 1))) == 1.0
+        assert affinity._sampled_median(np.ones((3, 1))) == 1.0
 
     @pytest.mark.parametrize("n", [59, 60])
     def test_equals_median_of_the_streamed_distances(self, blocks, n):
@@ -184,30 +199,6 @@ class TestStreamedMedian:
         # pdist's, but the selection is exact on the distances streamed.
         F = np.random.default_rng(n).standard_normal((5, n))
         assert median_heuristic_sigma(F) == np.median(streamed_upper(F)[np.triu_indices(n, 1)])
-
-    @pytest.mark.parametrize(
-        "copies, median, passes",
-        [([10, 10, 2], 1.0, 4), ([8, 8, 4], 2.5, 3)],
-        ids=["one-bin", "two-bins"],
-    )
-    def test_crowded_bins(self, monkeypatch, copies, median, passes):
-        # Copies of the points 0, 1 and 3 give distances of 1, 4 and 9 only,
-        # more of each than the selection may keep (F's 20 or 22 entries).
-        # The sampled bracket, [1, 9], holds them all, so the first pass
-        # learns only that the middle ranks lie in it. Middle ranks that
-        # share a histogram bin narrow it over two more histogram passes, to
-        # a bin one double wide; middle ranks in two bins (1 and 4) take one
-        # histogram pass and one for the largest and smallest distances
-        # around the split.
-        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 16)
-        calls = []
-        distance_blocks = affinity._distance_blocks
-        monkeypatch.setattr(
-            affinity, "_distance_blocks", lambda X: calls.append(X) or distance_blocks(X)
-        )
-        F = np.repeat([0.0, 1.0, 3.0], copies)[None, :]
-        assert median_heuristic_sigma(F) == numpy_median(pdist(F.T, "sqeuclidean")) == median
-        assert len(calls) == passes
 
     def test_uint16_scale_repeated_spectra(self, blocks):
         # At reflectance ~1e4 the expanded form |x|^2 + |y|^2 - 2 x.y cancels
@@ -268,7 +259,8 @@ class TestGraphMemory:
     """A distance pass holds the right factor [X; 1; |x|^2] and one reused
     CHUNK_BYTES block, plus the left factor and masks of one block's rows,
     on a graph of every pixel of a 60x60x103 scene: 3,600 columns in 14
-    blocks. The median keeps at most its budget of distances on top."""
+    blocks. The median holds a copy of the 1,024 columns it draws, one pass
+    over them and their 523,776 distances."""
 
     SLACK = 2 << 20
 
@@ -287,127 +279,6 @@ class TestGraphMemory:
         assert peak <= self.bound(features)
 
     def test_median(self, features):
-        budget = max(features.size, data.chunk_pixels(1))
+        sample = features[:, :1024]
         _, peak = traced_peak(median_heuristic_sigma, features)
-        assert peak <= self.bound(features) + 8 * budget
-
-
-class TestSampledBracket:
-    """The median's first pass counts the distances against a bracket drawn
-    from a sample of pairs and keeps those inside it. On a large graph of
-    real-valued features the bracket holds the middle ranks and that pass is
-    the only one. A bracket that misses them, or holds more distances than
-    the budget, costs passes but never changes the median."""
-
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        # 21 rows of 1,500 columns a block at first, so a pass over the large
-        # graph spans 37 blocks; its budget is F's 60,000 entries.
-        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 18)
-        calls = []
-        distance_blocks = affinity._distance_blocks
-        monkeypatch.setattr(
-            affinity, "_distance_blocks", lambda X: calls.append(X) or distance_blocks(X)
-        )
-        return calls
-
-    @staticmethod
-    def positive_distances(F, passes):
-        """The sorted positive streamed distances, and no pass counted."""
-        d2 = streamed_upper(F)[np.triu_indices(F.shape[1], 1)]
-        passes.clear()
-        return np.sort(d2[d2 > 0.0])
-
-    def bracket(self, monkeypatch, lo, hi):
-        monkeypatch.setattr(affinity, "_sampled_bracket", lambda X, budget: (lo, hi))
-
-    @pytest.fixture
-    def real(self, passes):
-        F = np.random.default_rng(40).standard_normal((40, 1500))
-        return F, self.positive_distances(F, passes)
-
-    def test_one_pass_when_the_bracket_holds_the_median(self, real, passes):
-        F, d2 = real
-        lo, hi = affinity._sampled_bracket(F, F.size)
-        assert lo <= np.median(d2) <= hi
-        assert np.count_nonzero((d2 >= lo) & (d2 <= hi)) <= F.size
-        assert median_heuristic_sigma(F) == np.median(d2)
-        assert len(passes) == 1
-
-    @pytest.mark.parametrize(
-        "quantiles", [(0.1, 0.2), (0.8, 0.9), (0.3, 0.7)], ids=["below", "above", "over-budget"]
-    )
-    def test_a_missed_bracket_costs_one_histogram_pass(self, real, passes, monkeypatch, quantiles):
-        # The histogram search alone takes 2 passes here. A bracket beside
-        # the middle ranks, or around them but holding 40% of the distances,
-        # leaves that search one bin to narrow from: 1 + 2 passes.
-        F, d2 = real
-        self.bracket(monkeypatch, *(d2[int(q * d2.size)] for q in quantiles))
-        assert median_heuristic_sigma(F) == np.median(d2)
-        assert len(passes) == 3
-
-    @pytest.mark.parametrize(
-        "bracket, count", [((5.0, 5.0), 1), ((4.0, 5.0), 2), ((4.0, 6.0), 4)]
-    )
-    def test_crowded_tie_bins(self, passes, monkeypatch, bracket, count):
-        # Features in {0, 1, 2} give integer distances in ties, most larger
-        # than the budget of 32,768; the median, 5.0, has 147,697 copies.
-        # The histogram search alone takes 4 passes. A bracket of that one
-        # tie is one double wide: the pass that finds the ranks in it ends
-        # the search. A bracket over two or three ties is overrun, and the
-        # search narrows from it in no more passes than from all doubles.
-        F = np.random.default_rng(41).integers(0, 3, (4, 1500)).astype(float)
-        d2 = self.positive_distances(F, passes)
-        assert np.count_nonzero(d2 == 5.0) > max(F.size, data.chunk_pixels(1))
-        self.bracket(monkeypatch, *bracket)
-        assert median_heuristic_sigma(F) == np.median(d2) == 5.0
-        assert len(passes) == count
-
-    def test_a_graph_too_small_to_sample(self, passes):
-        # 31,125 pairs fit the budget of 32,768 (a chunk of doubles): the
-        # bracket is every positive double and one pass keeps them all,
-        # where the histogram search takes 2.
-        F = np.random.default_rng(42).standard_normal((40, 250))
-        assert data.chunk_pixels(250) < 250
-        d2 = self.positive_distances(F, passes)
-        everything = (5e-324, np.finfo(float).max)
-        assert affinity._sampled_bracket(F, data.chunk_pixels(1)) == everything
-        assert median_heuristic_sigma(F) == np.median(d2)
-        assert len(passes) == 1
-
-
-class TestBracketPass:
-    """A bracket pass counts the positive distances below [lo, hi], up to hi
-    and in all, and keeps those inside. It takes each block's zeros as
-    _distance_blocks counts them, the coincident pairs it recomputes, and
-    passes over the +inf entries on and left of the diagonal. On integer
-    features the Gram form is exact, so counts and kept distances equal
-    pdist's, with copies of columns in other blocks and whatever the
-    blocks' rows."""
-
-    @pytest.mark.parametrize(
-        "chunk_bytes", [8 * 3, 8 * 8 * 3], ids=["one-row-blocks", "growing-blocks"]
-    )
-    def test_matches_pdist(self, monkeypatch, chunk_bytes):
-        monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
-        F = np.random.default_rng(43).integers(-3, 4, (4, 30)).astype(float)
-        F[:, [7, 19, 26]] = F[:, [2, 2, 11]]
-        starts, rows = zip(*((lo, D.shape[0]) for lo, D, _ in affinity._distance_blocks(F)))
-        # Every copy lies in a later block than its column.
-        assert np.searchsorted(starts, 2, "right") < np.searchsorted(starts, 7, "right")
-        assert np.searchsorted(starts, 11, "right") < np.searchsorted(starts, 26, "right")
-        assert len(rows) > 3 and (rows[-1] == 1) == (chunk_bytes == 8 * 3)
-        d2 = pdist(F.T, "sqeuclidean")
-        positive = np.sort(d2[d2 > 0.0])
-        assert d2.size - positive.size >= 4
-        lo, hi = positive[positive.size // 3], positive[2 * positive.size // 3]
-        cum, _, kept = affinity._bracket_pass(F, lo, hi, d2.size)
-        inside = positive[(positive >= lo) & (positive <= hi)]
-        assert cum.tolist() == [
-            np.count_nonzero(positive < lo),
-            np.count_nonzero(positive <= hi),
-            positive.size,
-        ]
-        np.testing.assert_array_equal(np.sort(kept), inside)
-        # One distance over the budget, and none is kept.
-        assert affinity._bracket_pass(F, lo, hi, inside.size - 1)[2] is None
+        assert peak <= sample.nbytes + self.bound(sample) + 8 * 1024 * 1023 // 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -271,6 +272,32 @@ class TestFirstFailure:
         with pytest.raises(SpecAngleError) as info:
             run_experiment(cube, gt, cfg)
         assert str(info.value) == "trial 0: K must be in [1, 15], got 100"
+
+
+class TestOverflowingScores:
+    """Block pursuit on a scene scaled by 1e150, where the squared
+    correlations of its scores overflow. Every block would then tie and the
+    lowest class win, at chance accuracy; the pursuit raises NonFiniteError
+    instead, naming the pixel, and numpy warns of nothing. The unscaled
+    scene keeps its report byte for byte."""
+
+    CONFIG = ExperimentConfig(
+        method="slspp", classifier="sbomp", r=2, window=3, sparsity=2,
+        n_train=2, n_test=3, trials=2, seed=0,
+    )
+    DIGEST = "f45944b767f35aecb08f89b4b1751dd9ba624ac824f44fcc6f987a8f22390af4"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_and_scale_one_keeps_its_report(self):
+        cube, gt = synth_scene(12, 12, 8, 3, seed=4, patch_size=3)
+        report = run_experiment(cube, gt, self.CONFIG)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == self.DIGEST
+        message = (
+            r"^trial 0: pixel \(2, 0\): "
+            r"the scale of the spectra overflows block pursuit's scores$"
+        )
+        with pytest.raises(NonFiniteError, match=message):
+            run_experiment(HyperCube(values=cube.values * 1e150), gt, self.CONFIG)
 
 
 class TestSweep:

@@ -620,10 +620,8 @@ class TestDefaultSigma:
     @pytest.mark.parametrize("fit", [fit_lspp, fit_lpp, fit_lada])
     def test_passes_on_a_multi_block_graph(self, scene, passes, monkeypatch, fit, chunk_bytes):
         # The same passes whether the 18 samples fit one block or span
-        # several: the 153 pairs fit the median's budget (at least the 180
-        # entries of the features), so one pass keeps them all and selects
-        # the median; then one pass streams the products, over each class
-        # graph for LADA.
+        # several: one pass over all of them gives the median, then one pass
+        # streams the products, over each class graph for LADA.
         monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
         products = [6, 6, 6] if fit is fit_lada else [18]
         for sigma, median in ((None, [18]), (0.7, [])):
@@ -638,11 +636,10 @@ class TestDefaultSigma:
 
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
     def test_one_median_pass_on_a_large_graph(self, large, passes, monkeypatch, method):
-        # 1,600 real-valued samples of 40 bands, each pass in 42 blocks. The
-        # median's bracket, sampled from a stream of its own and not the
-        # global one, holds the middle ranks and one pass selects it. The
-        # products take one more pass, one over each class graph for LADA;
-        # the SLSPP context takes none.
+        # 1,600 real-valued samples of 40 bands. The median takes one pass
+        # over 1,024 of them, drawn from a stream of its own and not the
+        # global one. The products take one more pass over all of them, one
+        # over each class graph for LADA; the SLSPP context takes none.
         monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 18)
         cube, train = large
         m = train.n_samples
@@ -652,7 +649,7 @@ class TestDefaultSigma:
         expected = np.random.random_sample(3)
         np.random.seed(23)
         METHODS[method](cube, train, ExperimentConfig(method=method, r=3, window=3))
-        assert passes == [m] + products[method]
+        assert passes == [1024] + products[method]
         np.testing.assert_array_equal(np.random.random_sample(3), expected)
 
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada", "slspp"])
