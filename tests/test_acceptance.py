@@ -284,6 +284,14 @@ def test_criterion_6_pavia_protocol():
 
 
 def test_criterion_7_determinism(tmp_path):
+    """Two identical eval invocations write byte-identical JSON.
+
+    The scope of that promise: a saved projection (``.proj``) keeps its
+    bytes for one numpy/BLAS build at one BLAS thread count; another thread
+    count splits the products differently and moves the last bits of whole-
+    scene fits. ``eval`` and ``classify`` labels and confusions hold across
+    BLAS thread counts, except ada/nn-cos, whose degenerate pencil ties.
+    """
     # The subprocesses import the same package as this test, from a checkout
     # or an install.
     src = str(Path(specangle.__file__).parents[1])

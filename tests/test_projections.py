@@ -766,9 +766,8 @@ class TestStreamedGraph:
         labels = np.arange(50) % 4 + 1
         perm = np.random.default_rng(96).permutation(50)
         *scatter, _ = _lada_scatter(F[:, perm], labels[perm], None)
-        # One pass over the whole graph selects the median, its sampled
-        # bracket holding the middle ranks; then each class graph is
-        # streamed on its own, in at least 3 blocks.
+        # One pass over the whole graph gives the median; then each class
+        # graph is streamed on its own, in at least 3 blocks.
         assert [m for m, _ in chunks] == [50, 13, 13, 12, 12]
         assert min(len(rows) for _, rows in chunks) >= 3
         dense = self.dense_scatter(F, labels, median_heuristic_sigma(F))
@@ -778,7 +777,7 @@ class TestStreamedGraph:
     @pytest.mark.parametrize("method", ["lspp", "lpp", "lada"])
     def test_peak_memory_linear_in_samples(self, method):
         # The features and their augmented copies are O(n d); a distance
-        # block, the median's histogram and the weight block are a chunk
+        # block, the median's distances and the weight block are a chunk
         # each. The condensed distances alone would be 15 MiB at n = 2,000
         # and 61 MiB at n = 4,000, against bounds of 26 and 29 MiB.
         d = 20
