@@ -48,18 +48,19 @@ def _as_symmetric(A, name="matrix"):
     return 0.5 * (A + A.T)
 
 
-def _fix_signs(V):
-    """Flip eigenvector signs so the largest-magnitude entry is positive."""
-    idx = np.argmax(np.abs(V), axis=0)
-    flip = V[idx, np.arange(V.shape[1])] < 0
-    V[:, flip] *= -1.0
-    return V
-
-
-def _descending(w, V):
-    """Sort eigenpairs by descending eigenvalue, ties keeping original order."""
+def _eigh_desc(A, back=None):
+    """The eigh core of both eigendecompositions: eigenpairs of the symmetric
+    matrix A by descending eigenvalue, ties keeping their order, with each
+    eigenvector mapped by ``back`` when given and then sign-fixed so that its
+    largest-magnitude entry is positive."""
+    w, V = np.linalg.eigh(A)
     order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    w, V = w[order], V[:, order]
+    if back is not None:
+        V = back @ V
+    idx = np.argmax(np.abs(V), axis=0)
+    V[:, V[idx, np.arange(V.shape[1])] < 0] *= -1.0
+    return w, V
 
 
 def sym_eig_desc(A):
@@ -79,10 +80,7 @@ def sym_eig_desc(A):
         Orthonormal eigenvectors as columns, V[:, i] matching w[i]. Sign is
         fixed by making the largest-magnitude entry of each column positive.
     """
-    A = _as_symmetric(A, "A")
-    w, V = np.linalg.eigh(A)
-    w, V = _descending(w, V)
-    return w, _fix_signs(V)
+    return _eigh_desc(_as_symmetric(A, "A"))
 
 
 def _check_ridge(ridge):
@@ -103,14 +101,18 @@ def regularized(B, ridge):
 def gen_eig_desc(A, B, ridge=0.0):
     """Generalized symmetric-definite eigendecomposition A v = lambda B' v.
 
-    B is regularized to B' = B + ridge * (trace(B)/n) * I, Cholesky-factored,
-    and the pencil reduced to a standard symmetric problem. Eigenvectors are
-    B'-orthonormal: v_i^t B' v_j = delta_ij.
+    A and B are checked and symmetrized as in ``sym_eig_desc``. B is
+    regularized to B' = B + ridge * (trace(B)/n) * I, Cholesky-factored, and
+    the pencil reduced to the standard symmetric problem C = L^-1 A L^-t. C
+    goes to the eigh core that ``sym_eig_desc`` runs after its own check,
+    which orders the eigenpairs, maps them back by L^-t and fixes their signs.
+    Eigenvectors are B'-orthonormal: v_i^t B' v_j = delta_ij.
 
     Parameters
     ----------
     A, B : (n, n) array_like, symmetric
         B must be positive semidefinite; positive definite after the ridge.
+        Either may be passed unsymmetrized, within the symmetry tolerance.
     ridge : float
         Relative ridge, scaled by the mean diagonal of B.
 
@@ -139,14 +141,10 @@ def gen_eig_desc(A, B, ridge=0.0):
         raise SingularBError(
             "regularized B is not positive definite; increase ridge"
         ) from exc
-    # Reduce to the standard problem C u = lambda u with C = L^-1 A L^-t,
-    # whose eigenvectors map back as v = L^-t u.
+    # C u = lambda u; its eigenvectors map back as v = L^-t u.
     L_inv = np.linalg.inv(L)
     C = L_inv @ A @ L_inv.T
-    C = 0.5 * (C + C.T)
-    w, U = np.linalg.eigh(C)
-    w, U = _descending(w, U)
-    return w, _fix_signs(L_inv.T @ U)
+    return _eigh_desc(0.5 * (C + C.T), back=L_inv.T)
 
 
 def _pinv(A):

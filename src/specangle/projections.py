@@ -10,6 +10,13 @@ Five fits share one Projection type:
   within/between-class outer-product matrices ((local) variants).
 * ``fit_lpp``: the Euclidean locality-preserving baseline.
 
+LSPP, ADA, LADA and LPP are one generalized eigenproblem and take one solve
+path, ``_pencil_fit``, the one caller of ``gen_eig_desc``. The graph fits
+hand it their symmetrized pencils, since LPP's X(D-W)X^t is formed from
+them. The discriminants hand over their scatter matrices unsymmetrized, for
+``gen_eig_desc`` to check and symmetrize, except ADA's between-class matrix
+(see ``fit_ada``).
+
 Columns of every returned projection are ordered most significant first and
 ``eigenvalues`` is descending. For ``fit_lpp``, whose natural problem is a
 minimization, the stored values are the negated pencil eigenvalues so that
@@ -80,6 +87,8 @@ class Projection:
             raise ValueError("projection matrix contains NaN or Inf")
         if ev.shape != (M.shape[1],):
             raise ValueError("need one eigenvalue per projection column")
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues contain NaN or Inf")
         if np.any(np.diff(ev) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         if self.method not in METHODS:
@@ -178,6 +187,22 @@ def _graph_pencil(X, r, sigma):
     return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
 
 
+def _pencil_fit(A, B, r, ridge, method, sigma=None, bottom=False):
+    """The one solve of the pencil fits: the top-r eigenvectors of
+    (A, B + ridge), or with ``bottom`` the bottom r, smallest eigenvalue
+    first and negated (see module docstring). ``gen_eig_desc`` checks and
+    symmetrizes A and B. The fit parameters are sigma, when the method has
+    one, and the ridge."""
+    _check_r(r, A.shape[0])
+    w, V = gen_eig_desc(A, B, ridge)
+    if bottom:
+        w, V = -w[::-1], V[:, ::-1]
+    params = {"ridge": float(ridge)}
+    if sigma is not None:
+        params = {"sigma": float(sigma), **params}
+    return Projection(matrix=V[:, :r], eigenvalues=w[:r], method=method, fit_params=params)
+
+
 def fit_lspp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     """Similarity-preserving projection from the heat-kernel graph.
 
@@ -187,13 +212,7 @@ def fit_lspp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     sigma defaults to the median heuristic.
     """
     A, B, sigma = _graph_pencil(X, r, sigma)
-    w, V = gen_eig_desc(A, B, ridge)
-    return Projection(
-        matrix=V[:, :r],
-        eigenvalues=w[:r],
-        method="lspp",
-        fit_params={"sigma": float(sigma), "ridge": float(ridge)},
-    )
+    return _pencil_fit(A, B, r, ridge, "lspp", sigma)
 
 
 def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
@@ -204,13 +223,7 @@ def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     (see module docstring).
     """
     A, B, sigma = _graph_pencil(X, r, sigma)
-    w, V = gen_eig_desc(B - A, B, ridge)
-    return Projection(
-        matrix=V[:, ::-1][:, :r],
-        eigenvalues=-w[::-1][:r],
-        method="lpp",
-        fit_params={"sigma": float(sigma), "ridge": float(ridge)},
-    )
+    return _pencil_fit(B - A, B, r, ridge, "lpp", sigma, bottom=True)
 
 
 def slspp_context_matrix(cube, pixels, sigma):
@@ -291,10 +304,14 @@ def fit_slspp(cube, coords, r, window=5, sigma=None):
 # Supervised fits
 
 
-def _labeled_features(X):
+def _labeled_features(X, r):
+    """Features and labels of a labeled SampleSet, and r, which defaults to
+    min(d, c - 1) for the c classes of the discriminants."""
     if not isinstance(X, SampleSet) or X.labels is None:
         raise ValueError("supervised fits need a labeled SampleSet")
-    return X.features, X.labels
+    if r is None:
+        r = min(X.dim, int(X.labels.max(initial=0)) - 1)
+    return X.features, X.labels, r
 
 
 def class_stats(features, labels):
@@ -337,18 +354,6 @@ def ada_scatter(features, labels):
     return within, between
 
 
-def _discriminant_fit(between, within, r, d, c, ridge, method, fit_params):
-    if r is None:
-        r = min(d, c - 1)
-    _check_r(r, d)
-    w, V = gen_eig_desc(
-        0.5 * (between + between.T), 0.5 * (within + within.T), ridge
-    )
-    return Projection(
-        matrix=V[:, :r], eigenvalues=w[:r], method=method, fit_params=fit_params
-    )
-
-
 def fit_ada(X, r=None, ridge=DEFAULT_RIDGE):
     """Angular discriminant projection from labeled samples.
 
@@ -356,13 +361,12 @@ def fit_ada(X, r=None, ridge=DEFAULT_RIDGE):
     standard surrogate for the trace-ratio objective; r defaults to
     min(d, c - 1).
     """
-    features, labels = _labeled_features(X)
+    features, labels, r = _labeled_features(X, r)
     within, between = ada_scatter(features, labels)
-    c = int(labels.max())
-    return _discriminant_fit(
-        between, within, r, features.shape[0], c, ridge,
-        "ada", {"ridge": float(ridge)},
-    )
+    # between is n mu mu^t summed over the classes. Where mu is near 0, as
+    # for mean-centred features, its rounding noise is far from symmetric
+    # and would fail gen_eig_desc's symmetry check, so it goes in symmetrized.
+    return _pencil_fit(0.5 * (between + between.T), within, r, ridge, "ada")
 
 
 def _lada_scatter(features, labels, sigma):
@@ -404,14 +408,10 @@ def fit_lada(X, r=None, sigma=None, ridge=DEFAULT_RIDGE):
     1/n between (see ``_lada_scatter``; the dense weights are
     ``tests/oracles.lada_weights``). Only the same-class graphs are formed.
     """
-    features, labels = _labeled_features(X)
+    features, labels, r = _labeled_features(X, r)
     class_stats(features, labels)  # validates class structure
     within, between, sigma = _lada_scatter(features, labels, sigma)
-    c = int(labels.max())
-    return _discriminant_fit(
-        between, within, r, features.shape[0], c, ridge,
-        "lada", {"sigma": sigma, "ridge": float(ridge)},
-    )
+    return _pencil_fit(between, within, r, ridge, "lada", sigma)
 
 
 def project(P, X):

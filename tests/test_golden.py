@@ -2,8 +2,10 @@
 
 The scene is the 18x18x12, 3-class ``synth --seed 11`` scene of test_cli.py.
 Pinned are the ``eval`` JSON of every method x classifier pipeline, the
-``fit`` projection file of every method (fitted on every labelled pixel) and
-one ``classify`` CSV of window-3 block pursuit at K = 2. A change that keeps
+``fit`` projection file of every method (fitted on every labelled pixel, 324
+samples against 12 bands), the ``fit`` file of every ridge-using method on 2
+pixels per class (6 samples against 12 bands, where the ridge sets the
+answer) and one ``classify`` CSV of window-3 block pursuit at K = 2. A change that keeps
 the numbers keeps these bytes; one that changes outputs on purpose updates
 the digests below and says why in CHANGES.md. The last bits of a float, and
 so the digests, may differ under another BLAS build than the one they were
@@ -46,6 +48,14 @@ FIT_DIGESTS = {
     "lpp": "0f73a24a02f50631f49b84395720d9bb16835dd2bc64f511d840caa575e6c7ec",
 }
 
+# n < d: the constraint matrix is singular but for the ridge.
+SMALL_FIT_DIGESTS = {
+    "lspp": "9e581bfe2e595aceb04436c7c8393482d91b1c00865ffcb05ebbc2f47dcdbd21",
+    "ada": "72c87c2e85432d28756373a6e055a0f5a75b344409afef7f165b85b8c5630480",
+    "lada": "2b2be1e0cefa400648be3f6c85347e528bd805332895ccd94ff5476b27e677b8",
+    "lpp": "4e75c0d5f6c6748f71cfe265a0d5e1a5c459aa61f91ede3a0aa25901d09aba1f",
+}
+
 CLASSIFY_DIGEST = "c9d922ec4bcd1172e084a1648d31fb09eb3bdb81879abe87392a6a4549640176"
 
 
@@ -82,6 +92,12 @@ def test_eval_json(scene, tmp_path, method, classifier):
 def test_fit_projection(scene, tmp_path, method):
     argv = ["fit", *scene, "--method", method, "--r", "4", "--window", "3"]
     assert digest(argv, tmp_path / "fit.proj") == FIT_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", list(SMALL_FIT_DIGESTS))
+def test_fit_projection_fewer_samples_than_bands(scene, tmp_path, method):
+    argv = ["fit", *scene, "--method", method, "--n-train", "2", "--r", "4"]
+    assert digest(argv, tmp_path / "fit.proj") == SMALL_FIT_DIGESTS[method]
 
 
 def test_classify_csv(scene, tmp_path):

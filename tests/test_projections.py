@@ -378,6 +378,18 @@ class TestAda:
         assert p1.r == 3  # min(d, c-1)
         np.testing.assert_array_equal(p1.matrix, p2.matrix)
 
+    def test_mean_centred_features(self):
+        # With the global mean at rounding level the between matrix is
+        # rounding noise, far from symmetric; the fit still solves its
+        # symmetric part, as for any other features.
+        rng = np.random.default_rng(63)
+        F = rng.standard_normal((5, 20))
+        F -= F.mean(axis=1, keepdims=True)
+        _, between = ada_scatter(F, np.array([1, 2, 3, 4] * 5))
+        assert np.max(np.abs(between - between.T)) > 1e-8 * np.max(np.abs(between))
+        P = fit_ada(SampleSet(features=F, labels=np.array([1, 2, 3, 4] * 5)))
+        assert P.r == 3 and np.all(np.isfinite(P.matrix))
+
     def test_permutation_invariance(self):
         # The between matrix is rank one, so only the leading eigenvector is
         # pinned; the trailing columns live in a degenerate eigenspace. The
@@ -564,7 +576,11 @@ class TestPersistence:
     @pytest.mark.parametrize("values, message", [
         ("1 nan\n2 3\n4 1", "contains NaN or Inf"),
         ("1 0\n0 1\n1 2", "sorted descending"),
-    ], ids=["nan-matrix", "ascending-eigenvalues"])
+        ("1 0\n0 1\nnan nan", "eigenvalues contain NaN or Inf"),
+        ("1 0\n0 1\ninf 1", "eigenvalues contain NaN or Inf"),
+        ("1 0\n0 1\n1 -inf", "eigenvalues contain NaN or Inf"),
+    ], ids=["nan-matrix", "ascending-eigenvalues", "nan-eigenvalues", "inf-eigenvalue",
+            "minus-inf-eigenvalue"])
     def test_invalid_values(self, tmp_path, values, message):
         """Values the file parses but a Projection cannot hold."""
         path = tmp_path / "bad.txt"

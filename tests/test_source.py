@@ -126,6 +126,23 @@ def test_every_private_definition_is_named_elsewhere():
     assert not unnamed, f"private definitions nothing names: {unnamed}"
 
 
+def calls(path, name):
+    """The calls in path's module of a function or attribute called name."""
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_eigen_path():
+    # Every eigendecomposition runs one eigh core, and the four pencil fits
+    # one solve, so a change of solver changes one function.
+    assert sum(len(calls(path, "eigh")) for path in SOURCES) == 1
+    assert len(calls(SRC / "specangle" / "projections.py", "gen_eig_desc")) == 1
+
+
 def loaded(code, modules):
     """Which of ``modules`` are in sys.modules after ``code`` runs in a fresh
     interpreter: the tests import scipy themselves, so only a new process
