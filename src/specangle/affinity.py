@@ -5,11 +5,9 @@ never store the pairwise distances or the weights: ``_distance_blocks``
 computes the distances from Gram blocks a block of rows at a time,
 ``heat_kernel_products`` streams X W X^t and the degrees from those blocks,
 and ``_bandwidth`` resolves every bandwidth. By default that is the median
-heuristic: the median of the positive squared distances among at most 1,024
-samples, all of them when there are no more, else a fixed Philox draw
-(``_sampled_median``). Every graph takes this path whatever its size. The
-dense weight matrix the tests check the products against lives in
-``tests/oracles.py``.
+heuristic over the at most 1,024 samples ``_median_columns`` picks, whatever
+the graph's size. The dense weight matrix the tests check the products
+against lives in ``tests/oracles.py``.
 
 A pass writes all its blocks into one buffer of at most about
 ``CHUNK_BYTES`` and builds the left Gram factor for one block's rows at a
@@ -109,22 +107,26 @@ def _distance_blocks(X):
         lo = hi
 
 
-def _sampled_median(X):
-    """Median of the positive squared distances between at most
-    ``_MEDIAN_COLUMNS`` columns of X, or 1.0 when there is none.
+def _median_columns(n):
+    """The index of the columns, of n, that the median-heuristic bandwidth is
+    taken over: all up to ``_MEDIAN_COLUMNS``, else the sorted first
+    ``_MEDIAN_COLUMNS`` positions of the Philox permutation with key 0, the
+    same on every call and without touching the global random state."""
+    if n <= _MEDIAN_COLUMNS:
+        return slice(None)
+    return np.sort(_philox(0).permutation(n)[:_MEDIAN_COLUMNS])
 
-    With more columns than that, the median is taken over the columns at the
-    first ``_MEDIAN_COLUMNS`` positions of a Philox permutation with key 0,
-    kept in column order: the same columns on every call, and the global
-    random state is never touched. Each row's pairs in one
-    ``_distance_blocks`` pass over those columns are copied into one array
-    of at most 523,776 values, and one ``partition`` finds the two middle
-    ranks of the positive ones, which follow the zeros; their mean is the
-    median, as ``np.median`` computes it.
+
+def _sampled_median(X):
+    """Median of the positive squared distances between the columns of X that
+    ``_median_columns`` picks, or 1.0 when there is none.
+
+    Each row's pairs in one ``_distance_blocks`` pass over those columns are
+    copied into one array of at most 523,776 values, and one ``partition``
+    finds the two middle ranks of the positive ones, which follow the zeros;
+    their mean is the median, as ``np.median`` computes it.
     """
-    n = X.shape[1]
-    if n > _MEDIAN_COLUMNS:
-        X = X[:, np.sort(_philox(0).permutation(n)[:_MEDIAN_COLUMNS])]
+    X = X[:, _median_columns(X.shape[1])]
     m = X.shape[1]
     pairs = np.empty(m * (m - 1) // 2)
     end = 0
@@ -145,8 +147,7 @@ def _sampled_median(X):
 
 def _bandwidth(X, sigma):
     """The heat-kernel bandwidth over the columns of X: sigma itself,
-    checked, or when it is None the median of the positive squared
-    distances among at most 1,024 of the columns (see ``_sampled_median``).
+    checked, or when it is None ``_sampled_median(X)``.
 
     Every graph resolves its bandwidth here before its first distance pass,
     so the distances are checked here too: no squared distance exceeds
@@ -196,8 +197,7 @@ def heat_kernel_products(X, sigma):
 def median_heuristic_sigma(X):
     """Median of the pairwise squared distances, excluding zero-distance pairs.
 
-    Taken over every sample when there are at most 1,024, else over a fixed
-    draw of 1,024 of them (see ``_sampled_median``), from the distances the
+    Taken over the samples ``_median_columns`` picks, from the distances the
     fits use (see ``_distance_blocks``). Falls back to 1.0 when every pair
     coincides. Raises TooFewSamplesError below two samples.
     """

@@ -271,6 +271,15 @@ def _save_envi(path, values, interleave, dtype, byte_order):
         )
     code = _ENVI_CODES[key]
     np_dtype = np.dtype(("<" if byte_order == 0 else ">") + _ENVI_DTYPES[code])
+    if np_dtype.kind == "u":
+        # Checked before the payload file is opened, so none is left behind.
+        top = np.iinfo(np_dtype).max
+        for block in _row_blocks(values.shape):
+            outside = np.argwhere((values[block] < 0) | (values[block] > top))
+            if len(outside):
+                r, c, b = outside[0] + (block.start, 0, 0)
+                raise BadRasterError(f"value {values[r, c, b]} at pixel ({r}, {c}) band {b} "
+                                     f"is outside [0, {top}]")
     rows, cols, bands = values.shape
     # The payload in file order, (bands, rows, cols) or (rows, bands, cols),
     # written in blocks of whole slabs of its first axis (a bsq band plane or
@@ -356,7 +365,10 @@ def load_cube(path, fmt):
 
 
 def save_cube(path, cube, fmt, dtype="f8", byte_order=0):
-    """Write a cube. ENVI writes honor dtype (u1/u2/f4/f8) and byte order."""
+    """Write a cube. ENVI writes honor dtype (u1/u2/f4/f8) and byte order.
+    An integer type takes values in [0, 255] (u1) or [0, 65535] (u2),
+    truncating fractions toward zero; the first value outside raises
+    BadRasterError naming its pixel and band, and no file is written."""
     if fmt not in CUBE_FORMATS:
         raise ValueError(f"format must be one of {CUBE_FORMATS}, got '{fmt}'")
     if fmt == "csv_bands":
@@ -438,10 +450,11 @@ def _pixels_inside(cube, coords, what):
 
 def _window_centers(cube, centers, window):
     """centers as a (P, 2) int64 array, checked as window centres: a window
-    that is even or below 1 raises EvenWindowError, then an out-of-bounds
-    centre OutOfBoundsError with ``index`` set to the first such centre."""
-    if window < 1 or window % 2 == 0:
-        raise EvenWindowError(f"window must be odd and >= 1, got {window}")
+    that is no odd integer >= 1 (a bool is none) raises EvenWindowError, then
+    an out-of-bounds centre OutOfBoundsError, ``index`` naming the first."""
+    integer = isinstance(window, (int, np.integer)) and not isinstance(window, bool)
+    if not integer or window < 1 or window % 2 == 0:
+        raise EvenWindowError(f"window must be an odd integer >= 1, got {window!r}")
     return _pixels_inside(cube, centers, "center")
 
 
@@ -509,6 +522,8 @@ def split_train_test(gt, n_train, n_test, seed):
         raise InvalidConfigError(
             f"split sizes must be >= 0, got n_train={n_train}, n_test={n_test}"
         )
+    if gt.n_classes == 0:
+        raise InsufficientSamplesError("the ground truth has no labeled pixel")
     rng = _philox(seed)
     train, test = [], []
     flat = gt.labels.ravel()

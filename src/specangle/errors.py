@@ -89,7 +89,8 @@ class BadSpecError(SpecAngleError):
 
 
 class BadRasterError(SpecAngleError):
-    """A cube or ground-truth raster has an invalid shape or invalid class ids."""
+    """A cube or ground-truth raster has an invalid shape, invalid class ids or
+    a value its data type cannot hold."""
 
 
 class InvalidConfigError(SpecAngleError):

@@ -88,7 +88,8 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"classifier '{self.classifier}' is not one of {', '.join(CLASSIFIERS)}"
             )
-        for name in ("r", "sparsity", "n_train", "n_test", "trials", "seed"):
+        integers = ("r", "window", "sparsity", "n_train", "n_test", "trials", "seed")
+        for name in integers + (() if self.dict_window is None else ("dict_window",)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")

@@ -28,14 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .affinity import _bandwidth, _features_of, heat_kernel_products
-from .data import (
-    SampleSet,
-    _window_centers,
-    _window_pixels,
-    chunk_pixels,
-    pixels_to_sample_set,
-)
+from .affinity import _bandwidth, _features_of, _median_columns, heat_kernel_products
+from .data import SampleSet, _window_centers, _window_pixels, chunk_pixels
 from .errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -226,19 +220,20 @@ def fit_lpp(X, r, sigma=None, ridge=DEFAULT_RIDGE):
     return _pencil_fit(B - A, B, r, ridge, "lpp", sigma, bottom=True)
 
 
-def slspp_context_matrix(cube, pixels, sigma):
-    """Sum over pixels i and window neighbors k of W_ik * z_k x_i^t.
+def slspp_context_matrix(cube, centers, window, sigma):
+    """Sum over the (P, 2) centers i and their window neighbors k of
+    W_ik * z_k x_i^t, W_ik the heat kernel between x_i and z_k (W_ii = 1).
 
-    ``pixels`` holds the windows as ``data._window_pixels`` lays them out,
-    the center x_i first. W_ik is the heat kernel between x_i and the
-    neighbor spectrum z_k, so W_ii = 1. A member for which 4 |z_k|^2 is not
-    finite raises NonFiniteError naming its pixel, as ``_bandwidth`` does
-    for the centers.
+    Each chunk of centers lays out its own windows by ``data._window_pixels``,
+    the center first, so no layout of every window is held. A member, the
+    center included, for which 4 |z_k|^2 is not finite raises NonFiniteError
+    naming its pixel.
     """
+    centers = _window_centers(cube, centers, window)
     M = np.zeros((cube.bands, cube.bands))
-    step = chunk_pixels(pixels.shape[1] * cube.bands)
-    for lo in range(0, len(pixels), step):
-        block = pixels[lo : lo + step]
+    step = chunk_pixels(window * window * cube.bands)
+    for lo in range(0, len(centers), step):
+        block = _window_pixels(cube, centers[lo : lo + step], window)
         # Members outside the image read pixel 0 and are zeroed; a zero z
         # adds nothing.
         rows, cols = np.divmod(np.maximum(block, 0), cube.cols)
@@ -261,36 +256,22 @@ def slspp_context_matrix(cube, pixels, sigma):
 def fit_slspp(cube, coords, r, window=5, sigma=None):
     """Spatial-contextual projection from window neighborhoods.
 
-    Builds the context matrix over all (center, neighbor) pairs, then takes
-    the top-r eigenvectors of its symmetric part, which maximize the trace
-    objective over orthonormal projections. Labels are never consulted.
+    Builds the context matrix over all (center, neighbor) pairs of the
+    (P, 2) center coordinates ``coords``, then takes the top-r eigenvectors
+    of its symmetric part, which maximize the trace objective over
+    orthonormal projections. Labels are never consulted.
 
-    ``coords`` holds the centres: a SampleSet whose ``coords`` they are and
-    whose ``features`` are their spectra in cube, as the training set of the
-    pipeline is, or the (P, 2) coordinates, whose spectra are then gathered
-    from cube. The median-heuristic sigma is taken over those spectra.
+    Window and centers are checked first. The median-heuristic sigma gathers
+    only the center spectra ``affinity._median_columns`` picks; an overflowing
+    center among them fails there, any other in the context pass.
     """
     _check_r(r, cube.bands)
-    samples = coords if isinstance(coords, SampleSet) else None
-    if samples is not None:
-        if samples.coords is None:
-            raise ValueError("fit_slspp needs a SampleSet with coords")
-        if samples.dim != cube.bands:
-            raise DimensionMismatchError(
-                f"cube has {cube.bands} bands, centre spectra have {samples.dim}"
-            )
-        coords = samples.coords
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+    coords = _window_centers(cube, coords, window)
     if len(coords) < 1:
         raise TooFewSamplesError("need at least one center pixel")
-    # Window and centres are checked before the bandwidth's distance pass,
-    # and the window layout is built after it, so the pass never holds it.
-    coords = _window_centers(cube, coords, window)
-    if samples is None:
-        samples = pixels_to_sample_set(cube, coords)
-    sigma = _bandwidth(samples.features, sigma)
-    del samples  # a gathered copy is not held through the context pass
-    M = slspp_context_matrix(cube, _window_pixels(cube, coords, window), sigma)
+    sample = coords[_median_columns(len(coords))]
+    sigma = _bandwidth(cube.values[sample[:, 0], sample[:, 1]].T, sigma)
+    M = slspp_context_matrix(cube, coords, window, sigma)
     w, V = sym_eig_desc(0.5 * (M + M.T))
     return Projection(
         matrix=V[:, :r],
@@ -429,12 +410,11 @@ def project(P, X):
 
 # The projection methods by name, each as the evaluation pipeline fits it:
 # (cube, train, config) -> Projection, where train is the training SampleSet
-# gathered from cube and config carries r, sigma, window and ridge. SLSPP
-# takes train's coords as its centres and train's features as their spectra.
-# Its keys are the one list of method names.
+# gathered from cube (SLSPP takes its coords as the centres) and config
+# carries r, sigma, window and ridge. Its keys are the one list of method names.
 METHODS = {
     "lspp": lambda cube, train, c: fit_lspp(train, c.r, sigma=c.sigma, ridge=c.ridge),
-    "slspp": lambda cube, train, c: fit_slspp(cube, train, c.r, window=c.window, sigma=c.sigma),
+    "slspp": lambda cube, train, c: fit_slspp(cube, train.coords, c.r, c.window, c.sigma),
     "ada": lambda cube, train, c: fit_ada(train, r=c.r, ridge=c.ridge),
     "lada": lambda cube, train, c: fit_lada(train, r=c.r, sigma=c.sigma, ridge=c.ridge),
     "lpp": lambda cube, train, c: fit_lpp(train, c.r, sigma=c.sigma, ridge=c.ridge),

@@ -268,7 +268,9 @@ class TestErrors:
         ("1,-1\n2,1\n", "BadRasterError: labels must be nonnegative"),
         ("1,3\n3,1\n", "BadRasterError: class ids must be contiguous 1..3; missing [2]"),
         (None, "MalformedHeaderError: samples, lines and bands must be positive"),
-    ], ids=["negative-id", "id-gap", "empty-envi"])
+        (("0," * 17 + "0\n") * 18,
+         "InsufficientSamplesError: trial 0: the ground truth has no labeled pixel"),
+    ], ids=["negative-id", "id-gap", "empty-envi", "unlabeled"])
     def test_malformed_scene_file_is_one_line(self, scene_dir, tmp_path, capsys, gt, error):
         if gt is None:
             # An ENVI cube with zero lines and the empty payload that implies.

@@ -226,6 +226,19 @@ class TestChunkedEnvi:
         with pytest.raises(SizeMismatchError, match="5 bytes, header implies 4"):
             load_cube(path, "envi_bsq")
 
+    @pytest.mark.parametrize(
+        "dtype, value", [("u1", 300.0), ("u1", -2.0), ("u1", 255.5), ("u2", 70000.0), ("u2", -0.5)]
+    )
+    def test_integer_write_out_of_range_names_its_pixel(self, tmp_path, chunk_bytes, dtype, value):
+        # The bad value lies in the last row block; nothing is written.
+        vals = np.full(self.SHAPE, 7.25)
+        vals[20, 16, 5] = value
+        top = np.iinfo(dtype).max
+        message = rf"^value {value} at pixel \(20, 16\) band 5 is outside \[0, {top}\]$"
+        with pytest.raises(BadRasterError, match=message):
+            save_cube(tmp_path / "c.bsq", HyperCube(values=vals), "envi_bsq", dtype=dtype)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("row", [0, 22])
     def test_non_finite_in_any_block(self, chunk_bytes, row):
         vals = np.ones(self.SHAPE)
@@ -400,8 +413,9 @@ class TestNeighborhoods:
         assert info.value.index == 1
 
     def test_errors(self, cube):
-        with pytest.raises(EvenWindowError):
-            data._window_pixels(cube, [(0, 0)], 2)
+        for window in (2, 0, True, 3.0):
+            with pytest.raises(EvenWindowError, match="window must be an odd integer >= 1"):
+                data._window_pixels(cube, [(0, 0)], window)
         with pytest.raises(OutOfBoundsError):
             data._window_pixels(cube, [(9, 0)], 3)
 

@@ -163,14 +163,21 @@ class TestWideBlocks:
 
 
 class TestConfigCounts:
-    """Count fields and the seed must be integers; a wrong type raises
-    InvalidConfigError naming the field before any comparison is made."""
+    """Count fields, the windows and the seed must be integers; a wrong type
+    raises InvalidConfigError naming the field before any comparison is made."""
 
-    @pytest.mark.parametrize("name", ["r", "sparsity", "n_train", "n_test", "trials", "seed"])
-    @pytest.mark.parametrize("value", [None, 2.5, "3", True])
+    @pytest.mark.parametrize("name", ["r", "window", "sparsity", "n_train", "n_test", "trials", "seed"])
+    @pytest.mark.parametrize("value", [None, 2.5, 3.0, "3", True])
     def test_a_non_integer_count_names_its_field(self, name, value):
         with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer, got {value!r}$"):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_a_non_integer_dict_window_names_its_field(self, value):
+        # None is no window of its own: the classifier takes ``window``.
+        message = f"^dict_window must be an integer, got {value!r}$"
+        with pytest.raises(InvalidConfigError, match=message):
+            ExperimentConfig(dict_window=value)
 
     def test_numpy_integers_are_counts(self):
         cfg = ExperimentConfig(r=np.int64(4), trials=np.int32(2), seed=np.uint8(200))

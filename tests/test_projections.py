@@ -26,6 +26,7 @@ from specangle.errors import (
     EmptyClassError,
     EvenWindowError,
     MalformedHeaderError,
+    NonFiniteError,
     OutOfBoundsError,
     ReducedDimTooLargeError,
     ReducedDimTooSmallError,
@@ -167,11 +168,6 @@ class TestLpp:
         assert objs[0] == min(objs)
 
 
-def context_matrix(cube, coords, window, sigma):
-    """slspp_context_matrix over the windows of coords, as fit_slspp builds it."""
-    return slspp_context_matrix(cube, data._window_pixels(cube, coords, window), sigma)
-
-
 class TestSlspp:
     def test_constant_cube(self):
         v = np.array([1.0, 3.0, 2.0])
@@ -191,7 +187,7 @@ class TestSlspp:
         rng = np.random.default_rng(50)
         cube = HyperCube(values=rng.standard_normal((3, 3, 4)))
         coords = [(0, 0), (1, 2), (2, 1)]
-        M = context_matrix(cube, coords, 1, 1.0)
+        M = slspp_context_matrix(cube, coords, 1, 1.0)
         expected = np.zeros((4, 4))
         for r, c in coords:
             x = cube.values[r, c]
@@ -202,7 +198,7 @@ class TestSlspp:
         rng = np.random.default_rng(51)
         cube = HyperCube(values=rng.standard_normal((3, 3, 2)))
         # The window of (0, 0): itself, (0, 1), (1, 0), (1, 1), five outside.
-        M = slspp_context_matrix(cube, np.array([[0, 1, 3, 4] + [-1] * 5]), 1.0)
+        M = slspp_context_matrix(cube, [(0, 0)], 3, 1.0)
         brute = slspp_matrix_bruteforce(cube.values, [(0, 0)], 3, 1.0)
         np.testing.assert_allclose(M, brute, atol=1e-12)
 
@@ -211,7 +207,7 @@ class TestSlspp:
         cube = HyperCube(values=rng.standard_normal((5, 6, 3)))
         coords = [(r, c) for r in range(5) for c in range(0, 6, 2)]
         sigma = 0.9
-        M = context_matrix(cube, coords, 3, sigma)
+        M = slspp_context_matrix(cube, coords, 3, sigma)
         brute = slspp_matrix_bruteforce(cube.values, coords, 3, sigma)
         np.testing.assert_allclose(M, brute, atol=1e-10)
 
@@ -232,7 +228,7 @@ class TestSlspp:
         rng = np.random.default_rng(54)
         cube = HyperCube(values=rng.standard_normal((4, 5, 4)))
         coords = [(1, 1), (2, 3), (3, 4)]
-        M = context_matrix(cube, coords, 3, 1.0)
+        M = slspp_context_matrix(cube, coords, 3, 1.0)
         sym = 0.5 * (M + M.T)
         for _ in range(20):
             P = np.linalg.qr(rng.standard_normal((4, 2)))[0]
@@ -247,7 +243,7 @@ class TestSlspp:
         cube = HyperCube(values=rng.standard_normal((6, 7, 4)))
         coords = [(r, c) for r in range(5) for c in range(0, 7, 2)]
         monkeypatch.setattr(data, "CHUNK_BYTES", 3 * 8 * 25 * 4)
-        M = context_matrix(cube, coords, 5, 1.3)
+        M = slspp_context_matrix(cube, coords, 5, 1.3)
         brute = slspp_matrix_bruteforce(cube.values, coords, 5, 1.3)
         np.testing.assert_allclose(M, brute, rtol=1e-12, atol=1e-12 * np.abs(brute).max())
 
@@ -257,40 +253,20 @@ class TestSlspp:
             ([[100, 100], [1, 1]], 3, OutOfBoundsError),
             ([[1, 1], [-1, 2]], 3, OutOfBoundsError),
             ([[1, 1], [2, 2]], 2, EvenWindowError),
+            ([[1, 1], [2, 2]], True, EvenWindowError),
+            ([[1, 1], [2, 2]], 3.0, EvenWindowError),
         ],
-        ids=["past-edge", "negative", "even-window"],
+        ids=["past-edge", "negative", "even-window", "bool-window", "float-window"],
     )
     def test_bad_centres_and_window_fail_before_the_bandwidth(
         self, monkeypatch, coords, window, error
     ):
-        # As coordinates, and as a SampleSet holding them with their spectra.
         calls = []
         monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
         cube = HyperCube(values=np.ones((5, 5, 3)))
-        for centres in (coords, SampleSet(features=np.ones((3, len(coords))), coords=coords)):
-            with pytest.raises(error) as info:
-                fit_slspp(cube, centres, 2, window=window)
-            assert isinstance(info.value, SpecAngleError)
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "samples, error, message",
-        [
-            (SampleSet(features=np.ones((3, 2))), ValueError, "needs a SampleSet with coords"),
-            (
-                SampleSet(features=np.ones((4, 2)), coords=[[1, 1], [2, 2]]),
-                DimensionMismatchError,
-                "cube has 3 bands, centre spectra have 4",
-            ),
-        ],
-        ids=["no-coords", "other-bands"],
-    )
-    def test_sample_set_must_hold_centres_in_the_cube(self, monkeypatch, samples, error, message):
-        calls = []
-        monkeypatch.setattr(affinity, "_distance_blocks", lambda X: calls.append(X) or iter(()))
-        cube = HyperCube(values=np.ones((5, 5, 3)))
-        with pytest.raises(error, match=message):
-            fit_slspp(cube, samples, 2, window=3)
+        with pytest.raises(error) as info:
+            fit_slspp(cube, coords, 2, window=window)
+        assert isinstance(info.value, SpecAngleError)
         assert calls == []
 
     @pytest.mark.parametrize("sigma", [None, 0.05], ids=["median", "explicit"])
@@ -321,6 +297,45 @@ class TestSlspp:
             config = ExperimentConfig(method=method, r=3, window=5)
             peaks[method] = traced_peak(METHODS[method], cube, train, config)[1]
         assert peaks["slspp"] <= peaks["lspp"] + train.features.nbytes // 10
+
+    def test_context_pass_holds_no_whole_layout(self, monkeypatch):
+        # 3,600 centres at window 5 lay out 0.72 MB of window pixels. A
+        # 16 KiB budget takes the context pass 20 centres at a time, and the
+        # fit holds less than that one layout.
+        cube, _ = synth_scene(60, 60, 4, 2, seed=23)
+        coords = np.argwhere(np.ones((60, 60), dtype=bool))
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 14)
+        _, peak = traced_peak(fit_slspp, cube, coords, 2, window=5, sigma=0.5)
+        assert peak < len(coords) * 25 * 8
+
+    def test_median_of_more_than_1024_centres(self):
+        # Only the sampled centres' spectra are gathered; sigma is the median
+        # over them that median_heuristic_sigma takes of every centre.
+        cube, gt = synth_scene(40, 30, 6, 3, seed=24)
+        coords = np.argwhere(gt.labels > 0)
+        assert len(coords) > 1024
+        proj = fit_slspp(cube, coords, 2, window=3)
+        expected = median_heuristic_sigma(pixels_to_sample_set(cube, coords))
+        assert proj.fit_params["sigma"] == expected
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["in-sample", "outside-sample"])
+    def test_overflowing_centre_of_more_than_1024(self, sampled):
+        # A centre in the median's sample fails the bandwidth's check; one
+        # outside it fails the context pass, which names the pixel and the
+        # first window it is a member of.
+        cube, gt = synth_scene(40, 30, 6, 3, seed=24)
+        coords = np.argwhere(gt.labels > 0)
+        picked = np.zeros(len(coords), dtype=bool)
+        picked[affinity._median_columns(len(coords))] = True
+        r, c = coords[np.flatnonzero(picked == sampled)[0]]
+        values = cube.values.copy()
+        values[r, c] *= 1e160
+        if sampled:
+            message = "squared distances between samples overflow"
+        else:
+            message = rf"pixel \({r}, {c}\) in the window of center "
+        with pytest.raises(NonFiniteError, match=message):
+            fit_slspp(HyperCube(values=values), coords, 2, window=3)
 
     def test_one_centre_default_sigma(self):
         # One centre has no pair to take a median of: sigma falls back to 1.
