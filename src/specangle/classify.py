@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SampleSet
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, NonFiniteError, ZeroVectorError
 from .pursuit import class_residuals
 
 __all__ = [
@@ -61,22 +61,27 @@ def training_norms(train):
 def _nearest(train, norms, X):
     """Cosines (P, n) of the columns of X (d, P) against the training spectra,
     and per column the index of the nearest one: the largest cosine, the
-    lowest training index on ties."""
-    x_norms = np.linalg.norm(X, axis=0)
+    lowest training index on ties. A zero or overflowing column raises
+    ZeroVectorError or NonFiniteError, ``index`` naming the first one."""
+    with np.errstate(all="ignore"):
+        x_norms = np.linalg.norm(X, axis=0)
+        cosines = (X.T @ train.features) / (norms * x_norms[:, None])
     zero = x_norms == 0.0
-    if np.any(zero):
-        exc = ZeroVectorError("cosine distance is undefined for zero vectors")
-        exc.index = int(np.argmax(zero))
+    bad = zero | ~np.isfinite(x_norms) | ~np.isfinite(cosines).all(axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        exc = (ZeroVectorError("cosine distance is undefined for zero vectors") if zero[i]
+               else NonFiniteError("the scale of the spectrum overflows its cosines"))
+        exc.index = i
         raise exc
-    cosines = (X.T @ train.features) / (norms * x_norms[:, None])
     return cosines, np.argmax(cosines, axis=1)
 
 
 def nn_cosine_labels(train, norms, X):
     """Nearest-neighbor labels of the columns of X (d, P) under cosine similarity.
 
-    ``norms`` is training_norms(train). A zero column raises ZeroVectorError
-    with ``index`` set to the first one.
+    ``norms`` is training_norms(train). A zero column raises ZeroVectorError,
+    one that overflows NonFiniteError, ``index`` naming the first failing one.
     """
     return train.labels[_nearest(train, norms, X)[1]]
 

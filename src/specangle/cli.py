@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    _check_labeled,
     l2_normalize_pixels,
     load_cube,
     load_ground_truth,
@@ -175,6 +176,7 @@ def _train_pixels(args):
     cube, gt = _load_data(args)
     work = l2_normalize_pixels(cube) if args.normalize else cube
     if args.n_train is None:
+        _check_labeled(gt)
         coords = np.argwhere(gt.labels > 0)
     else:
         coords, _ = split_train_test(gt, args.n_train, 0, args.seed)
@@ -253,7 +255,7 @@ def _cmd_sweep(args):
     values = {name: getattr(args, name) for name in SWEEP_AXES}
     axes = {name: v for name, v in values.items() if len(v) > 1}
     config = _config_from_args(args, **{name: v[0] for name, v in values.items()})
-    reports = sweep(cube, gt, config, axes) if axes else [run_experiment(cube, gt, config)]
+    reports = sweep(cube, gt, config, axes)
     payload = "[\n" + ",\n".join(r.to_json().rstrip("\n") for r in reports) + "\n]\n"
     Path(args.out).write_text(payload, encoding="utf-8")
     print(accuracy_table(reports), end="")

@@ -509,6 +509,12 @@ def _philox(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _check_labeled(gt):
+    """Raise InsufficientSamplesError if gt has no labeled pixel."""
+    if gt.n_classes == 0:
+        raise InsufficientSamplesError("the ground truth has no labeled pixel")
+
+
 def split_train_test(gt, n_train, n_test, seed):
     """Disjoint per-class random subsamples of the labeled pixels.
 
@@ -522,8 +528,7 @@ def split_train_test(gt, n_train, n_test, seed):
         raise InvalidConfigError(
             f"split sizes must be >= 0, got n_train={n_train}, n_test={n_test}"
         )
-    if gt.n_classes == 0:
-        raise InsufficientSamplesError("the ground truth has no labeled pixel")
+    _check_labeled(gt)
     rng = _philox(seed)
     train, test = [], []
     flat = gt.labels.ravel()

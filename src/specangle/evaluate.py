@@ -150,21 +150,16 @@ class AccuracyReport:
     def to_json(self):
         """Canonical JSON: sorted keys, floats rounded to 12 decimals."""
         payload = {
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": {
+                k: round(float(v), 12) if isinstance(v, (np.floating, float)) else v
+                for k, v in self.params.items()
+            },
             "confusion_matrices": self.confusions.tolist(),
             "per_class_accuracy": [round(float(a), 12) for a in self.per_class_accuracy],
             "per_trial_accuracy": [round(float(a), 12) for a in self.per_trial_accuracy],
             "overall_accuracy": round(self.overall_accuracy, 12),
         }
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        return round(float(v), 12)
-    return v
 
 
 def fit_projection(work_cube, train, config):
@@ -193,7 +188,7 @@ def _projected(proj, cube, pixels):
     rows, cols = np.divmod(pixels, cube.cols)
     Z = np.empty((len(pixels), proj.r))
     step = chunk_pixels(cube.bands)
-    # A row that overflows to Inf is named as a pixel by the pursuit's
+    # A row that overflows to Inf is named as a pixel by the classifier's
     # finiteness check, so numpy's own warning would only precede that error.
     with np.errstate(over="ignore"):
         for lo in range(0, len(pixels), step):
@@ -234,7 +229,7 @@ def fit_pipeline(work_cube, train, config):
         cls_window = 1
 
         def label(coords):
-            X = work_cube.values[coords[:, 0], coords[:, 1]] @ proj.matrix
+            X = _projected(proj, work_cube, coords[:, 0] * work_cube.cols + coords[:, 1])
             return nn_cosine_labels(train_proj, norms, X.T)
 
     else:
@@ -303,16 +298,16 @@ def run_experiment(cube, gt, config):
     """Run the repeated random-subsampling protocol for one pipeline.
 
     Returns an AccuracyReport with one confusion matrix per trial. Any error
-    inside a trial aborts the experiment, annotated with the trial index.
+    aborts the experiment, and one after the split names its trial.
     """
     c = gt.n_classes
     work_cube = l2_normalize_pixels(cube) if config.normalize else cube
     confusions = np.zeros((config.trials, c, c), dtype=np.int64)
     for trial in range(config.trials):
+        train_coords, test_coords = split_train_test(
+            gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
+        )
         try:
-            train_coords, test_coords = split_train_test(
-                gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
-            )
             train = pixels_to_sample_set(work_cube, train_coords, gt)
             _, predict = fit_pipeline(work_cube, train, config)
             true = gt.labels[test_coords[:, 0], test_coords[:, 1]]
@@ -395,7 +390,7 @@ def sphere_coords_csv(rows):
     return "\n".join(out) + "\n"
 
 
-def accuracy_table(reports, class_names=None):
+def accuracy_table(reports):
     """Aligned text table of class-specific and overall accuracies (percent).
 
     One column per report, mirroring the class-specific accuracy tables of
@@ -404,14 +399,11 @@ def accuracy_table(reports, class_names=None):
     if not reports:
         raise ValueError("need at least one report")
     c = reports[0].n_classes
-    if class_names is None:
-        class_names = [f"Class {i}" for i in range(1, c + 1)]
     headers = ["Class / Pipeline"] + [r.pipeline_label() for r in reports]
-    body = []
-    for i in range(c):
-        body.append(
-            [class_names[i]] + [f"{100 * r.per_class_accuracy[i]:.1f}" for r in reports]
-        )
+    body = [
+        [f"Class {i + 1}"] + [f"{100 * r.per_class_accuracy[i]:.1f}" for r in reports]
+        for i in range(c)
+    ]
     body.append(
         ["Overall Accuracy"] + [f"{100 * r.overall_accuracy:.1f}" for r in reports]
     )

@@ -12,10 +12,10 @@ Five fits share one Projection type:
 
 LSPP, ADA, LADA and LPP are one generalized eigenproblem and take one solve
 path, ``_pencil_fit``, the one caller of ``gen_eig_desc``. The graph fits
-hand it their symmetrized pencils, since LPP's X(D-W)X^t is formed from
-them. The discriminants hand over their scatter matrices unsymmetrized, for
-``gen_eig_desc`` to check and symmetrize, except ADA's between-class matrix
-(see ``fit_ada``).
+hand it symmetric pencils, since LPP's X(D-W)X^t is formed from them; only
+XDX^t needs symmetrizing. The discriminants hand over their scatter
+matrices unsymmetrized, for ``gen_eig_desc`` to check and symmetrize,
+except ADA's between-class matrix (see ``fit_ada``).
 
 Columns of every returned projection are ordered most significant first and
 ``eigenvalues`` is descending. For ``fit_lpp``, whose natural problem is a
@@ -178,7 +178,7 @@ def _graph_pencil(X, r, sigma):
     sigma = _bandwidth(F, sigma)
     A, degrees = heat_kernel_products(F, sigma)
     B = (F * degrees) @ F.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T), sigma
+    return A, 0.5 * (B + B.T), sigma
 
 
 def _pencil_fit(A, B, r, ridge, method, sigma=None, bottom=False):

@@ -29,11 +29,11 @@ the stacked dictionary, so every support of L blocks is L slots of the same
 width. The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
 every support, however many of its atoms are collinear. pinv(A_I) depends on
 the dictionary and the ordered support, not on the pixel. Pixels choose few
-distinct supports, so each one is factored once per dictionary, padded to the
-slot layout with zero rows and kept in its cache for every later pixel and
-chunk that selects it: the supports an iteration misses are factored with one
-stacked pseudo-inverse per support width. Each iteration then refits every
-pixel with one stacked product. The cache is cleared before its pseudo-inverses
+distinct supports, so each one is factored once per dictionary and kept in
+its cache for every later pixel and chunk that selects it: the supports an
+iteration misses, of any block widths, are factored with one stacked
+pseudo-inverse in the slot layout. Each iteration then refits every pixel
+with one stacked product. The cache is cleared before its pseudo-inverses
 would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
 iterations, or early when its residual is numerically zero or every remaining
 score is zero. A pixel that has stopped keeps its support and coefficients.
@@ -237,10 +237,11 @@ def _refits(dictionary, supports):
     row of atom j of the block in support slot k, and the rows past that
     block's width are zero, so a test block S refits to pinv @ S in the
     coefficient layout of ``_pursue``. The entries depend on the dictionary
-    and the ordered support only, so they are kept in the dictionary's cache;
-    the missing ones are factored with one stacked pseudo-inverse per
-    support width. The cache is cleared when its bytes would pass
-    ``data.CHUNK_BYTES``.
+    and the ordered support only, so they are kept in the dictionary's cache,
+    cleared when its bytes would pass ``data.CHUNK_BYTES``. The missing ones
+    are factored by one stacked ``_pinv`` of their ``_slots`` atoms; a -1
+    slot reads the zero atom, whose column counts in the max(d, L * width) *
+    eps cutoff, and whose rows, rounding noise, are set to zero.
     """
     cache = dictionary._refits
     keys = [tuple(row) for row in supports.tolist()]
@@ -249,25 +250,18 @@ def _refits(dictionary, supports):
     if not miss.size:
         return np.stack(refits)
     atoms = dictionary._slots[supports[miss]].reshape(len(miss), -1)
-    real = atoms >= 0
-    widths = real.sum(axis=1)
-    used = sum(pinv.nbytes for pinv in cache.values())
-    for m in np.unique(widths):
-        group = np.flatnonzero(widths == m)
-        pos = np.nonzero(real[group])[1].reshape(-1, m)
-        A = dictionary._stacked[:, atoms[group[:, None], pos]].transpose(1, 0, 2)
-        pinv = _pinv(A)
-        padded = np.zeros((len(A), atoms.shape[1], dictionary.dim))
-        padded[np.arange(len(A))[:, None], pos] = pinv
-        size = padded[0].nbytes
-        for i, entry in zip(miss[group], padded):
-            refits[i] = entry
-            if used + size > data.CHUNK_BYTES:
-                cache.clear()
-                used = 0
-            if size <= data.CHUNK_BYTES:
-                cache[keys[i]] = entry
-                used += size
+    pinv = _pinv(dictionary._stacked[:, atoms].transpose(1, 0, 2))
+    pinv[atoms < 0] = 0.0
+    used = sum(entry.nbytes for entry in cache.values())
+    size = pinv[0].nbytes
+    for i, entry in zip(miss, pinv):
+        refits[i] = entry
+        if used + size > data.CHUNK_BYTES:
+            cache.clear()
+            used = 0
+        if size <= data.CHUNK_BYTES:
+            cache[keys[i]] = entry
+            used += size
     return np.stack(refits)
 
 

@@ -269,7 +269,7 @@ class TestErrors:
         ("1,3\n3,1\n", "BadRasterError: class ids must be contiguous 1..3; missing [2]"),
         (None, "MalformedHeaderError: samples, lines and bands must be positive"),
         (("0," * 17 + "0\n") * 18,
-         "InsufficientSamplesError: trial 0: the ground truth has no labeled pixel"),
+         "InsufficientSamplesError: the ground truth has no labeled pixel"),
     ], ids=["negative-id", "id-gap", "empty-envi", "unlabeled"])
     def test_malformed_scene_file_is_one_line(self, scene_dir, tmp_path, capsys, gt, error):
         if gt is None:
@@ -288,6 +288,18 @@ class TestErrors:
         assert err.startswith(f"error: {error}")
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+    def test_fit_on_all_pixels_of_an_unlabeled_scene_is_one_line(self, scene_dir, tmp_path, capsys):
+        # Without --n-train, fit takes every labeled pixel, and fails as a
+        # split of the same ground truth does.
+        (tmp_path / "gt.csv").write_text(("0," * 17 + "0\n") * 18)
+        rc = main([
+            "fit", "--cube", str(scene_dir / "cube.csv"), "--gt", str(tmp_path / "gt.csv"),
+            "--out", str(tmp_path / "proj.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: InsufficientSamplesError: the ground truth has no labeled pixel\n"
 
     def test_overflowing_distances_are_one_line(self, scene_dir, tmp_path, capsys):
         cube = load_cube(scene_dir / "cube.csv", "csv_bands")

@@ -119,9 +119,25 @@ class TestRunExperiment:
             report.to_json()
 
     def test_trial_failure_has_context(self, scene):
+        # A zero spectrum that only trial 1 reads fails that trial alone.
+        cube, gt = scene
+        cfg = ExperimentConfig(n_train=5, n_test=20, trials=2, seed=6)
+        splits = [
+            split_train_test(gt, 5, 20, evaluate._split_seed(6, trial)) for trial in (0, 1)
+        ]
+        seen = {tuple(rc) for rc in np.concatenate(splits[0])}
+        r, c = next(rc for rc in splits[1][0].tolist() if tuple(rc) not in seen)
+        values = cube.values.copy()
+        values[r, c] = 0.0
+        with pytest.raises(ZeroVectorError) as info:
+            run_experiment(HyperCube(values=values), gt, cfg)
+        assert str(info.value).startswith(f"trial 1: training pixel ({r}, {c}): ")
+
+    def test_split_failure_has_no_trial_context(self, scene):
+        # A split's errors do not depend on the trial's seed.
         cube, gt = scene
         cfg = ExperimentConfig(n_train=500, n_test=500, trials=2, seed=6)
-        with pytest.raises(InsufficientSamplesError, match="trial 0"):
+        with pytest.raises(InsufficientSamplesError, match=r"^class 1 has \d+ labeled pixels"):
             run_experiment(cube, gt, cfg)
 
     def test_normalize_flag_changes_nothing_for_cosine(self, clean_scene):

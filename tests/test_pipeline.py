@@ -29,7 +29,7 @@ from specangle.data import (
     split_train_test,
     synth_scene,
 )
-from specangle.errors import OutOfBoundsError, SpecAngleError, ZeroVectorError
+from specangle.errors import NonFiniteError, OutOfBoundsError, SpecAngleError, ZeroVectorError
 from specangle.evaluate import (
     CLASSIFIERS,
     ExperimentConfig,
@@ -402,6 +402,23 @@ def test_zero_test_spectrum_names_that_pixel(wide_scene):
     predict(coords[:25])
     with pytest.raises(ZeroVectorError, match=rf"^pixel \({r}, {c}\): cosine distance is undefined"):
         predict(coords)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_test_spectrum_names_that_pixel():
+    # Scaled by 1e160, a spectrum's squared norm overflows to Inf, which
+    # would turn every cosine to 0 and label the pixel as training sample 0.
+    cube, gt = synth_scene(18, 18, 12, 3, seed=11)
+    train_coords, _ = split_train_test(gt, 5, 0, 3)
+    values = cube.values.copy()
+    values[[2, 6], [6, 6]] *= 1e160
+    scaled = HyperCube(values=values)
+    _, predict = fit_pipeline(
+        scaled, pixels_to_sample_set(scaled, train_coords, gt), config("lspp", "nn-cos")
+    )
+    np.testing.assert_array_equal(predict([(2, 14)]), [2])
+    with pytest.raises(NonFiniteError, match=r"^pixel \(2, 6\): "):
+        predict([(2, 6), (6, 6), (2, 14)])
 
 
 class TestPredictMemory:

@@ -285,11 +285,12 @@ class TestSlspp:
         assert written.split(b"\n")[0].split()[3] != b"-"
 
     def test_peak_memory_level_with_lspp(self):
-        # Through METHODS the fit reads the training set's features and
-        # builds its window layout after the bandwidth's distance pass, so
-        # it peaks where LSPP on the same sample does: no second copy of the
-        # 1,600 x 40 centre spectra (0.49 MiB) and no (1,600, 25) layout is
-        # held through the pass. Allowance: a tenth of one copy.
+        # Through METHODS the fit gathers only the centre spectra of the
+        # median's sample for the bandwidth, and its context pass lays out
+        # the windows of one chunk of centres at a time, so it peaks where
+        # LSPP on the same sample does: no second copy of the 1,600 x 40
+        # centre spectra (0.49 MiB) and no whole (1,600, 25) layout is ever
+        # held. Allowance: a tenth of one copy.
         cube, gt = synth_scene(40, 40, 40, 4, seed=22)
         train = pixels_to_sample_set(cube, np.argwhere(gt.labels > 0), gt)
         peaks = {}

@@ -464,3 +464,37 @@ class TestSharedColumns:
         with pytest.raises(SpecAngleError) as info:
             class_residuals(d, rng.standard_normal((4, 12)), 1, members)
         assert info.value.index is None
+
+
+class TestRefits:
+    """The supports one ``_refits`` call misses are factored together."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls, pinv = [], pursuit._pinv
+
+        def count(A):
+            calls.append(len(A))
+            return pinv(A)
+
+        monkeypatch.setattr(pursuit, "_pinv", count)
+        return calls
+
+    def test_mixed_widths_take_one_pinv(self, monkeypatch):
+        rng = np.random.default_rng(114)
+        blocks = [rng.standard_normal((12, m)) for m in (3, 1, 2, 3, 2)]
+        d = BlockDictionary(blocks=tuple(blocks), classes=np.array([1, 1, 2, 2, 3]))
+        calls = self.counted(monkeypatch)
+        supports = np.array([[0, 1], [1, 2], [4, 2], [3, 0], [1, 4]])
+        refits = pursuit._refits(d, supports)
+        assert calls == [len(supports)]
+        for entry, support in zip(refits, supports):
+            rows = pursuit._slot_rows(d, support)
+            assert np.all(np.delete(entry, rows, axis=0) == 0.0)
+            expected = np.linalg.pinv(np.hstack([blocks[j] for j in support]))
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(entry[rows], expected, rtol=1e-12, atol=1e-12 * scale)
+        # A second call factors only its one new support, and reads the rest.
+        again = pursuit._refits(d, np.vstack([supports[[2, 0]], [[2, 1]]]))
+        assert calls == [len(supports), 1]
+        np.testing.assert_array_equal(again[:2], refits[[2, 0]])
