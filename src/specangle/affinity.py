@@ -122,9 +122,10 @@ def _sampled_median(X):
     ``_median_columns`` picks, or 1.0 when there is none.
 
     Each row's pairs in one ``_distance_blocks`` pass over those columns are
-    copied into one array of at most 523,776 values, and one ``partition``
-    finds the two middle ranks of the positive ones, which follow the zeros;
-    their mean is the median, as ``np.median`` computes it.
+    copied into one array of at most 523,776 values. The positive ones follow
+    the zeros, and one partition at the lower middle rank of the positive
+    ones finds the median: that value for an odd count, else its mean with
+    the least value above it, the two middle values ``np.median`` averages.
     """
     X = X[:, _median_columns(X.shape[1])]
     m = X.shape[1]
@@ -139,10 +140,11 @@ def _sampled_median(X):
     positive = np.count_nonzero(pairs)
     if positive == 0:
         return 1.0
-    zeros = pairs.size - positive
-    ranks = [zeros + (positive - 1) // 2, zeros + positive // 2]
-    pairs.partition(ranks)
-    return float((pairs[ranks[0]] + pairs[ranks[1]]) / 2)
+    k = pairs.size - positive + (positive - 1) // 2
+    pairs.partition(k)
+    if positive % 2:
+        return float(pairs[k])
+    return float((pairs[k] + pairs[k + 1 :].min()) / 2)
 
 
 def _bandwidth(X, sigma):

@@ -515,6 +515,35 @@ def _check_labeled(gt):
         raise InsufficientSamplesError("the ground truth has no labeled pixel")
 
 
+def _class_pixels(gt):
+    """The flat indices of each class's labeled pixels, class 1 first, each
+    in row-major order: one stable argsort of the label raster, where a scan
+    per class would read the whole raster once per class. Raises
+    InsufficientSamplesError if gt has no labeled pixel."""
+    _check_labeled(gt)
+    flat = gt.labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(np.bincount(flat, minlength=gt.n_classes + 1))
+    return np.split(order, ends[:-1])[1:]
+
+
+def _draw_split(groups, cols, n_train, n_test, seed):
+    """The split of ``split_train_test`` from the per-class pixels ``groups``
+    of ``_class_pixels``, on a raster ``cols`` pixels wide."""
+    rng = _philox(seed)
+    train, test = [], []
+    for cls, pixels in enumerate(groups, 1):
+        if len(pixels) < n_train + n_test:
+            raise InsufficientSamplesError(
+                f"class {cls} has {len(pixels)} labeled pixels, "
+                f"needs {n_train + n_test}"
+            )
+        perm = rng.permutation(len(pixels))
+        train.append(pixels[perm[:n_train]])
+        test.append(pixels[perm[n_train:n_train + n_test]])
+    return tuple(np.stack(np.divmod(np.concatenate(part), cols), axis=1) for part in (train, test))
+
+
 def split_train_test(gt, n_train, n_test, seed):
     """Disjoint per-class random subsamples of the labeled pixels.
 
@@ -528,22 +557,7 @@ def split_train_test(gt, n_train, n_test, seed):
         raise InvalidConfigError(
             f"split sizes must be >= 0, got n_train={n_train}, n_test={n_test}"
         )
-    _check_labeled(gt)
-    rng = _philox(seed)
-    train, test = [], []
-    flat = gt.labels.ravel()
-    for cls in range(1, gt.n_classes + 1):
-        pixels = np.flatnonzero(flat == cls)
-        if len(pixels) < n_train + n_test:
-            raise InsufficientSamplesError(
-                f"class {cls} has {len(pixels)} labeled pixels, "
-                f"needs {n_train + n_test}"
-            )
-        perm = rng.permutation(len(pixels))
-        train.append(pixels[perm[:n_train]])
-        test.append(pixels[perm[n_train:n_train + n_test]])
-    cols = gt.labels.shape[1]
-    return tuple(np.stack(np.divmod(np.concatenate(part), cols), axis=1) for part in (train, test))
+    return _draw_split(_class_pixels(gt), gt.labels.shape[1], n_train, n_test, seed)
 
 
 def class_signatures(bands, classes):

@@ -18,12 +18,13 @@ import numpy as np
 from .affinity import _check_sigma
 from .classify import nn_cosine_labels, sbomp_labels, training_norms
 from .data import (
+    _class_pixels,
+    _draw_split,
     _window_centers,
     _window_pixels,
     chunk_pixels,
     l2_normalize_pixels,
     pixels_to_sample_set,
-    split_train_test,
 )
 from .errors import (
     InvalidConfigError,
@@ -303,9 +304,12 @@ def run_experiment(cube, gt, config):
     c = gt.n_classes
     work_cube = l2_normalize_pixels(cube) if config.normalize else cube
     confusions = np.zeros((config.trials, c, c), dtype=np.int64)
+    # One grouping of the labeled pixels serves every trial's split.
+    groups = _class_pixels(gt)
     for trial in range(config.trials):
-        train_coords, test_coords = split_train_test(
-            gt, config.n_train, config.n_test, _split_seed(config.seed, trial)
+        train_coords, test_coords = _draw_split(
+            groups, gt.labels.shape[1], config.n_train, config.n_test,
+            _split_seed(config.seed, trial),
         )
         try:
             train = pixels_to_sample_set(work_cube, train_coords, gt)

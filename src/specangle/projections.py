@@ -112,8 +112,9 @@ class Projection:
             return "-" if v is None else f"{v:.17g}"
 
         out = [f"{self.method} {self.dim} {self.r} {tok('sigma')} {tok('window')} {tok('ridge')}"]
-        out.extend(" ".join(f"{v:.17g}" for v in row) for row in self.matrix)
-        out.append(" ".join(f"{v:.17g}" for v in self.eigenvalues))
+        # Python floats format faster than numpy scalars, to the same text.
+        out.extend(" ".join(f"{v:.17g}" for v in row) for row in self.matrix.tolist())
+        out.append(" ".join(f"{v:.17g}" for v in self.eigenvalues.tolist()))
         Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
     @classmethod
@@ -340,9 +341,15 @@ def fit_ada(X, r=None, ridge=DEFAULT_RIDGE):
 
     Solves the generalized problem (sym between, sym within + ridge), the
     standard surrogate for the trace-ratio objective; r defaults to
-    min(d, c - 1).
+    min(d, c - 1). A training spectrum x with 4 |x|^2 not finite raises
+    NonFiniteError, naming the first such pixel when X has coords.
     """
     features, labels, r = _labeled_features(X, r)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(4.0 * np.einsum("ij,ij->j", features, features)))
+    if bad.size:
+        where = "" if X.coords is None else "pixel ({}, {}): ".format(*X.coords[bad[0]])
+        raise NonFiniteError(f"{where}training spectra overflow")
     within, between = ada_scatter(features, labels)
     # between is n mu mu^t summed over the classes. Where mu is near 0, as
     # for mean-centred features, its rounding noise is far from symmetric

@@ -179,6 +179,25 @@ class TestStreamedMedian:
         d2 = np.sort(pdist(F.T, "sqeuclidean"))
         assert median_heuristic_sigma(F) == numpy_median(d2) == 29.0
 
+    def test_odd_count_after_zero_pairs(self, blocks):
+        # {0, 1, 1, 4, 9, 9}: one zero pair, then five positive ones, whose
+        # middle rank is one value.
+        F = np.array([[0.0, 0.0, 1.0, 3.0]])
+        d2 = pdist(F.T, "sqeuclidean")
+        assert np.count_nonzero(d2 == 0.0) == 1
+        assert median_heuristic_sigma(F) == numpy_median(d2) == 4.0
+
+    def test_even_count_with_tied_middle_values(self, blocks):
+        # {1 x4, 4 x3, 9 x2, 16}: the fifth and sixth values are both 4.
+        F = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
+        assert median_heuristic_sigma(F) == numpy_median(pdist(F.T, "sqeuclidean")) == 4.0
+
+    def test_two_positive_pairs(self, blocks):
+        F = np.array([[0.0, 0.0, 3.0], [1.0, 1.0, -1.0]])
+        d2 = pdist(F.T, "sqeuclidean")
+        assert np.count_nonzero(d2) == 2
+        assert median_heuristic_sigma(F) == numpy_median(d2) == 13.0
+
     def test_duplicate_columns_are_excluded(self, blocks):
         F = self.integers(3, 12, 31)
         F[:, 8:] = F[:, :4]

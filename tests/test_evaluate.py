@@ -140,6 +140,40 @@ class TestRunExperiment:
         with pytest.raises(InsufficientSamplesError, match=r"^class 1 has \d+ labeled pixels"):
             run_experiment(cube, gt, cfg)
 
+    def test_grouped_splits_equal_split_train_test(self, monkeypatch):
+        # Unlabelled pixels and classes of unequal size: every trial draws
+        # from the one grouping what split_train_test draws with its seed.
+        cube, gt = synth_scene(16, 16, 8, 3, seed=2)
+        labels = gt.labels.copy()
+        labels[np.random.default_rng(2).random(labels.shape) < 0.3] = 0
+        labels[8:][labels[8:] == 3] = 0
+        gt = data.GroundTruth(labels=labels)
+        assert len(set(np.bincount(labels.ravel())[1:])) == 3
+        drawn = []
+
+        def recording_pipeline(work_cube, train, config):
+            def predict(coords):
+                drawn.append((train.coords, coords))
+                return gt.labels[coords[:, 0], coords[:, 1]]
+
+            return None, predict
+
+        monkeypatch.setattr(evaluate, "fit_pipeline", recording_pipeline)
+        cfg = ExperimentConfig(n_train=4, n_test=6, trials=5, seed=8)
+        run_experiment(cube, gt, cfg)
+        assert len(drawn) == cfg.trials
+        for trial, got in enumerate(drawn):
+            want = split_train_test(gt, 4, 6, evaluate._split_seed(8, trial))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        small = int(np.bincount(labels.ravel())[3])
+        cfg = ExperimentConfig(n_train=small - 5, n_test=6, trials=2, seed=8)
+        with pytest.raises(InsufficientSamplesError, match="^class 3 has") as direct:
+            split_train_test(gt, cfg.n_train, cfg.n_test, 0)
+        with pytest.raises(InsufficientSamplesError) as grouped:
+            run_experiment(cube, gt, cfg)
+        assert str(grouped.value) == str(direct.value)
+
     def test_normalize_flag_changes_nothing_for_cosine(self, clean_scene):
         # cosine NN is scale invariant, so normalization must not alter labels
         cube, gt = clean_scene
@@ -353,13 +387,13 @@ class TestSweep:
     def test_splits_paired_across_combinations(self, scene, monkeypatch):
         cube, gt = scene
         seeds_seen = []
-        real_split = evaluate.split_train_test
+        real_draw = evaluate._draw_split
 
-        def recording_split(gt_arg, n_train, n_test, seed):
+        def recording_draw(groups, cols, n_train, n_test, seed):
             seeds_seen.append(seed)
-            return real_split(gt_arg, n_train, n_test, seed)
+            return real_draw(groups, cols, n_train, n_test, seed)
 
-        monkeypatch.setattr(evaluate, "split_train_test", recording_split)
+        monkeypatch.setattr(evaluate, "_draw_split", recording_draw)
         cfg = ExperimentConfig(n_train=5, n_test=10, trials=3, seed=10)
         sweep(cube, gt, cfg, {"sparsity": [1, 2, 3]})
         assert len(seeds_seen) == 9

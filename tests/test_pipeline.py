@@ -421,6 +421,22 @@ def test_overflowing_test_spectrum_names_that_pixel():
         predict([(2, 6), (6, 6), (2, 14)])
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_ada_training_spectrum_names_that_pixel():
+    # Scaled by 1e160, a training spectrum's scatter products overflow: the
+    # fit names the pixel before any arithmetic warns.
+    cube, gt = synth_scene(18, 18, 12, 3, seed=11)
+    train_coords, _ = split_train_test(gt, 5, 0, 3)
+    r, c = train_coords[0]
+    values = cube.values.copy()
+    values[r, c] *= 1e160
+    scaled = HyperCube(values=values)
+    with pytest.raises(NonFiniteError, match=rf"^pixel \({r}, {c}\): training spectra overflow"):
+        fit_pipeline(
+            scaled, pixels_to_sample_set(scaled, train_coords, gt), config("ada", "nn-cos", r=2)
+        )
+
+
 class TestPredictMemory:
     """The traced peak of a warm predict. A chunk's distinct members (their
     gathered spectra, then their score product) and its pixels' score sums

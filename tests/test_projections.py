@@ -553,6 +553,27 @@ class TestPersistence:
         assert again.fit_params["sigma"] == proj.fit_params["sigma"]
         assert again.fit_params["ridge"] == proj.fit_params["ridge"]
 
+    def test_round_trip_signed_zero_subnormal_and_largest(self, tmp_path):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+        proj = Projection(
+            matrix=np.array([[-0.0, tiny, -huge], [huge, -tiny, 0.0]]),
+            eigenvalues=np.array([huge, tiny, -0.0]),
+            method="ada",
+        )
+        path = tmp_path / "proj.txt"
+        proj.save(path)
+        # The text numpy scalars format, with the sign of zero kept.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [
+            " ".join(f"{np.float64(v):.17g}" for v in row)
+            for row in [*proj.matrix, proj.eigenvalues]
+        ]
+        assert lines[-1] == "1.7976931348623157e+308 4.9406564584124654e-324 -0"
+        again = Projection.load(path)
+        for got, want in ((again.matrix, proj.matrix), (again.eigenvalues, proj.eigenvalues)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_round_trip_slspp_window(self, tmp_path):
         cube, _ = synth_scene(8, 8, 6, 2, noise_sd=0.05, patch_size=4, seed=5)
         proj = fit_slspp(cube, [(1, 1), (4, 4)], r=3, window=5)
