@@ -183,6 +183,17 @@ def _window_members(cube, centers, window):
     return flat[first[order]], members
 
 
+def _z_order(coords):
+    """The positions of the in-image coords (P, 2) along the Z-order curve of
+    (row, col), equal pixels in input order: each run of them is a compact
+    patch, whose windows share most of their members."""
+    rows, cols = coords.T
+    code = np.zeros(len(coords), dtype=np.int64)
+    for bit in range(int(coords.max(initial=0)).bit_length()):
+        code |= ((rows >> bit) & 1) << (2 * bit + 1) | ((cols >> bit) & 1) << (2 * bit)
+    return np.argsort(code, kind="stable")
+
+
 def _projected(proj, cube, pixels):
     """proj^T times the spectra of the flat pixel indices, as rows (U, r),
     gathered and projected a chunk_pixels(bands) block at a time."""
@@ -211,16 +222,19 @@ def fit_pipeline(work_cube, train, config):
     ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
     coordinates to an (m,) int64 array of labels. It labels the pixels in
     chunks sized by ``data.CHUNK_BYTES``: for nn-cos a fixed number of
-    pixels; for sbomp and somp the longest run of pixels whose distinct
-    window members and pixels, a row of max(atoms, bands) values each, fit in
-    it together, counted from the members the chunk gathers anyway. That
-    rule bounds the pursuit's score arrays only: each pixel also holds
-    arrays of K * w * r values for its refits and class residuals (see the
-    ``pursuit`` module docstring), so a chunk's peak can pass the budget.
-    The labels do not depend on the chunking. A SpecAngleError raised for a
-    pixel names the first failing pixel in input order: one bounds scan per
-    call finds the first pixel outside the image, and each chunk of the
-    pixels before it reports its own first failing pixel.
+    pixels in input order. sbomp and somp with a classifier window over 1
+    visit the pixels along the Z-order curve of (row, col), so that a chunk
+    is a compact patch whose windows share most of their members, and take
+    the longest run of them whose distinct window members and pixels, a row
+    of max(atoms, bands) values each, fit in it together. That rule bounds
+    the pursuit's score arrays only: each pixel also holds arrays of
+    K * w * r values for its refits and class residuals (see the ``pursuit``
+    module docstring), so a chunk's peak can pass the budget. The labels do
+    not depend on the chunking. A SpecAngleError raised for a pixel names
+    the first failing pixel in input order: one bounds scan per call finds
+    the first pixel outside the image, each chunk labels its pixels in input
+    order and reports its own first failing pixel, and after a failure only
+    the pixels before it are labelled.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
@@ -229,7 +243,11 @@ def fit_pipeline(work_cube, train, config):
         chunk = chunk_pixels(max(train.n_samples, work_cube.bands))
         cls_window = 1
 
-        def label(coords):
+        def take(coords):
+            return len(coords), coords
+
+        def label(coords, turn):
+            coords = coords[turn]
             X = _projected(proj, work_cube, coords[:, 0] * work_cube.cols + coords[:, 1])
             return nn_cosine_labels(train_proj, norms, X.T)
 
@@ -250,15 +268,20 @@ def fit_pipeline(work_cube, train, config):
         budget = chunk_pixels(max(dictionary.n_atoms, work_cube.bands))
         chunk = max(1, budget // 2)
 
-        def label(coords):
+        def take(coords):
             # The longest prefix of coords whose distinct members (the running
             # max of members, plus one) and pixels fit the budget, at least
-            # one pixel; each member is projected once.
+            # one pixel, and its window members.
             distinct, members = _window_members(work_cube, coords, cls_window)
             rows = np.maximum.accumulate(members.max(axis=1)) + np.arange(2, len(coords) + 2)
             n = max(1, int(np.searchsorted(rows, budget, side="right")))
-            Z = _projected(proj, work_cube, distinct[: members[:n].max() + 1])
-            return sbomp_labels(dictionary, Z, config.sparsity, members[:n])
+            return n, (distinct, members[:n])
+
+        def label(chunk, turn):
+            # Each member is projected once.
+            distinct, members = chunk
+            Z = _projected(proj, work_cube, distinct[: members.max() + 1])
+            return sbomp_labels(dictionary, Z, config.sparsity, members[turn])
 
     def predict(coords):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
@@ -270,17 +293,24 @@ def fit_pipeline(work_cube, train, config):
             _window_centers(work_cube, coords, cls_window)
         except OutOfBoundsError as exc:
             failure = exc
-        done, stop = 0, len(coords) if failure is None else failure.index
-        try:
-            while done < stop:
-                prefix = label(coords[done : min(done + chunk, stop)])
-                labels[done : done + len(prefix)] = prefix
-                done += len(prefix)
-        except SpecAngleError as exc:
-            if exc.index is None:
-                raise
-            # A chunk names its first failing pixel, so that is the first of all.
-            failure, stop = exc, done + exc.index
+        stop = len(coords) if failure is None else failure.index
+        # The positions still to label, in the order they are visited.
+        pending = _z_order(coords[:stop]) if cls_window > 1 else np.arange(stop)
+        while pending.size:
+            n, taken = take(coords[pending[:chunk]])
+            # Labelled in input order, so that the chunk names its first
+            # failing pixel.
+            turn = np.argsort(pending[:n])
+            part, pending = pending[:n][turn], pending[n:]
+            try:
+                labels[part] = label(taken, turn)
+            except SpecAngleError as exc:
+                if exc.index is None:
+                    raise
+                # A chunk names its first failing pixel; only the pixels
+                # before it can fail first.
+                failure, stop = exc, part[exc.index]
+                pending = pending[pending < stop]
         if failure is not None:
             failure.args = (f"pixel ({coords[stop, 0]}, {coords[stop, 1]}): {failure}",)
             raise failure

@@ -18,43 +18,46 @@ member they share, so each distinct (support, member) residual is read from one
 of its pixels and correlated once with the stacked dictionary, whole support
 groups going into products of at most the distinct members, and one sparse
 product sums each window's squares. Every pixel starts from the empty support,
-so the first iteration correlates each distinct member once. A pixel's scores
-therefore do not depend on which pixels share its members. The engine masks the
-blocks a pixel has already selected, appends the best block to the pixel's
-support (ties go to the lowest block index), refits the pixel's coefficients by
-least squares over its whole support and updates the residual. Coefficients
-live in a slot layout: support slot k holds as many rows as the widest block,
-and the rows past a narrower block's width belong to a trailing zero atom of
-the stacked dictionary, so every support of L blocks is L slots of the same
-width. The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
-every support, however many of its atoms are collinear. pinv(A_I) depends on
-the dictionary and the ordered support, not on the pixel. Pixels choose few
-distinct supports, so each one is factored once per dictionary and kept in
-its cache for every later pixel and chunk that selects it: the supports an
-iteration misses, of any block widths, are factored with one stacked
-pseudo-inverse in the slot layout. Each iteration then refits every pixel
-with one stacked product. The cache is cleared before its pseudo-inverses
-would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
-iterations, or early when its residual is numerically zero or every remaining
-score is zero. A pixel that has stopped keeps its support and coefficients.
-Test blocks of different widths share a stack by zero-padding to the widest;
-zero columns change neither the scores nor the residuals. Class residuals then
-come from one segmented reduction over every pixel's selected blocks.
+so the first iteration scores the rows of Z themselves, each correlated once. A
+pixel's scores therefore do not depend on which pixels share its members. The
+engine masks the blocks a pixel has already selected, appends the best block to
+the pixel's support (ties go to the lowest block index), refits the pixel's
+coefficients by least squares over its whole support and updates the residual.
+Coefficients live in a slot layout: support slot k holds as many rows as the
+widest block, and the rows past a narrower block's width belong to a trailing
+zero atom of the stacked dictionary, so every support of L blocks is L slots of
+the same width. The refit of support I is the minimum-norm X = pinv(A_I) S,
+defined for every support, however many of its atoms are collinear. pinv(A_I)
+depends on the dictionary and the ordered support, not on the pixel. Pixels
+choose few distinct supports, so each one is factored once per dictionary and
+kept in its cache for every later pixel and chunk that selects it: the supports
+an iteration misses, of any block widths, are factored with one stacked
+pseudo-inverse in the slot layout. Each iteration then refits every pixel with
+one stacked product. The cache is cleared before its pseudo-inverses would pass
+``data.CHUNK_BYTES``. Each pixel stops on its own: after K iterations, or early
+when its residual is numerically zero or every remaining score is zero. A pixel
+that has stopped keeps its support and coefficients. Test blocks of different
+widths share a stack by zero-padding to the widest; zero columns change neither
+the scores nor the residuals. Class residuals then come from one segmented
+reduction over every pixel's selected blocks.
 
 The arrays of one call that grow with the dictionary are the (U, atoms)
 score products, U being the number of distinct members, and the (P, atoms)
 score sums. A caller bounds those through U and P; ``predict`` from
 ``evaluate.fit_pipeline`` keeps (U + P) rows of max(atoms, bands) values
-within ``data.CHUNK_BYTES``. That rule does not count the arrays of K * w * r
-values that each pixel also holds, w being the columns of a window block
-and r the dimension: the gathered pseudo-inverses and atoms of ``_pursue``,
-and the blocks, parts and reconstructions of ``_class_residuals``. So a
-chunk can pass the budget: a warm ``predict`` on the ``map`` benchmark's
-scene (96x96x103, slspp r = 30, window 3, K = 2) traces about 6.0 MiB
-against the 4 MiB budget, and on a 60x60x103 scene at r = 60, window 5,
-K = 2, where each pixel holds 3,000 such values against about 2,200 atoms,
-about 9.5 MiB. ``sbomp`` and ``residual_by_class``, the one-pixel forms,
-run the same engine on a stack of one.
+within ``data.CHUNK_BYTES``, over compact patches of pixels along the
+Z-order curve, whose windows share most of their members. That rule does
+not count the arrays of K * w * r values that each pixel also holds, w
+being the columns of a window block and r the dimension: the gathered
+pseudo-inverses and atoms of ``_pursue``, and the parts and reconstructions
+of ``_class_residuals``, which drops its gathered blocks before the
+reconstructions and squares their differences in place. So a chunk can pass
+the budget: a warm ``predict`` on the ``map`` benchmark's scene
+(96x96x103, slspp r = 30, window 3, K = 2) traces about 6.3 MiB against the
+4 MiB budget, and on a 60x60x103 scene at r = 60, window 5, K = 2, where
+each pixel holds 3,000 such values against about 2,150 atoms, about
+10.5 MiB. ``sbomp`` and ``residual_by_class``, the one-pixel forms, run the
+same engine on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -172,24 +175,29 @@ def _block_scores(dictionary, Z, members):
     order, a member below 0 giving a zero column. Each row of Z is correlated
     once, however many windows share it. A block's score is the sum over its
     atoms of the l2 norm of the atom's correlations with the window's columns,
-    squared and summed in column order by one CSR product of the (P, n)
-    incidence matrix with the squares, which adds each row's entries to zero
-    in stored order. So a window's score does not depend on which windows
-    share its rows, up to how the product rounds a row for another row count.
+    squared and summed in column order by one CSR product of the (P, n + 1)
+    incidence matrix, w entries a row, with the squares and a zero row that
+    every member below 0 reads; the product adds each row's entries to zero
+    in stored order, and a zero adds nothing. So a window's score does not
+    depend on which windows share its rows, up to how the product rounds a
+    row for another row count.
     """
     # Imported here, so that only block pursuit loads scipy.sparse (some
     # 17 MB resident); fits and nn-cos labelling run on numpy alone.
     from scipy import sparse
 
+    P, w = members.shape
+    n = len(Z)
+    squares = np.empty((n + 1, dictionary._stacked.shape[1]))
+    squares[n] = 0.0
     # A product or square that overflows gives a score that is not finite,
     # which ``_pursue`` reports as a NonFiniteError naming the window.
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = Z @ dictionary._stacked
+        np.matmul(Z, dictionary._stacked, out=squares[:n])
         squares *= squares
-    inside = members >= 0
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))])
     incidence = sparse.csr_array(
-        (np.ones(indptr[-1]), members[inside], indptr), shape=(len(members), len(Z))
+        (np.ones(P * w), np.where(members < 0, n, members).ravel(), np.arange(P + 1) * w),
+        shape=(P, n + 1),
     )
     total = incidence @ squares
     return np.add.reduceat(np.sqrt(total, out=total), dictionary._offsets[:-1], axis=1)
@@ -265,21 +273,21 @@ def _refits(dictionary, supports):
     return np.stack(refits)
 
 
-def _pursue(dictionary, S, K, members):
+def _pursue(dictionary, Z, S, K, members):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
     Returns ``support`` (P, K), block indices in selection order padded with
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. ``members`` (P, w) holds the key
-    of each column of S: columns with the same key are equal, keys lie in 0
-    to U - 1, and -1 marks a zero column. Every iteration scores with
-    ``_residual_scores``, each pixel grouped by its support and every pixel
-    starting in the group of the empty support, with the row bound of the
-    first iteration: the U members. Each iteration refits every active pixel
-    with one stacked product by the pseudo-inverse of its support from
-    ``_refits``, which factors the supports not seen yet.
+    NaN after each pixel's last iteration. ``members`` (P, w) holds the row
+    of Z (n, d) that each column of S equals, -1 marking a zero column. Every
+    pixel starts from the empty support, so the first iteration scores the
+    rows of Z by ``_block_scores``; each later one scores the residuals by
+    ``_residual_scores``, each pixel grouped by its support, at most as many
+    rows a product as the members can reach. Each iteration refits every
+    active pixel with one stacked product by the pseudo-inverse of its
+    support from ``_refits``, which factors the supports not seen yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -296,7 +304,10 @@ def _pursue(dictionary, S, K, members):
     for t in range(K):
         if not active.size:
             break
-        scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
+        if t == 0:
+            scores = _block_scores(dictionary, Z, members)
+        else:
+            scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
         # Scores that overflow would tie every block, and the lowest would win.
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
@@ -332,7 +343,9 @@ def _class_residuals(dictionary, S, support, coefficients):
 
     Each selected block's partial reconstruction is summed over the selected
     blocks of its own class (one segmented reduction); a class with no
-    selected block keeps ||S_i||_F.
+    selected block keeps ||S_i||_F. The gathered blocks are dropped before the
+    reconstructions, and the differences are squared in place and summed as
+    ``np.linalg.norm`` sums them.
     """
     P, d, w = S.shape
     K = support.shape[1]
@@ -341,10 +354,13 @@ def _class_residuals(dictionary, S, support, coefficients):
     slots = dictionary._slots[selected]
     blocks = dictionary._stacked[:, slots].transpose(1, 2, 0, 3)
     parts = blocks @ coefficients.reshape(P, K, slots.shape[2], w)
+    del blocks
     cls = dictionary._class_pos[selected]
     same = (cls[:, :, None] == cls[:, None, :]) & used[:, None, :]
     recon = np.einsum("pkl,pldw->pkdw", same.astype(float), parts)
-    by_slot = np.linalg.norm(np.subtract(S[:, None], recon, out=recon), axis=(2, 3))
+    del parts
+    diff = np.subtract(S[:, None], recon, out=recon)
+    by_slot = np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=(2, 3)))
     out = np.repeat(np.linalg.norm(S, axis=(1, 2))[:, None], len(dictionary.class_ids), axis=1)
     p, k = np.nonzero(used)
     out[p, cls[p, k]] = by_slot[p, k]
@@ -352,8 +368,9 @@ def _class_residuals(dictionary, S, support, coefficients):
 
 
 def _gathered(dictionary, Z, K, members):
-    """The checked stack (P, d, w) of the blocks Z[members[i]].T, a -1
-    giving a zero column, and members as int64; see ``class_residuals``."""
+    """Z as a checked float array, the stack (P, d, w) of the blocks
+    Z[members[i]].T, a -1 giving a zero column, and members as int64; see
+    ``class_residuals``."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != dictionary.dim:
         raise DimensionMismatchError(f"Z must be (n, {dictionary.dim}), got shape {Z.shape}")
@@ -369,13 +386,13 @@ def _gathered(dictionary, Z, K, members):
         exc.index = int(np.argmax(outside))
         raise exc
     # A trailing zero row, read by every -1 of members.
-    Z = np.vstack([Z, np.zeros((1, Z.shape[1]))])
-    finite = np.all(np.isfinite(Z), axis=1)[members].all(axis=1)
+    padded = np.vstack([Z, np.zeros((1, Z.shape[1]))])
+    finite = np.all(np.isfinite(padded), axis=1)[members].all(axis=1)
     if not np.all(finite):
         exc = NonFiniteError("S contains NaN or Inf")
         exc.index = int(np.argmin(finite))
         raise exc
-    return np.ascontiguousarray(Z[members].transpose(0, 2, 1)), members
+    return Z, np.ascontiguousarray(padded[members].transpose(0, 2, 1)), members
 
 
 def _one_block(S):
@@ -404,8 +421,8 @@ def sbomp(dictionary, S, K):
     SparseSolution
     """
     Z = _one_block(S).T
-    S, members = _gathered(dictionary, Z, K, np.arange(len(Z))[None])
-    support, coefficients, norms = _pursue(dictionary, S, K, members)
+    Z, S, members = _gathered(dictionary, Z, K, np.arange(len(Z))[None])
+    support, coefficients, norms = _pursue(dictionary, Z, S, K, members)
     chosen = support[0][support[0] >= 0]
     return SparseSolution(
         support=tuple(int(j) for j in chosen),
@@ -460,6 +477,6 @@ def class_residuals(dictionary, Z, K, members):
         NonFiniteError for block scores that overflow has ``index`` set to
         the first pixel whose scores do.
     """
-    S, members = _gathered(dictionary, Z, K, members)
-    support, coefficients, _ = _pursue(dictionary, S, K, members)
+    Z, S, members = _gathered(dictionary, Z, K, members)
+    support, coefficients, _ = _pursue(dictionary, Z, S, K, members)
     return _class_residuals(dictionary, S, support, coefficients)

@@ -307,6 +307,33 @@ class TestFirstFailure:
         with pytest.raises(error, match=match):
             predict(self.coords(bad, outside))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflow_visited_first_waits_for_an_earlier_one(self, scene, monkeypatch):
+        """sbomp visits the pixels in Z order, which reaches BAD, the last
+        input, in the first chunk and FAR, the first input, in the third;
+        after BAD's chunk fails, the pixels before it are still labelled, so
+        FAR is named. FAR, like BAD, is 2 pixels or more from every training
+        pixel."""
+        cube, gt = scene
+        far = (8, 3)
+        values = cube.values.copy()
+        values[self.BAD] = values[far] = np.finfo(float).max
+        monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 15)
+        predict = self.predictor(HyperCube(values=values), gt, "sbomp")
+        coords = np.array([far, *self.CLEAN, self.BAD])
+        order = evaluate._z_order(coords)
+        assert order[0] == len(coords) - 1 and order[-1] == 0
+        chunks, sbomp_labels = [], evaluate.sbomp_labels
+
+        def record(dictionary, Z, K, members):
+            chunks.append(len(members))
+            return sbomp_labels(dictionary, Z, K, members)
+
+        monkeypatch.setattr(evaluate, "sbomp_labels", record)
+        with pytest.raises(NonFiniteError, match=r"^pixel \(8, 3\): S contains NaN or Inf$"):
+            predict(coords)
+        assert chunks == [3, 3, 2]
+
     @pytest.mark.parametrize("outside", [2, 5])
     def test_sparsity_above_the_block_count_before_an_outside_pixel(self, scene, monkeypatch,
                                                                      outside):

@@ -226,15 +226,34 @@ def test_labels_do_not_depend_on_chunking(wide_scene, monkeypatch, classifier, w
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
+@pytest.mark.parametrize("classifier", ["sbomp", "somp"])
+def test_labels_do_not_depend_on_the_input_order(wide_scene, monkeypatch, classifier):
+    """predict visits the pixels in Z order and labels each chunk in input
+    order, so a shuffled copy of the pixels gets every pixel the same label;
+    a 16 KiB budget cuts either order into ten chunks or more."""
+    cube, train = wide_scene
+    monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 14)
+    _, predict = fit_pipeline(cube, train, config("slspp", classifier, r=WIDE_R, sparsity=WIDE_K))
+    chunks = spy_chunks(monkeypatch)
+    coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
+    labels = predict(coords)
+    assert len(chunks) >= 10
+    chunks.clear()
+    shuffle = np.random.default_rng(7).permutation(len(coords))
+    np.testing.assert_array_equal(predict(coords[shuffle]), labels[shuffle])
+    assert len(chunks) >= 10
+
+
 @pytest.mark.parametrize("K", [2, 3])
 def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monkeypatch, K):
     """predict gathers and projects each distinct window member once, and
     each iteration correlates each distinct (support, member) residual once,
     the first one each member. On integer uint16-scale spectra with a
-    patch of repeated ones, truncated edge windows and short chunks that end
-    inside an image row, its supports and labels equal those of the gathered
-    stack and of one-pixel sbomp, and its residuals agree with theirs to
-    rounding. The training pixels' windows are represented exactly, so they
+    patch of repeated ones, truncated edge windows and short chunks of a
+    few image rows' length, its supports and labels equal those of the
+    gathered stack and of one-pixel sbomp, and its residuals agree with
+    theirs to rounding. Each chunk's records are mapped back to its pixels,
+    which predict visits in Z order and labels in input order. The training pixels' windows are represented exactly, so they
     stop early beside pixels that continue, and neighbours that share
     members select different first blocks."""
     cube, train = wide_scene
@@ -257,20 +276,32 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     # 64 KiB holds 63 score rows of the dictionary's 129 atoms: chunks of
     # about 15 pixels, each with as many distinct members as fit beside them.
     monkeypatch.setattr(data, "CHUNK_BYTES", 1 << 16)
-    recorded, class_residuals_of = [], classify.class_residuals
+    recorded, visits = [], []
+    class_residuals_of, z_order = classify.class_residuals, evaluate._z_order
 
     def record(dictionary, Z, K, members):
         recorded.append(class_residuals_of(dictionary, Z, K, members))
         return recorded[-1]
 
+    def visit(coords):
+        visits.append(z_order(coords))
+        return visits[-1]
+
     monkeypatch.setattr(classify, "class_residuals", record)
+    monkeypatch.setattr(evaluate, "_z_order", visit)
     _, supports = spy_refits(monkeypatch)
     proj, predict = fit_pipeline(cube, train, config("slspp", "sbomp", r=WIDE_R, sparsity=K))
     coords = np.argwhere(np.ones((cube.rows, cube.cols), dtype=bool))
     labels = predict(coords)
     ends = np.cumsum([len(r) for r in recorded])
-    assert len(ends) > 10 and np.any(ends % cube.cols)  # chunks end inside image rows
-    support, residuals = np.concatenate(supports), np.concatenate(recorded)
+    assert len(ends) > 10 and np.any(ends % cube.cols)  # chunks are no whole image rows
+    # Chunk k holds the pixels visited from ends[k - 1] to ends[k], each
+    # chunk's records in input order.
+    [visited] = visits
+    np.testing.assert_array_equal(np.sort(visited), np.arange(len(coords)))
+    positions = np.concatenate([np.sort(part) for part in np.split(visited, ends[:-1])])
+    order = np.argsort(positions)
+    support, residuals = np.concatenate(supports)[order], np.concatenate(recorded)[order]
     supports.clear()
     stopped = support[:, -1] < 0
     assert np.any(stopped) and not np.all(stopped)
@@ -309,8 +340,8 @@ def spy_refits(monkeypatch):
         factored.append(len(A))
         return pinv(A)
 
-    def record(dictionary, S, K, members):
-        out = pursue(dictionary, S, K, members)
+    def record(dictionary, Z, S, K, members):
+        out = pursue(dictionary, Z, S, K, members)
         supports.append(out[0])
         return out
 
@@ -438,39 +469,71 @@ def test_overflowing_ada_training_spectrum_names_that_pixel():
 
 
 class TestPredictMemory:
-    """The traced peak of a warm predict. A chunk's distinct members (their
-    gathered spectra, then their score product) and its pixels' score sums
-    share one CHUNK_BYTES budget, so the peak stays near it when windows
-    share most members and when they share none. Measured: 7.07 MiB on the
-    map shape (5.75 MiB with the former chunks of 72 pixels, whose later
-    iterations scored every window column), 4.68 MiB on scattered pixels."""
+    """The traced peak of a warm predict, and the members its chunks score.
+    A chunk's distinct members (their gathered spectra, then their score
+    product) and its pixels' score sums share one CHUNK_BYTES budget, so the
+    peak stays near it when windows share most members and when they share
+    none; the K * w * r values each pixel holds for its refits and class
+    residuals come on top. Measured: 6.25 MiB on the map shape, 10.45 MiB
+    at r = 60, window 5 (9.41 MiB with the row-major chunks, whose pixels
+    shared fewer members, so fewer fitted a chunk), 4.30 MiB on scattered
+    pixels."""
 
     @staticmethod
-    def peak(size, seed, window, coords=None):
+    def predictor(size, seed, window, r=30):
+        """A fitted predict on a size x size x 103 scene of 9 classes, and
+        every labelled pixel."""
         cube, gt = synth_scene(size, size, 103, 9, noise_sd=0.05, seed=seed)
         train_coords, _ = split_train_test(gt, 10, 0, seed)
         train = pixels_to_sample_set(cube, train_coords, gt)
         cfg = ExperimentConfig(
-            method="slspp", classifier="sbomp", r=30, window=window, sparsity=2, n_train=10,
+            method="slspp", classifier="sbomp", r=r, window=window, sparsity=2, n_train=10,
         )
-        _, predict = fit_pipeline(cube, train, cfg)
+        return fit_pipeline(cube, train, cfg)[1], np.argwhere(gt.labels > 0)
+
+    @classmethod
+    def peak(cls, size, seed, window, r=30, coords=None):
+        predict, labelled = cls.predictor(size, seed, window, r)
         if coords is None:
-            coords = np.argwhere(gt.labels > 0)
+            coords = labelled
         predict(coords)
         labels, peak = traced_peak(predict, coords)
         assert labels.shape == (len(coords),)
         return peak
 
     def test_map_shape(self):
-        """96x96x103, slspp r = 30, window 3, K = 2: chunks of about 230
-        pixels and 420 distinct members against 810 atoms."""
+        """96x96x103, slspp r = 30, window 3, K = 2: chunks of about 280
+        pixels and 370 distinct members against about 800 atoms."""
         assert self.peak(96, 5, 3) <= 7.5 * 2**20
+
+    def test_pavia_shape(self):
+        """The paper's r = 60, window 5 and K = 2 on a 60x60x103 scene:
+        chunks of about 70 pixels and 170 distinct members against about
+        2,150 atoms, each pixel holding 3,000 refit and residual values."""
+        assert self.peak(60, 3, 5, r=60) <= 11 * 2**20
 
     def test_scattered_pixels(self):
         """Window-5 pixels 5 apart on a 60x60x103 scene share no member:
         chunks of 9 pixels and 225 members against about 2,150 atoms."""
         grid = np.argwhere(np.ones((12, 12), dtype=bool)) * 5 + 2
-        assert self.peak(60, 3, 5, grid) <= 5 * 2**20
+        assert self.peak(60, 3, 5, coords=grid) <= 5 * 2**20
+
+    def test_map_chunks_are_compact_patches(self, monkeypatch):
+        """Chunks along the Z-order curve are patches whose windows share
+        most members: on the map shape the distinct members summed over the
+        chunks stay within 1.5 times the pixels (1.31 measured, against
+        1.82 for chunks of consecutive row-major pixels)."""
+        predict, coords = self.predictor(96, 5, 3)
+        members, class_residuals_of = [], classify.class_residuals
+
+        def record(dictionary, Z, K, windows):
+            members.append(len(Z))
+            return class_residuals_of(dictionary, Z, K, windows)
+
+        monkeypatch.setattr(classify, "class_residuals", record)
+        predict(coords)
+        assert len(members) > 10
+        assert sum(members) <= 1.5 * len(coords)
 
 
 class TestDictionaryGather:
