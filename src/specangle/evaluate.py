@@ -221,20 +221,19 @@ def fit_pipeline(work_cube, train, config):
     ``train`` is a SampleSet with labels and coords in ``work_cube``. Returns
     ``(projection, predict)``; ``predict`` maps an (m, 2) array of pixel
     coordinates to an (m,) int64 array of labels. It labels the pixels in
-    chunks sized by ``data.CHUNK_BYTES``: for nn-cos a fixed number of
-    pixels in input order. sbomp and somp with a classifier window over 1
-    visit the pixels along the Z-order curve of (row, col), so that a chunk
-    is a compact patch whose windows share most of their members, and take
-    the longest run of them whose distinct window members and pixels, a row
-    of max(atoms, bands) values each, fit in it together. That rule bounds
-    the pursuit's score arrays only: each pixel also holds arrays of
-    K * w * r values for its refits and class residuals (see the ``pursuit``
-    module docstring), so a chunk's peak can pass the budget. The labels do
-    not depend on the chunking. A SpecAngleError raised for a pixel names
-    the first failing pixel in input order: one bounds scan per call finds
-    the first pixel outside the image, each chunk labels its pixels in input
-    order and reports its own first failing pixel, and after a failure only
-    the pixels before it are labelled.
+    chunks sized by ``data.CHUNK_BYTES``: for nn-cos a fixed number of pixels
+    in input order; for sbomp and somp the longest run of pixels whose distinct
+    window members and pixels, a row of max(atoms, bands) values each, fit in
+    it together, the pixels visited along the Z-order curve of (row, col) when
+    the classifier window is over 1, so that a chunk is a compact patch whose
+    windows share most of their members. That rule bounds the pursuit's score
+    arrays only: each pixel also holds arrays of K * w * r values for its
+    refits and class residuals (see the ``pursuit`` module docstring), so a
+    chunk's peak can pass the budget. The labels do not depend on the chunking.
+    A SpecAngleError raised for a pixel names the first failing pixel in input
+    order: one bounds scan per call finds the first pixel outside the image,
+    each chunk labels its pixels in input order and reports its own first
+    failing pixel, and after a failure only the pixels before it are labelled.
     """
     proj = fit_projection(work_cube, train, config)
     if config.classifier == "nn-cos":
@@ -277,9 +276,9 @@ def fit_pipeline(work_cube, train, config):
             n = max(1, int(np.searchsorted(rows, budget, side="right")))
             return n, (distinct, members[:n])
 
-        def label(chunk, turn):
+        def label(taken, turn):
             # Each member is projected once.
-            distinct, members = chunk
+            distinct, members = taken
             Z = _projected(proj, work_cube, distinct[: members.max() + 1])
             return sbomp_labels(dictionary, Z, config.sparsity, members[turn])
 

@@ -249,11 +249,12 @@ def test_shared_members_match_the_gathered_and_one_pixel_paths(wide_scene, monke
     """predict gathers and projects each distinct window member once, and
     each iteration correlates each distinct (support, member) residual once,
     the first one each member. On integer uint16-scale spectra with a
-    patch of repeated ones, truncated edge windows and short chunks of a
-    few image rows' length, its supports and labels equal those of the
-    gathered stack and of one-pixel sbomp, and its residuals agree with
-    theirs to rounding. Each chunk's records are mapped back to its pixels,
-    which predict visits in Z order and labels in input order. The training pixels' windows are represented exactly, so they
+    patch of repeated ones, truncated edge windows and short chunks, patches
+    of about 15 pixels that cut through image rows, its supports and labels
+    equal those of the gathered stack and of one-pixel sbomp, and its
+    residuals agree with theirs to rounding. Each chunk's records are mapped
+    back to its pixels, which predict visits in Z order and labels in input
+    order. The training pixels' windows are represented exactly, so they
     stop early beside pixels that continue, and neighbours that share
     members select different first blocks."""
     cube, train = wide_scene
