@@ -298,8 +298,8 @@ def fit_pipeline(work_cube, train, config):
         while pending.size:
             n, taken = take(coords[pending[:chunk]])
             # Labelled in input order, so that the chunk names its first
-            # failing pixel.
-            turn = np.argsort(pending[:n])
+            # failing pixel; input order is the visiting order for nn-cos.
+            turn = np.argsort(pending[:n]) if cls_window > 1 else slice(None)
             part, pending = pending[:n][turn], pending[n:]
             try:
                 labels[part] = label(taken, turn)

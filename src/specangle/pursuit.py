@@ -18,28 +18,28 @@ member they share, so each distinct (support, member) residual is read from one
 of its pixels and correlated once with the stacked dictionary, whole support
 groups going into products of at most the distinct members, and one sparse
 product sums each window's squares. Every pixel starts from the empty support,
-so the first iteration scores the rows of Z themselves, each correlated once. A
-pixel's scores therefore do not depend on which pixels share its members. The
-engine masks the blocks a pixel has already selected, appends the best block to
-the pixel's support (ties go to the lowest block index), refits the pixel's
-coefficients by least squares over its whole support and updates the residual.
-Coefficients live in a slot layout: support slot k holds as many rows as the
-widest block, and the rows past a narrower block's width belong to a trailing
-zero atom of the stacked dictionary, so every support of L blocks is L slots of
-the same width. The refit of support I is the minimum-norm X = pinv(A_I) S,
-defined for every support, however many of its atoms are collinear. pinv(A_I)
-depends on the dictionary and the ordered support, not on the pixel. Pixels
-choose few distinct supports, so each one is factored once per dictionary and
-kept in its cache for every later pixel and chunk that selects it: the supports
-an iteration misses, of any block widths, are factored with one stacked
-pseudo-inverse in the slot layout. Each iteration then refits every pixel with
-one stacked product. The cache is cleared before its pseudo-inverses would pass
-``data.CHUNK_BYTES``. Each pixel stops on its own: after K iterations, or early
-when its residual is numerically zero or every remaining score is zero. A pixel
-that has stopped keeps its support and coefficients. Test blocks of different
-widths share a stack by zero-padding to the widest; zero columns change neither
-the scores nor the residuals. Class residuals then come from one segmented
-reduction over every pixel's selected blocks.
+so the first iteration correlates each distinct member once. A pixel's scores
+therefore do not depend on which pixels share its members. The engine masks the
+blocks a pixel has already selected, appends the best block to the pixel's
+support (ties go to the lowest block index), refits the pixel's coefficients by
+least squares over its whole support and updates the residual. Coefficients
+live in a slot layout: support slot k holds as many rows as the widest block,
+and the rows past a narrower block's width belong to a trailing zero atom of
+the stacked dictionary, so every support of L blocks is L slots of the same
+width. The refit of support I is the minimum-norm X = pinv(A_I) S, defined for
+every support, however many of its atoms are collinear. pinv(A_I) depends on
+the dictionary and the ordered support, not on the pixel. Pixels choose few
+distinct supports, so each one is factored once per dictionary and kept in
+its cache for every later pixel and chunk that selects it: the supports an
+iteration misses, of any block widths, are factored with one stacked
+pseudo-inverse in the slot layout. Each iteration then refits every pixel
+with one stacked product. The cache is cleared before its pseudo-inverses
+would pass ``data.CHUNK_BYTES``. Each pixel stops on its own: after K
+iterations, or early when its residual is numerically zero or every remaining
+score is zero. A pixel that has stopped keeps its support and coefficients.
+Test blocks of different widths share a stack by zero-padding to the widest;
+zero columns change neither the scores nor the residuals. Class residuals then
+come from one segmented reduction over every pixel's selected blocks.
 
 The arrays of one call that grow with the dictionary are the (U, atoms)
 score products, U being the number of distinct members, and the (P, atoms)
@@ -273,21 +273,21 @@ def _refits(dictionary, supports):
     return np.stack(refits)
 
 
-def _pursue(dictionary, Z, S, K, members):
+def _pursue(dictionary, S, K, members):
     """Greedy block pursuit of every slice of S (P, d, w), sparsity K.
 
     Returns ``support`` (P, K), block indices in selection order padded with
     -1; ``coefficients`` (P, K * width, w) by slot, where width is the widest
     block and the rows of support slot k start at k * width (zero rows past
     the block's own width); and ``norms`` (P, K + 1), the residual history,
-    NaN after each pixel's last iteration. ``members`` (P, w) holds the row
-    of Z (n, d) that each column of S equals, -1 marking a zero column. Every
-    pixel starts from the empty support, so the first iteration scores the
-    rows of Z by ``_block_scores``; each later one scores the residuals by
-    ``_residual_scores``, each pixel grouped by its support, at most as many
-    rows a product as the members can reach. Each iteration refits every
-    active pixel with one stacked product by the pseudo-inverse of its
-    support from ``_refits``, which factors the supports not seen yet.
+    NaN after each pixel's last iteration. ``members`` (P, w) holds the key
+    of each column of S: columns with the same key are equal, keys lie in 0
+    to U - 1, and -1 marks a zero column. Every iteration scores with
+    ``_residual_scores``, each pixel grouped by its support and every pixel
+    starting in the group of the empty support, with the row bound of the
+    first iteration: the U members. Each iteration refits every active pixel
+    with one stacked product by the pseudo-inverse of its support from
+    ``_refits``, which factors the supports not seen yet.
     """
     P, d, w = S.shape
     slots = dictionary._slots
@@ -304,10 +304,7 @@ def _pursue(dictionary, Z, S, K, members):
     for t in range(K):
         if not active.size:
             break
-        if t == 0:
-            scores = _block_scores(dictionary, Z, members)
-        else:
-            scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
+        scores = _residual_scores(dictionary, R, members[active], ranks[active], bound)
         # Scores that overflow would tie every block, and the lowest would win.
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
@@ -368,9 +365,8 @@ def _class_residuals(dictionary, S, support, coefficients):
 
 
 def _gathered(dictionary, Z, K, members):
-    """Z as a checked float array, the stack (P, d, w) of the blocks
-    Z[members[i]].T, a -1 giving a zero column, and members as int64; see
-    ``class_residuals``."""
+    """The checked stack (P, d, w) of the blocks Z[members[i]].T, a -1
+    giving a zero column, and members as int64; see ``class_residuals``."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != dictionary.dim:
         raise DimensionMismatchError(f"Z must be (n, {dictionary.dim}), got shape {Z.shape}")
@@ -386,13 +382,13 @@ def _gathered(dictionary, Z, K, members):
         exc.index = int(np.argmax(outside))
         raise exc
     # A trailing zero row, read by every -1 of members.
-    padded = np.vstack([Z, np.zeros((1, Z.shape[1]))])
-    finite = np.all(np.isfinite(padded), axis=1)[members].all(axis=1)
+    Z = np.vstack([Z, np.zeros((1, Z.shape[1]))])
+    finite = np.all(np.isfinite(Z), axis=1)[members].all(axis=1)
     if not np.all(finite):
         exc = NonFiniteError("S contains NaN or Inf")
         exc.index = int(np.argmin(finite))
         raise exc
-    return Z, np.ascontiguousarray(padded[members].transpose(0, 2, 1)), members
+    return np.ascontiguousarray(Z[members].transpose(0, 2, 1)), members
 
 
 def _one_block(S):
@@ -421,8 +417,8 @@ def sbomp(dictionary, S, K):
     SparseSolution
     """
     Z = _one_block(S).T
-    Z, S, members = _gathered(dictionary, Z, K, np.arange(len(Z))[None])
-    support, coefficients, norms = _pursue(dictionary, Z, S, K, members)
+    S, members = _gathered(dictionary, Z, K, np.arange(len(Z))[None])
+    support, coefficients, norms = _pursue(dictionary, S, K, members)
     chosen = support[0][support[0] >= 0]
     return SparseSolution(
         support=tuple(int(j) for j in chosen),
@@ -477,6 +473,6 @@ def class_residuals(dictionary, Z, K, members):
         NonFiniteError for block scores that overflow has ``index`` set to
         the first pixel whose scores do.
     """
-    Z, S, members = _gathered(dictionary, Z, K, members)
-    support, coefficients, _ = _pursue(dictionary, Z, S, K, members)
+    S, members = _gathered(dictionary, Z, K, members)
+    support, coefficients, _ = _pursue(dictionary, S, K, members)
     return _class_residuals(dictionary, S, support, coefficients)

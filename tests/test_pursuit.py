@@ -269,8 +269,7 @@ class TestBatch:
         for i, T in enumerate(tests):
             S[i, :, : T.shape[1]] = T
 
-        Z, members = stack_members(S)
-        support, coefficients, norms = pursuit._pursue(d, Z, S, K, members)
+        support, coefficients, norms = pursuit._pursue(d, S, K, np.arange(15).reshape(5, 3))
         assert list(support[1]) == [2, -1, -1]
         assert list(support[3]) == [-1, -1, -1]
         assert np.all(support[[0, 2, 4]] >= 0)
@@ -288,6 +287,7 @@ class TestBatch:
             np.testing.assert_allclose(norms[i, : n + 1], sol.residual_norms, rtol=self.TOL, atol=self.TOL)
             assert np.all(np.isnan(norms[i, n + 1:]))
 
+        Z, members = stack_members(S)
         residuals = class_residuals(d, Z, K, members)
         for i, T in enumerate(tests):
             one = fresh()
@@ -367,8 +367,8 @@ class TestSharedColumns:
             expected = window_scores_reference(Z @ d._stacked, d._offsets, members)
             np.testing.assert_array_equal(scores, expected)
             assert not np.any(scores[empty])
-            Z, S, checked = pursuit._gathered(d, Z, 1, members)
-            assert pursuit._pursue(d, Z, S, 1, checked)[0][empty, 0] == -1
+            S, checked = pursuit._gathered(d, Z, 1, members)
+            assert pursuit._pursue(d, S, 1, checked)[0][empty, 0] == -1
         assert shared > 25
 
     def test_residual_scores_match_the_loop_reference(self):
@@ -397,10 +397,10 @@ class TestSharedColumns:
             _, d, Z, members = self.case(rng, ddim=16)
             K = int(rng.integers(1, min(3, d.n_blocks) + 1))
             S = Z[members].transpose(0, 2, 1)
-            columns, own = stack_members(S)
-            support = pursuit._pursue(d, columns, S, K, own)[0]
-            shared = pursuit._pursue(d, Z, S, K, members)[0]
+            support = pursuit._pursue(d, S, K, np.arange(members.size).reshape(members.shape))[0]
+            shared = pursuit._pursue(d, S, K, members)[0]
             np.testing.assert_array_equal(shared, support)
+            columns, own = stack_members(S)
             np.testing.assert_allclose(
                 class_residuals(d, Z[:-1], K, members), class_residuals(d, columns, K, own),
                 rtol=1e-12,
@@ -424,8 +424,8 @@ class TestSharedColumns:
                 members[1] = -1
                 members[1, int(rng.integers(members.shape[1]))] = 0
             residuals = class_residuals(d, Z, K, members)
-            Z, S, checked = pursuit._gathered(d, Z, K, members)
-            stopped += np.count_nonzero(pursuit._pursue(d, Z, S, K, checked)[0][:, -1] < 0)
+            S, checked = pursuit._gathered(d, Z, K, members)
+            stopped += np.count_nonzero(pursuit._pursue(d, S, K, checked)[0][:, -1] < 0)
             for i, S_i in enumerate(S):
                 one = BlockDictionary(blocks=d.blocks, classes=d.classes)
                 expected = residual_by_class(one, S_i, sbomp(one, S_i, K))
